@@ -10,14 +10,22 @@ engine with exact complements, so the ratio defining the ring modulus
 
 stays accurate deep into both corners.  Inverting mu_a uses the symmetry
 mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 to keep the numeric root finder on
-the well-conditioned half r <= 1/sqrt(2), and switches to the logarithmic
-asymptote exp(R_a/2 - y) once the target is deep enough that its error is
-below roundoff.
+the well-conditioned half r <= 1/sqrt(2).  There it runs Newton in log r
+from the asymptote mu_a(r) ~ R_a/2 - log r (taken to three terms), with
+the closed-form slope
+
+    d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2)
+
+(Anderson-Qiu-Vamanamurthy-Vuorinen), whose F is the denominator of mu_a,
+so each step costs one mu_a evaluation; most solves take one or two.
+Once the target is deep enough that the error of exp(R_a/2 - y) is below
+roundoff, that asymptote is the answer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError
@@ -192,23 +200,21 @@ def e_a_prime(a, r: float) -> float:
     return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
 
 
-def _mu_classical(r: float) -> float:
-    return 0.5 * math.pi * agm(1.0, math.sqrt(_complement(r))) / agm(1.0, r)
-
-
-def _mu_general(a: float, r: float) -> float:
-    x = r * r
+def _mu_and_slope(a: float, r: float):
+    """(mu_a(r), d mu_a / d(log r)) without the public endpoint guard."""
     xc = _complement(r)
+    if a == 0.5:
+        g = agm(1.0, math.sqrt(xc))  # F(1/2, 1/2; 1; r^2) = 1 / g
+        return 0.5 * math.pi * g / agm(1.0, r), -g * g / xc
+    x = r * r
     num = hyp2f1(a, 1.0 - a, 1.0, xc, one_minus_x=x)
     den = hyp2f1(a, 1.0 - a, 1.0, x, one_minus_x=xc)
-    return 0.5 * math.pi / math.sin(math.pi * a) * num / den
+    return 0.5 * math.pi / math.sin(math.pi * a) * num / den, -1.0 / (xc * den * den)
 
 
 def _mu_full(a: float, r: float) -> float:
     # internal evaluator without the public endpoint guard
-    if a == 0.5:
-        return _mu_classical(r)
-    return _mu_general(a, r)
+    return _mu_and_slope(a, r)[0]
 
 
 def mu(r: float) -> float:
@@ -229,6 +235,43 @@ def mu_a(a, r: float) -> float:
 _INVERT_TOL = 1e-13
 _ASYM_MARGIN = 25.0  # use the log asymptote once -log(root) exceeds this
 _SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_HALF = math.log(_SQRT_HALF)
+_LOG_BRACKET = (math.log(1e-15), math.log(_SQRT_HALF + 0.01))
+
+
+def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
+    """log r at the root of the three-term asymptote of mu_a(r) = y.
+
+    mu_a(r) = R_a/2 - log r + E(x) / (2 F(x)) exactly, x = r^2, with
+    F = F(a,1-a;1;x) and E(x) = sum c_n (h_n - R_a) x^n, where c_n x^n are
+    the terms of F and h_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n) (DLMF
+    15.8.10).  Truncating E and F after x^2 misses the root by under 0.02
+    in log r on r <= 1/sqrt(2), and by under 2e-7 below r = 0.1.
+    """
+    p = a * (1.0 - a)
+    e1, e2 = 2.0 * p - 1.0, 0.25 * (3.0 * p * p + 2.0 * p - 2.0)
+    f1, f2 = p, 0.25 * p * (p + 2.0)
+    t = r_half - y
+    for _ in range(3):  # Newton, with the slope of the one-term correction
+        x = math.exp(2.0 * t)
+        corr = (e1 * x + e2 * x * x) / (2.0 * (1.0 + f1 * x + f2 * x * x))
+        t += (r_half - y - t + corr) / (1.0 - e1 * x)
+    return t
+
+
+def _mu_inverse_lower(a: float, y: float) -> float:
+    # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on underflow
+    r_half = 0.5 * ramanujan_R(a, 1.0 - a)
+    if y >= r_half + _ASYM_MARGIN:
+        # mu_a(r) = R_a/2 - log r + O(r^2); the dropped term is below
+        # e^(-2*margin) here, far under roundoff
+        return math.exp(r_half - y)
+    # the root lies at or below 1/sqrt(2); the start may overshoot it there
+    t0 = min(_mu_inverse_start(a, y, r_half), _LOG_SQRT_HALF)
+    res = kernel.invert_monotone(
+        lambda t: _mu_and_slope(a, math.exp(t)), y, *_LOG_BRACKET, tol=_INVERT_TOL, x0=t0
+    )
+    return math.exp(res.root)
 
 
 def mu_a_inverse(a, y: float) -> float:
@@ -238,14 +281,15 @@ def mu_a_inverse(a, y: float) -> float:
     mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 so the root finder only ever
     runs on r <= 1/sqrt(2), where one ulp of r moves mu_a by O(ulp).
     Raises BracketError when the root is closer to 1 than binary64 can
-    represent.
+    represent (saturating endpoint 1.0) or below the smallest normal
+    float (saturating endpoint 0.0).
     """
     a = _sig(a)
     if not y > 0.0:
         raise DomainError(f"mu_a_inverse needs y > 0, got {y}")
     c_sym = 0.5 * math.pi / math.sin(math.pi * a)
     if y < c_sym:
-        rc = mu_a_inverse(a, c_sym * c_sym / y)
+        rc = _mu_inverse_lower(a, c_sym * c_sym / y)
         root = math.sqrt((1.0 - rc) * (1.0 + rc))
         if root >= 1.0:
             raise BracketError(
@@ -253,15 +297,12 @@ def mu_a_inverse(a, y: float) -> float:
                 saturating_endpoint=1.0,
             )
         return root
-    r_half = 0.5 * ramanujan_R(a, 1.0 - a)
-    if y >= r_half + _ASYM_MARGIN:
-        # mu_a(r) = R_a/2 - log r + O(r^2 log r); the dropped term is below
-        # e^(-2*margin) here, far under roundoff
-        return math.exp(r_half - y)
-    res = kernel.invert_monotone(
-        lambda t: _mu_full(a, t), y, 1e-15, _SQRT_HALF + 0.01, tol=_INVERT_TOL
-    )
-    return res.root
+    root = _mu_inverse_lower(a, y)
+    if root < sys.float_info.min:
+        raise BracketError(
+            f"mu_a^-1({y}) underflows binary64", saturating_endpoint=0.0
+        )
+    return root
 
 
 def phi_k_a(a, big_k: float, r: float) -> float:

@@ -106,6 +106,7 @@ _B2N = (
 
 _SHIFT_LGAMMA = 9.0
 _SHIFT_PSI = 10.0
+_TRIGAMMA_TINY = 1e-154  # below it 1/x^2 leaves binary64
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _GAMMA_OVERFLOW = 171.624
 
@@ -115,14 +116,11 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 def _sinpi(x: float) -> float:
-    # reduce in exact double arithmetic before multiplying by pi
-    n = math.floor(x)
-    r = x - n
-    if r > 0.5:
-        s = -math.sin(math.pi * (r - 1.0))
-    else:
-        s = math.sin(math.pi * r)
-    return -s if int(n) % 2 else s
+    # reduce to |x - n| <= 1/2, exact in binary64, before multiplying by pi;
+    # x - floor(x) = 1 + x would round tiny negative x away
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
+    return -s if n % 2 else s
 
 
 def _cospi(x: float) -> float:
@@ -214,9 +212,15 @@ def digamma(x: float) -> float:
 
 
 def trigamma(x: float) -> float:
-    """Psi'(x), poles excluded."""
+    """Psi'(x), poles excluded.
+
+    Psi'(x) ~ 1/x^2 overflows binary64 near 0, so |x| < 1e-154 raises
+    RangeError.
+    """
     if _is_nonpositive_integer(x):
         raise PoleError(f"trigamma pole at {x}")
+    if abs(x) < _TRIGAMMA_TINY:
+        raise RangeError(f"trigamma({x}) overflows binary64; needs |x| >= {_TRIGAMMA_TINY}")
     if x < 0.5:
         s = _sinpi(x)
         return math.pi * math.pi / (s * s) - trigamma(1.0 - x)

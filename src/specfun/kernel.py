@@ -4,6 +4,12 @@ Error-free transformations and a two-term (double-double) value type,
 exact compensated summation, central-difference stencils, a bracketed
 monotone root finder, and grid generation.  Everything here is a pure
 function of its inputs and safe to call from any number of threads.
+
+The root finder takes Newton steps when the function also returns its
+slope, and secant steps when it does not.  From a good start point, plain
+Newton finds the root without evaluating the bracket ends; otherwise each
+step is accepted only while it stays inside the current bracket and
+shrinks fast enough, and bisection takes over when it does not.
 """
 
 from __future__ import annotations
@@ -187,28 +193,70 @@ class BracketRoot:
     iterations: int
 
 
+def _residual(f, x: float, target: float):
+    # f returns a value, or a (value, slope) pair; slope is None for the former
+    v = f(x)
+    if isinstance(v, tuple):
+        return v[0] - target, v[1]
+    return v - target, None
+
+
 def invert_monotone(
-    f: Callable[[float], float],
+    f: Callable[[float], object],
     target: float,
     bracket_lo: float,
     bracket_hi: float,
     tol: float = 1e-14,
     max_iter: int = 200,
+    x0: Optional[float] = None,
 ) -> BracketRoot:
     """Solve f(x) = target for strictly monotone f on [bracket_lo, bracket_hi].
 
-    Secant steps are accepted only while they stay inside the current
-    bracket; otherwise the step bisects, so convergence is guaranteed.
-    Tolerance is measured in function space.
+    ``f`` returns f(x), or the pair (f(x), f'(x)).  Given a slope and a
+    start point ``x0`` strictly inside the bracket, plain Newton steps run
+    from x0 while each lands strictly inside the bracket and at least
+    halves the residual, so a good start finds the root without evaluating
+    the bracket ends.  Otherwise both ends are evaluated (BracketError if
+    they do not enclose the target) and the safeguarded iteration goes on
+    from the best point so far.  Its candidate is the Newton step when f
+    gives a slope, accepted while no longer than half the previous step,
+    and else the secant step through the latest two points, accepted while
+    no longer than 3/4 of the bracket width; a candidate outside the
+    current bracket, or too long, is replaced by bisection.  A slope that
+    is wrong, even in sign, therefore still converges.  Tolerance is
+    measured in function space; ``iterations`` counts the evaluations
+    other than the two bracket ends.
     """
     a, b = float(bracket_lo), float(bracket_hi)
     if not a < b:
         raise BracketError(f"empty bracket [{a}, {b}]")
-    fa, fb = f(a) - target, f(b) - target
+    it = 0
+    seed = None
+    if x0 is not None and a < x0 < b:
+        x = float(x0)
+        fx, dx = _residual(f, x, target)
+        it = 1
+        while abs(fx) > tol and it < max_iter:
+            cand = x - fx / dx if dx else math.nan
+            if not a < cand < b:
+                break
+            fc, dc = _residual(f, cand, target)
+            it += 1
+            stalled = not abs(fc) <= 0.5 * abs(fx)
+            if abs(fc) < abs(fx):
+                x, fx, dx = cand, fc, dc
+            if stalled:
+                break
+        if abs(fx) <= tol:
+            return BracketRoot(x, fx, it)
+        seed = (x, fx, dx)
+
+    fa, _ = _residual(f, a, target)
+    fb, db = _residual(f, b, target)
     if fa == 0.0:
-        return BracketRoot(a, 0.0, 0)
+        return BracketRoot(a, 0.0, it)
     if fb == 0.0:
-        return BracketRoot(b, 0.0, 0)
+        return BracketRoot(b, 0.0, it)
     if fa * fb > 0.0:
         endpoint = a if abs(fa) < abs(fb) else b
         raise BracketError(
@@ -216,34 +264,50 @@ def invert_monotone(
             saturating_endpoint=endpoint,
         )
     if abs(fa) <= tol:
-        return BracketRoot(a, fa, 0)
+        return BracketRoot(a, fa, it)
     if abs(fb) <= tol:
-        return BracketRoot(b, fb, 0)
+        return BracketRoot(b, fb, it)
 
     x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    for it in range(1, max_iter + 1):
+    x_cur, f_cur, d_cur = b, fb, db
+    if seed is not None:
+        x, fx, dx = seed
+        if fa * fx < 0.0:
+            b, fb, db = x, fx, dx
+        else:
+            a, fa = x, fx
+        x_cur, f_cur, d_cur = x, fx, dx
+    step = b - a
+    for it in range(it + 1, max_iter + 1):
         width = b - a
-        x_new = None
-        if f_cur != f_prev:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            # require the secant step to land strictly inside the bracket
-            if a + 0.0 < cand < b and abs(cand - x_cur) <= 0.75 * width:
-                x_new = cand
-        if x_new is None:
+        if d_cur is not None:
+            cand = x_cur - f_cur / d_cur if d_cur else math.nan
+            # each Newton step at most half the last, so a too-steep slope
+            # cannot crawl
+            reach = 0.5 * abs(step)
+        else:
+            cand = math.nan
+            if f_cur != f_prev:
+                cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+            reach = 0.75 * width
+        # require the step to land strictly inside the bracket
+        if a < cand < b and abs(cand - x_cur) <= reach:
+            x_new = cand
+        else:
             x_new = 0.5 * (a + b)
-        fx = f(x_new) - target
+        step = x_new - x_cur
+        fx, dx = _residual(f, x_new, target)
         if abs(fx) <= tol:
             return BracketRoot(x_new, fx, it)
         if fa * fx < 0.0:
-            b, fb = x_new, fx
+            b, fb, db = x_new, fx, dx
         else:
             a, fa = x_new, fx
         x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, fx
-        if b - a >= width:  # no progress; force a bisection next round
+        x_cur, f_cur, d_cur = x_new, fx, dx
+        if b - a >= width:  # no progress; restart from the bracket ends
             x_prev, f_prev = a, fa
-            x_cur, f_cur = b, fb
+            x_cur, f_cur, d_cur = b, fb, db
     raise IterationCapError(
         f"no convergence to tol={tol} after {max_iter} iterations; last residual {f_cur}"
     )

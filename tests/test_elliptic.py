@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfun import elliptic as E
-from specfun import hyper
+from specfun import hyper, kernel
 from specfun.errors import BracketError, DomainError
 
 mp.mp.dps = 40
@@ -152,6 +152,42 @@ class TestRingModulus:
         assert abs(back - r) < 1e-9
 
 
+class TestInverseNewton:
+    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0])
+    @pytest.mark.parametrize("r", [1e-6, 0.1, 0.5, 0.707, 0.9])
+    def test_slope_identity(self, a, r):
+        # d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2) against a stencil
+        _, slope = E._mu_and_slope(a, r)
+        stencil = kernel.derivative(lambda t: E._mu_full(a, math.exp(t)), math.log(r))
+        assert abs(slope - stencil) <= 1e-8 * abs(stencil)
+
+    @pytest.mark.parametrize("a", [0.05, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 0.9])
+    def test_mu_evaluations_per_solve(self, a, monkeypatch):
+        mu_and_slope = E._mu_and_slope
+        calls = [0]
+
+        def counted(a_, r):
+            calls[0] += 1
+            return mu_and_slope(a_, r)
+
+        monkeypatch.setattr(E, "_mu_and_slope", counted)
+        # targets from just above the symmetry value, where the start is
+        # poorest, up to the asymptote cut-off; denser near the former
+        y_lo = 0.5 * math.pi / math.sin(math.pi * a) * (1.0 + 1e-9)
+        y_hi = 0.5 * hyper.ramanujan_R(a, 1.0 - a) + E._ASYM_MARGIN
+        n = 400
+        counts = []
+        for i in range(n):
+            y = y_lo + (y_hi - y_lo) * (i / n) ** 2
+            calls[0] = 0
+            r = E.mu_a_inverse(a, y)
+            counts.append(calls[0])
+            assert abs(mu_and_slope(a, r)[0] - y) <= 1e-13
+        assert max(counts) <= 6
+        # the bracket ends are never needed: about 1.8 evaluations per solve
+        assert sum(counts) / n <= 2.5
+
+
 class TestModularFunctionPhi:
     def test_identity_k(self):
         for r in (0.1, 0.5, 0.9):
@@ -180,6 +216,16 @@ class TestModularFunctionPhi:
         with pytest.raises(BracketError) as exc:
             E.phi_k(23.0, 0.7)
         assert exc.value.saturating_endpoint == 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: E.mu_a_inverse(0.5, 800.0),
+        lambda: E.mu_a_inverse(0.5, math.inf),
+        lambda: E.phi_k_a(0.5, 0.5, 1e-300),
+    ], ids=["deep_target", "infinite_target", "phi_deep"])
+    def test_underflow_signalled(self, call):
+        with pytest.raises(BracketError) as exc:
+            call()
+        assert exc.value.saturating_endpoint == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

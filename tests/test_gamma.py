@@ -90,7 +90,8 @@ class TestPsi:
         assert abs(G.trigamma(1.0) - oracle) < 1e-9
         assert abs(G.trigamma(1.0) - 1.6449340668) < 1e-9
 
-    @pytest.mark.parametrize("x", [0.01, 0.3, 1.0, 7.7, 9.99, 123.4, -0.5, -6.3])
+    @pytest.mark.parametrize("x", [0.01, 0.3, 1.0, 7.7, 9.99, 123.4, -0.5, -6.3,
+                                   1e-100, -1e-100, -3e-17])
     def test_against_mpmath(self, x):
         assert abs(G.digamma(x) - float(mp.digamma(x))) < 1e-12 * max(1.0, abs(float(mp.digamma(x))))
         ref = float(mp.polygamma(1, x))
@@ -101,6 +102,11 @@ class TestPsi:
             G.digamma(-3.0)
         with pytest.raises(PoleError):
             G.trigamma(0.0)
+
+    @pytest.mark.parametrize("x", [1e-300, -1e-300, 5e-324])
+    def test_trigamma_overflow_is_range_error(self, x):
+        with pytest.raises(RangeError):
+            G.trigamma(x)
 
 
 class TestBeta:

@@ -162,6 +162,57 @@ class TestInvertMonotone:
         assert abs(res.root - x) < 1e-9
         assert res.iterations <= 200
 
+    def test_newton_cube(self):
+        res = invert_monotone(lambda x: (x ** 3, 3.0 * x * x), 8.0, 0.0, 3.0, tol=1e-12)
+        assert abs(res.root - 2.0) < 1e-12
+        assert res.iterations <= 6
+
+    def test_newton_from_start_point_skips_bracket_ends(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x ** 3, 3.0 * x * x
+
+        res = invert_monotone(f, 8.0, 0.0, 3.0, tol=1e-12, x0=2.5)
+        assert abs(res.root - 2.0) < 1e-12
+        assert 0.0 not in seen and 3.0 not in seen
+        assert len(seen) == res.iterations <= 6
+
+    @pytest.mark.parametrize("slope", [
+        lambda x: -3.0 * x * x,
+        lambda x: 1.0,
+        lambda x: 300.0 * x * x,
+        lambda x: 0.0,
+        lambda x: math.nan,
+    ], ids=["wrong_sign", "too_small", "too_steep", "zero", "nan"])
+    @pytest.mark.parametrize("x0", [None, 1.0, 2.5])
+    def test_wrong_slope_still_converges(self, slope, x0):
+        res = invert_monotone(lambda x: (x ** 3, slope(x)), 8.0, 0.0, 3.0, tol=1e-12, x0=x0)
+        assert abs(res.residual) <= 1e-12
+        assert abs(res.root - 2.0) < 1e-12
+        assert res.iterations <= 200
+
+    @pytest.mark.parametrize("x0", [None, 0.5])
+    def test_newton_not_enclosed(self, x0):
+        with pytest.raises(BracketError) as exc:
+            invert_monotone(lambda x: (x, 1.0), 5.0, 0.0, 1.0, x0=x0)
+        assert exc.value.saturating_endpoint == 1.0
+        with pytest.raises(BracketError) as exc:
+            invert_monotone(lambda x: (-x, -1.0), 5.0, 0.0, 1.0, x0=x0)
+        assert exc.value.saturating_endpoint == 0.0
+
+    @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+           st.floats(0.02, 0.98), st.floats(0.01, 0.99), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_random_monotone_cubic_with_slope(self, c0, c1, c3, x, x0, sign):
+        f = lambda t: (sign * (c0 + c1 * t + c3 * t ** 3), sign * (c1 + 3.0 * c3 * t * t))
+        target = f(x)[0]
+        res = invert_monotone(f, target, 0.0, 1.0, tol=1e-13, x0=x0)
+        assert abs(f(res.root)[0] - target) <= 1e-13
+        assert abs(res.root - x) < 1e-9
+        assert res.iterations <= 20
+
 
 class TestGrid:
     @pytest.mark.parametrize("spacing,lo,hi", [
