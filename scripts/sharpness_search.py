@@ -29,33 +29,19 @@ def _report(name, where):
 
 
 def ball_constants(n_max):
-    lv = balls.log_ball_volume
-
-    def power_ratio(n):
-        return math.exp(lv(n) - n / (n + 1.0) * lv(n + 1))
-
-    def sqrt_shift(n):
-        return 2.0 * math.pi * math.exp(2.0 * (lv(n - 1) - lv(n))) - n
-
-    def quotient_exp(n):
-        return (2.0 * lv(n) - lv(n - 1) - lv(n + 1)) / math.log1p(1.0 / n)
-
-    def diff_scaled(n):
-        return ((n + 1) * math.exp(lv(n + 1) - lv(n))
-                - n * math.exp(lv(n) - lv(n - 1))) * math.sqrt(n)
-
     probes = [
-        ("power lower  a = 2/sqrt(pi)", lambda n: power_ratio(n) < 2.0 / math.sqrt(math.pi) * (1 + BUMP), 1),
-        ("power upper  b = sqrt(e)", lambda n: power_ratio(n) > math.sqrt(math.e) * (1 - BUMP), 1),
-        ("sqrt  lower  A = 1/2", lambda n: sqrt_shift(n) < 0.5 * (1 + BUMP), 1),
-        ("sqrt  upper  B = pi/2 - 1", lambda n: sqrt_shift(n) > (math.pi / 2 - 1) * (1 - BUMP), 1),
+        ("power lower  a = 2/sqrt(pi)", lambda n: balls.power_ratio(n) < balls.POWER_A * (1 + BUMP), 1),
+        ("power upper  b = sqrt(e)", lambda n: balls.power_ratio(n) > balls.POWER_B * (1 - BUMP), 1),
+        ("sqrt  lower  A = 1/2", lambda n: balls.sqrt_shift(n) < balls.SQRT_A * (1 + BUMP), 1),
+        ("sqrt  upper  B = pi/2 - 1", lambda n: balls.sqrt_shift(n) > balls.SQRT_B * (1 - BUMP), 1),
         ("ratio lower  alpha = 2 - log pi/log 2",
-         lambda n: quotient_exp(n) < (2 - math.log(math.pi) / math.log(2)) * (1 + BUMP), 1),
-        ("ratio upper  beta = 1/2", lambda n: quotient_exp(n) > 0.5 * (1 - BUMP), 1),
+         lambda n: balls.quotient_exponent(n) < balls.QUOTIENT_ALPHA * (1 + BUMP), 1),
+        ("ratio upper  beta = 1/2",
+         lambda n: balls.quotient_exponent(n) > balls.QUOTIENT_BETA * (1 - BUMP), 1),
         ("diff  lower  A = (4-pi) sqrt(2)",
-         lambda n: diff_scaled(n) < (4 - math.pi) * math.sqrt(2) * (1 + BUMP), 2),
+         lambda n: balls.difference_scaled(n) < balls.DIFFERENCE_A * (1 + BUMP), 2),
         ("diff  upper  B = sqrt(2 pi)/2",
-         lambda n: diff_scaled(n) > math.sqrt(2 * math.pi) / 2 * (1 - BUMP), 2),
+         lambda n: balls.difference_scaled(n) > balls.DIFFERENCE_B * (1 - BUMP), 2),
     ]
     print(f"ball-volume constants, n <= {n_max}:")
     for name, violated, n_lo in probes:

@@ -11,24 +11,21 @@ Usage:
 """
 
 import argparse
-import math
 
 from specfun import gamma
 from specfun.kernel import Grid
 
 
 def print_table():
-    xs = [0.0] + [k / 12.0 for k in range(1, 12)] + [1.0]
-    printed = [0.9675, 0.8071, 0.6160, 0.4867, 0.4029, 0.3509, 0.3207,
-               0.3058, 0.3014, 0.3041, 0.3118, 0.3227, 0.3359]
-    labels = ["0"] + [f"{k}/12" for k in range(1, 12)] + ["1"]
+    labels = ["0"] + [f"{k}/12" for k in range(1, 12)] + ["1", "inf"]
     print(f"{'x':>6s} {'computed':>12s} {'recorded':>10s} {'gap':>10s}")
-    for label, x, p in zip(labels, xs, printed):
+    for label, (x, p) in zip(labels, gamma.THETA_RECORD):
         t = gamma.theta(x)
-        marker = "  (truncated in the record)" if abs(t - p) > 5e-5 else ""
+        if x > 1.0:
+            marker = "  (evaluated at 1e6)"
+        else:
+            marker = "  (truncated in the record)" if abs(t - p) > 5e-5 else ""
         print(f"{label:>6s} {t:12.7f} {p:10.4f} {abs(t - p):10.2e}{marker}")
-    t = gamma.theta(1e6)
-    print(f"{'inf':>6s} {t:12.7f} {1.0:10.4f} {abs(t - 1.0):10.2e}  (evaluated at 1e6)")
 
 
 def scan_window(n):

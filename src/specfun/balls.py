@@ -20,6 +20,18 @@ __all__ = [
     "log_ball_volume",
     "sphere_area",
     "ball_geometry",
+    "power_ratio",
+    "sqrt_shift",
+    "quotient_exponent",
+    "difference_scaled",
+    "POWER_A",
+    "POWER_B",
+    "SQRT_A",
+    "SQRT_B",
+    "QUOTIENT_ALPHA",
+    "QUOTIENT_BETA",
+    "DIFFERENCE_A",
+    "DIFFERENCE_B",
 ]
 
 _N_MAX = 10_000
@@ -62,3 +74,39 @@ def ball_geometry(n: int) -> BallGeometry:
     n = _check_range(n, lo=1)
     v = ball_volume(n)
     return BallGeometry(n=n, volume=v, surface=n * v)
+
+
+# sharp lower / upper constants of the four ratio families
+POWER_A = 2.0 / math.sqrt(math.pi)
+POWER_B = math.sqrt(math.e)
+SQRT_A = 0.5
+SQRT_B = math.pi / 2.0 - 1.0
+QUOTIENT_ALPHA = 2.0 - math.log(math.pi) / math.log(2.0)
+QUOTIENT_BETA = 0.5
+DIFFERENCE_A = (4.0 - math.pi) * math.sqrt(2.0)
+DIFFERENCE_B = math.sqrt(2.0 * math.pi) / 2.0
+
+
+def power_ratio(n: int) -> float:
+    """Om_n / Om_(n+1)^(n/(n+1)), in [POWER_A, POWER_B] for n >= 1; POWER_A at n = 1."""
+    return math.exp(log_ball_volume(n) - n / (n + 1.0) * log_ball_volume(n + 1))
+
+
+def sqrt_shift(n: int) -> float:
+    """2 pi (Om_(n-1)/Om_n)^2 - n, in [SQRT_A, SQRT_B] for n >= 1; SQRT_B at n = 1."""
+    return 2.0 * math.pi * math.exp(2.0 * (log_ball_volume(n - 1) - log_ball_volume(n))) - n
+
+
+def quotient_exponent(n: int) -> float:
+    """log(Om_n^2/(Om_(n-1) Om_(n+1))) / log(1+1/n), in [QUOTIENT_ALPHA,
+    QUOTIENT_BETA] for n >= 1; QUOTIENT_ALPHA at n = 1."""
+    num = 2.0 * log_ball_volume(n) - log_ball_volume(n - 1) - log_ball_volume(n + 1)
+    return num / math.log1p(1.0 / n)
+
+
+def difference_scaled(n: int) -> float:
+    """sqrt(n) ((n+1) Om_(n+1)/Om_n - n Om_n/Om_(n-1)), in [DIFFERENCE_A,
+    DIFFERENCE_B) for n >= 2; DIFFERENCE_A at n = 2."""
+    r1 = math.exp(log_ball_volume(n + 1) - log_ball_volume(n))
+    r2 = math.exp(log_ball_volume(n) - log_ball_volume(n - 1))
+    return ((n + 1) * r1 - n * r2) * math.sqrt(n)

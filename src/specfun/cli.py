@@ -138,10 +138,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.which == "theta":
-        rows = verify._theta_record()
         print(f"{'x':>8s} {'computed':>10s} {'recorded':>10s} {'gap':>10s}")
         labels = ["0"] + [f"{k}/12" for k in range(1, 12)] + ["1", "inf"]
-        for label, (x, printed) in zip(labels, rows):
+        for label, (x, printed) in zip(labels, gamma.THETA_RECORD):
             t = gamma.theta(x)
             print(f"{label:>8s} {t:10.4f} {printed:10.4f} {abs(t - printed):10.2e}")
         return 0
@@ -173,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all", choices=("all",) + verify.SUITES)
     p_verify.add_argument("--grid", type=int, default=None, metavar="N",
-                          help="override grid density")
+                          help="resize continuous grids to N points; "
+                               "integer and tuple grids keep theirs")
     p_verify.add_argument("--tol-scale", type=float, default=1.0, metavar="S",
                           help="scale every tolerance by S")
     out = p_verify.add_mutually_exclusive_group()

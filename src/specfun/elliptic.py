@@ -268,8 +268,10 @@ def _mu_inverse_lower(a: float, y: float) -> float:
         return math.exp(r_half - y)
     # the root lies at or below 1/sqrt(2); the start may overshoot it there
     t0 = min(_mu_inverse_start(a, y, r_half), _LOG_SQRT_HALF)
+    # from y = 512 on one ulp of y exceeds _INVERT_TOL, so no r could meet it
+    tol = max(_INVERT_TOL, math.ulp(y))
     res = kernel.invert_monotone(
-        lambda t: _mu_and_slope(a, math.exp(t)), y, *_LOG_BRACKET, tol=_INVERT_TOL, x0=t0
+        lambda t: _mu_and_slope(a, math.exp(t)), y, *_LOG_BRACKET, tol=tol, x0=t0
     )
     return math.exp(res.root)
 

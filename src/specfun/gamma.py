@@ -1,9 +1,11 @@
 """Gamma-family evaluators and Euler-Mascheroni accelerations.
 
-Gamma via recurrence shift into [9, 10) plus a Stirling log-series, with
-reflection on the left half-line.  On top of that sit the sixth-root
-asymptotic expansion of Gamma(x+1) with its seven printed rational tail
-coefficients, the theta correction term it defines, the DeTemple sequence
+Gamma and log Gamma come from the standard library (math.gamma and
+math.lgamma) behind this module's pole and domain checks; digamma and
+trigamma, which it lacks, use a recurrence shift plus their asymptotic
+series.  On top of that sit the sixth-root asymptotic expansion of
+Gamma(x+1) with its seven printed rational tail coefficients, the theta
+correction term it defines and its 14-entry record, the DeTemple sequence
 R_n with its n^-2 bracket, an exponentially convergent series estimate of
 the Euler-Mascheroni constant, and the auxiliary monotone functions used
 by the gamma inequality battery.
@@ -26,6 +28,7 @@ __all__ = [
     "GammaEstimate",
     "DeTempleValues",
     "RAMANUJAN_TAIL_COEFFS",
+    "THETA_RECORD",
     "gamma",
     "log_gamma",
     "digamma",
@@ -104,11 +107,8 @@ _B2N = (
     7.0 / 6.0,
 )
 
-_SHIFT_LGAMMA = 9.0
 _SHIFT_PSI = 10.0
 _TRIGAMMA_TINY = 1e-154  # below it 1/x^2 leaves binary64
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_GAMMA_OVERFLOW = 171.624
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -130,73 +130,44 @@ def _cospi(x: float) -> float:
     return -c if int(n) % 2 else c
 
 
-def _stirling_log_gamma(y: float) -> float:
-    # requires y >= 9; first omitted term below 1e-15 there
-    s = (y - 0.5) * math.log(y) - y + _LOG_SQRT_2PI
-    inv2 = 1.0 / (y * y)
-    p = 1.0 / y
-    for c in _STIRLING_C:
-        s += c * p
-        p *= inv2
-    return s
-
-
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
+    """log Gamma(x) for x > 0.
+
+    Returns inf at x = inf; raises OverflowError past about 2.5e305, where
+    the value itself leaves binary64.
+    """
     if not x > 0.0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
-    if x >= _SHIFT_LGAMMA:
-        return _stirling_log_gamma(x)
-    shift = 0.0
-    y = x
-    while y < _SHIFT_LGAMMA:
-        shift += math.log(y)
-        y += 1.0
-    return _stirling_log_gamma(y) - shift
+    return math.lgamma(x)
 
 
 def gamma(x: float) -> float:
     """Gamma(x) on the real line away from the poles at 0, -1, -2, ...
 
-    Relative error within ~1e-13 across [-170, 170]; raises OverflowError
-    past the binary64 ceiling near 171.62.
+    Relative error within ~7e-16 across [-170, 170]; raises OverflowError
+    past the binary64 ceiling near 171.62 and at x = inf.  Deep-left
+    arguments underflow to a signed zero.
     """
-    if math.isnan(x):
-        return x
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at {x}")
-    if x > _GAMMA_OVERFLOW:
+    if x == math.inf:
         raise OverflowError(f"gamma({x}) exceeds binary64 range")
-    if x < 0.5:
-        # reflection through log space so deep-left arguments underflow
-        # gracefully instead of overflowing the intermediate Gamma(1-x)
-        s = _sinpi(x)
-        ln = math.log(math.pi) - math.log(abs(s)) - log_gamma(1.0 - x)
-        if ln > 709.0:
-            raise OverflowError(f"gamma({x}) exceeds binary64 range")
-        return math.copysign(math.exp(ln), s)
-    if x < _SHIFT_LGAMMA:
-        prod = 1.0
-        y = x
-        while y < _SHIFT_LGAMMA:
-            prod *= y
-            y += 1.0
-        return math.exp(_stirling_log_gamma(y)) / prod
-    # shift down into [9, 10) and multiply the recurrence factors back
-    m = int(math.floor(x - _SHIFT_LGAMMA))
-    t = x - m
-    prod = 1.0
-    for j in range(1, m + 1):
-        prod *= x - j
-    return math.exp(_stirling_log_gamma(t)) * prod
+    return math.gamma(x)
 
 
 def digamma(x: float) -> float:
-    """Psi(x) = d/dx log Gamma(x), poles excluded."""
+    """Psi(x) = d/dx log Gamma(x), poles excluded.
+
+    Psi(x) ~ -1/x overflows binary64 for |x| below about 5.6e-309, which
+    raises RangeError.
+    """
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at {x}")
     if x < 0.5:
-        return digamma(1.0 - x) - math.pi * _cospi(x) / _sinpi(x)
+        pi_cot = math.pi * _cospi(x) / _sinpi(x)
+        if math.isinf(pi_cot):
+            raise RangeError(f"digamma({x}) overflows binary64")
+        return digamma(1.0 - x) - pi_cot
     shift = 0.0
     y = x
     while y < _SHIFT_PSI:
@@ -284,6 +255,15 @@ def ramanujan_gamma(x: float, terms: int = 7) -> GammaEstimate:
         omitted = abs(_RAMANUJAN_TAIL_FLOAT[6]) * p  # unknown next coefficient; reuse scale
     return GammaEstimate(value=value, error_bound=value * omitted / (6.0 * body), method="ramanujan_series")
 
+
+# the 14-entry record of theta as (x, printed 4-decimal value); the last
+# row is the limit x -> infinity, evaluated at x = 1e6.  Two printed values
+# (x = 6/12 and 11/12) are truncated rather than rounded in the source.
+THETA_RECORD = tuple(zip(
+    (0.0,) + tuple(k / 12.0 for k in range(1, 12)) + (1.0, 1e6),
+    (0.9675, 0.8071, 0.6160, 0.4867, 0.4029, 0.3509, 0.3207,
+     0.3058, 0.3014, 0.3041, 0.3118, 0.3227, 0.3359, 1.0),
+))
 
 _THETA_SWITCH = 10.0
 

@@ -54,10 +54,9 @@ class CheckSpec:
     id: str
     anchor: str
     kind: str
-    grid: Union[Grid, tuple]
+    grid: Union[Grid, tuple, range]
     tolerance: float
     evaluator: Callable[[float], float]
-    integer_points: bool = False
     note: str = ""
 
     def __post_init__(self):
@@ -86,21 +85,11 @@ class Report:
 
 
 def _points_for(spec: CheckSpec, grid_n: Optional[int]):
+    # only continuous grids resize; tuples and integer ranges keep their points
     if isinstance(spec.grid, Grid):
         g = spec.grid if grid_n is None else spec.grid.with_n(max(2, int(grid_n)))
-        pts = g.points()
-    else:
-        pts = list(spec.grid)
-    if spec.integer_points:
-        seen = []
-        last = None
-        for p in pts:
-            q = int(round(p))
-            if q != last:
-                seen.append(q)
-                last = q
-        pts = seen
-    return pts
+        return g.points()
+    return list(spec.grid)
 
 
 def run_check(spec: CheckSpec, grid_n: Optional[int] = None, tol_scale: float = 1.0) -> CheckResult:
@@ -204,15 +193,15 @@ def _build_gamma():
         "inequality", Grid(1.005, 100.0, 200), 1e-12, alzer_beyond,
     ))
 
-    table = _theta_record()
+    table = gamma.THETA_RECORD
 
     def theta_row(i):
-        x, printed = table[int(round(i))]
+        x, printed = table[i]
         return gamma.theta(x) - printed
 
     checks.append(CheckSpec(
         "gamma.theta_table", "sixth-root correction reproduces the 14-entry record",
-        "identity", tuple(range(len(table))), 1.01e-4, theta_row,
+        "identity", range(len(table)), 1.01e-4, theta_row,
         note="two recorded entries (x = 6/12, 11/12) are truncated rather than "
              "rounded in the source, so their gaps sit just above 5e-5",
     ))
@@ -236,32 +225,29 @@ def _build_gamma():
         if not cache:
             for rec in gamma.detemple_range(10_000):
                 cache[rec.n] = rec
-        return cache[int(round(n))]
+        return cache[n]
 
     def detemple_bracket(n):
         rec = _detemple_cached(n)
-        n = rec.n
         hi = 1.0 / (24.0 * n * n)
         lo = 1.0 / (24.0 * (n + 1.0) ** 2)
         return min(rec.r_minus_gamma - lo, hi - rec.r_minus_gamma) / hi
 
     checks.append(CheckSpec(
         "gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4",
-        "bracket", Grid(1, 10_000, 10_000), 1e-12, detemple_bracket, integer_points=True,
+        "bracket", range(1, 10_001), 1e-12, detemple_bracket,
     ))
     checks.append(CheckSpec(
         "gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4",
-        "monotonicity", Grid(1, 10_000, 10_000), 1e-12,
-        lambda n: _detemple_cached(n).big_h, integer_points=True,
+        "monotonicity", range(1, 10_001), 1e-12, lambda n: _detemple_cached(n).big_h,
     ))
     checks.append(CheckSpec(
         "gamma.bigh_below_cap", "n^2 (R_n - g) < 1/24",
-        "inequality", Grid(1, 10_000, 10_000), 1e-12,
-        lambda n: 1.0 / 24.0 - _detemple_cached(n).big_h, integer_points=True,
+        "inequality", range(1, 10_001), 1e-12, lambda n: 1.0 / 24.0 - _detemple_cached(n).big_h,
     ))
 
     def karatsuba_margin(k):
-        est = gamma.karatsuba_euler_gamma(int(round(k)))
+        est = gamma.karatsuba_euler_gamma(k)
         return (est.error_bound - abs(est.value - eg)) / est.error_bound
 
     checks.append(CheckSpec(
@@ -272,13 +258,13 @@ def _build_gamma():
     def ramanujan_err(i):
         x = 10.0
         ref = gamma.gamma(x + 1.0)
-        est = gamma.ramanujan_gamma(x, int(round(i)))
+        est = gamma.ramanujan_gamma(x, i)
         return -math.log10(max(abs(est.value - ref) / ref, 1e-300))
 
     checks.append(CheckSpec(
         "gamma.ramanujan_terms_decreasing",
         "sixth-root expansion error shrinks with every added tail coefficient at x = 10",
-        "monotonicity", tuple(range(8)), 1e-12, ramanujan_err,
+        "monotonicity", range(8), 1e-12, ramanujan_err,
     ))
 
     def ramanujan_seven(x):
@@ -314,122 +300,83 @@ def _build_gamma():
     ))
 
     def dn_slower(n):
-        rec = gamma.detemple(int(round(n)))
+        rec = gamma.detemple(n)
         return abs(rec.d_n - eg) - abs(rec.r_minus_gamma)
 
     checks.append(CheckSpec(
         "gamma.dn_slower_than_rn", "|D_n - g| > |R_n - g| for n = 2..1000",
-        "inequality", Grid(2, 1000, 500), 1e-12, dn_slower, integer_points=True,
+        "inequality", range(2, 1001, 2), 1e-12, dn_slower,
     ))
     return checks
-
-
-def _theta_record():
-    xs = [0.0] + [k / 12.0 for k in range(1, 12)] + [1.0, 1e6]
-    printed = [0.9675, 0.8071, 0.6160, 0.4867, 0.4029, 0.3509, 0.3207,
-               0.3058, 0.3014, 0.3041, 0.3118, 0.3227, 0.3359, 1.0]
-    return list(zip(xs, printed))
 
 
 # ---------------------------------------------------------------------------
 # balls suite
 
-_BALL_A = 2.0 / math.sqrt(math.pi)
-_BALL_B = math.sqrt(math.e)
-_BALL_SQRT_A = 0.5
-_BALL_SQRT_B = math.pi / 2.0 - 1.0
-_BALL_ALPHA = 2.0 - math.log(math.pi) / math.log(2.0)
-_BALL_BETA = 0.5
-_BALL_DIFF_A = (4.0 - math.pi) * math.sqrt(2.0)
-_BALL_DIFF_B = math.sqrt(2.0 * math.pi) / 2.0
-
-
-def _power_ratio(n):
-    return math.exp(balls.log_ball_volume(n) - n / (n + 1.0) * balls.log_ball_volume(n + 1))
-
-
-def _sqrt_shift(n):
-    return 2.0 * math.pi * math.exp(2.0 * (balls.log_ball_volume(n - 1) - balls.log_ball_volume(n))) - n
-
-
-def _quotient_exponent(n):
-    num = 2.0 * balls.log_ball_volume(n) - balls.log_ball_volume(n - 1) - balls.log_ball_volume(n + 1)
-    return num / math.log1p(1.0 / n)
-
-
-def _difference_scaled(n):
-    r1 = math.exp(balls.log_ball_volume(n + 1) - balls.log_ball_volume(n))
-    r2 = math.exp(balls.log_ball_volume(n) - balls.log_ball_volume(n - 1))
-    return ((n + 1) * r1 - n * r2) * math.sqrt(n)
-
-
 def _build_balls():
     checks = []
-    ig = dict(integer_points=True)
 
     checks.append(CheckSpec(
         "balls.volume_decreasing", "Omega_n decreases to 0 from n = 7 on",
-        "monotonicity", Grid(7, 200, 194), 1e-12,
-        lambda n: -balls.log_ball_volume(int(round(n))), **ig,
+        "monotonicity", range(7, 201), 1e-12, lambda n: -balls.log_ball_volume(n),
     ))
     checks.append(CheckSpec(
         "balls.surface_decreasing", "omega_n decreases to 0 from n = 7 on",
-        "monotonicity", Grid(7, 200, 194), 1e-12,
-        lambda n: -(math.log(int(round(n)) + 1) + balls.log_ball_volume(int(round(n)) + 1)), **ig,
+        "monotonicity", range(7, 201), 1e-12,
+        lambda n: -(math.log(n + 1) + balls.log_ball_volume(n + 1)),
     ))
     checks.append(CheckSpec(
         "balls.root_power_decreasing", "Omega_n^(1/(n log n)) decreasing",
-        "monotonicity", Grid(2, 200, 199), 1e-12,
-        lambda n: -math.exp(balls.log_ball_volume(int(round(n))) / (int(round(n)) * math.log(int(round(n))))),
-        **ig,
+        "monotonicity", range(2, 201), 1e-12,
+        lambda n: -math.exp(balls.log_ball_volume(n) / (n * math.log(n))),
     ))
     checks.append(CheckSpec(
         "balls.root_power_above_limit", "Omega_n^(1/(n log n)) > e^(-1/2)",
-        "inequality", Grid(2, 200, 199), 1e-12,
-        lambda n: math.exp(balls.log_ball_volume(int(round(n))) / (int(round(n)) * math.log(int(round(n))))) - math.exp(-0.5),
-        **ig,
+        "inequality", range(2, 201), 1e-12,
+        lambda n: math.exp(balls.log_ball_volume(n) / (n * math.log(n))) - math.exp(-0.5),
     ))
     checks.append(CheckSpec(
         "balls.alzer_power", "a Om_(n+1)^(n/(n+1)) <= Om_n <= b Om_(n+1)^(n/(n+1)), a = 2/sqrt(pi), b = sqrt(e)",
-        "inequality", Grid(1, 200, 200), 1e-12,
-        lambda n: min(_power_ratio(int(round(n))) - _BALL_A, _BALL_B - _power_ratio(int(round(n)))), **ig,
+        "inequality", range(1, 201), 1e-12,
+        lambda n: min(balls.power_ratio(n) - balls.POWER_A, balls.POWER_B - balls.power_ratio(n)),
     ))
     checks.append(CheckSpec(
         "balls.alzer_sqrt", "sqrt((n+1/2)/2pi) <= Om_(n-1)/Om_n <= sqrt((n+pi/2-1)/2pi)",
-        "inequality", Grid(1, 200, 200), 1e-10,
-        lambda n: min(_sqrt_shift(int(round(n))) - _BALL_SQRT_A, _BALL_SQRT_B - _sqrt_shift(int(round(n)))), **ig,
+        "inequality", range(1, 201), 1e-10,
+        lambda n: min(balls.sqrt_shift(n) - balls.SQRT_A, balls.SQRT_B - balls.sqrt_shift(n)),
     ))
     checks.append(CheckSpec(
         "balls.alzer_quotient", "(1+1/n)^a <= Om_n^2/(Om_(n-1)Om_(n+1)) <= (1+1/n)^(1/2), a = 2 - log pi/log 2",
-        "inequality", Grid(1, 200, 200), 1e-10,
-        lambda n: min(_quotient_exponent(int(round(n))) - _BALL_ALPHA, _BALL_BETA - _quotient_exponent(int(round(n)))), **ig,
+        "inequality", range(1, 201), 1e-10,
+        lambda n: min(balls.quotient_exponent(n) - balls.QUOTIENT_ALPHA,
+                      balls.QUOTIENT_BETA - balls.quotient_exponent(n)),
     ))
     checks.append(CheckSpec(
         "balls.alzer_difference", "A/sqrt(n) <= (n+1)Om_(n+1)/Om_n - n Om_n/Om_(n-1) < B/sqrt(n)",
-        "inequality", Grid(2, 200, 199), 1e-12,
-        lambda n: min(_difference_scaled(int(round(n))) - _BALL_DIFF_A, _BALL_DIFF_B - _difference_scaled(int(round(n)))), **ig,
+        "inequality", range(2, 201), 1e-12,
+        lambda n: min(balls.difference_scaled(n) - balls.DIFFERENCE_A,
+                      balls.DIFFERENCE_B - balls.difference_scaled(n)),
     ))
 
     def sharpness_probe(i):
-        i = int(round(i))
         bump = 1e-3
         if i == 0:   # lower constant of the power family, equality at n = 1
-            return 0.0 if _power_ratio(1) - _BALL_A * (1.0 + bump) < 0.0 else 1.0
+            return 0.0 if balls.power_ratio(1) - balls.POWER_A * (1.0 + bump) < 0.0 else 1.0
         if i == 1:   # upper constant of the sqrt family, equality at n = 1
-            return 0.0 if _BALL_SQRT_B * (1.0 - bump) - _sqrt_shift(1) < 0.0 else 1.0
+            return 0.0 if balls.SQRT_B * (1.0 - bump) - balls.sqrt_shift(1) < 0.0 else 1.0
         if i == 2:   # lower exponent of the quotient family, equality at n = 1
-            return 0.0 if _quotient_exponent(1) - _BALL_ALPHA * (1.0 + bump) < 0.0 else 1.0
+            return 0.0 if balls.quotient_exponent(1) - balls.QUOTIENT_ALPHA * (1.0 + bump) < 0.0 else 1.0
         if i == 3:   # lower constant of the difference family, equality at n = 2
-            return 0.0 if _difference_scaled(2) - _BALL_DIFF_A * (1.0 + bump) < 0.0 else 1.0
+            return 0.0 if balls.difference_scaled(2) - balls.DIFFERENCE_A * (1.0 + bump) < 0.0 else 1.0
         # upper constant of the difference family: violated within n <= 200
         return 0.0 if any(
-            _BALL_DIFF_B * (1.0 - bump) - _difference_scaled(n) < 0.0 for n in range(2, 201)
+            balls.DIFFERENCE_B * (1.0 - bump) - balls.difference_scaled(n) < 0.0 for n in range(2, 201)
         ) else 1.0
 
     checks.append(CheckSpec(
         "balls.sharpness_spotcheck",
         "perturbing each sharp constant by 1e-3 in the favorable direction breaks it",
-        "identity", (0, 1, 2, 3, 4), 0.5, sharpness_probe,
+        "identity", range(5), 0.5, sharpness_probe,
         note="the sqrt(e), A = 1/2 and beta = 1/2 constants are approached too "
              "slowly to violate within n <= 200; their perturbations are "
              "reported by the sharpness script as warnings instead",
@@ -460,19 +407,19 @@ def _build_hyper():
     one_probes = (_HP(0.1, 0.2, 1.0), _HP(0.3, 0.3, 1.4), _HP(0.25, 0.5, 1.6))
 
     def gauss_limit(i):
-        p = one_probes[int(round(i))]
+        p = one_probes[i]
         x = 1.0 - 1e-6
         return hyper.hyp2f1(p.a, p.b, p.c, x, one_minus_x=1e-6) - hyper.gauss_value_at_one(p)
 
     checks.append(CheckSpec(
         "hyper.gauss_value_limit", "series limit at 1 matches the gamma quotient",
-        "identity", (0, 1, 2), 1e-4, gauss_limit,
+        "identity", range(len(one_probes)), 1e-4, gauss_limit,
     ))
 
     zb_pairs = ((0.5, 0.5), (1.0 / 3.0, 2.0 / 3.0), (0.25, 0.25))
 
     def zero_balanced(i):
-        a, b = zb_pairs[int(round(i))]
+        a, b = zb_pairs[i]
         w = 1e-6
         x = 1.0 - w
         gap = abs(
@@ -485,7 +432,7 @@ def _build_hyper():
     checks.append(CheckSpec(
         "hyper.zero_balanced_limit",
         "B(a,b) F(a,b;a+b;x) + log(1-x) -> R(a,b) with O((1-x)log(1-x)) gap",
-        "inequality", (0, 1, 2), 1e-12, zero_balanced,
+        "inequality", range(len(zb_pairs)), 1e-12, zero_balanced,
     ))
     checks.append(CheckSpec(
         "hyper.ramanujan_constant_half", "R(1/2,1/2) = log 16",
@@ -567,13 +514,13 @@ def _build_hyper():
     ))
 
     def cor44_spread(i):
-        a, c = cor_params[int(round(i))]
+        a, c = cor_params[i]
         vals = [hyper.corollary44_value(a, c, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
         return max(vals) - min(vals)
 
     checks.append(CheckSpec(
         "hyper.corollary44_spread", "the product combination is z-independent",
-        "identity", (0, 1, 2), 2e-9, cor44_spread,
+        "identity", range(len(cor_params)), 2e-9, cor44_spread,
     ))
 
     combo_params = ((0.5, 0.5, 1.0), (0.4, 0.8, 1.1), (0.3, 1.9, 1.6))
@@ -588,12 +535,12 @@ def _build_hyper():
     elliott_draws = _elliott_draws(100)
 
     def elliott(i):
-        a, b, c, x = elliott_draws[int(round(i))]
+        a, b, c, x = elliott_draws[i]
         return hyper.elliott_residual(a, b, c, x)
 
     checks.append(CheckSpec(
         "hyper.elliott", "F1 F2 + F3 F4 - F2 F3 equals its gamma quotient",
-        "identity", tuple(range(len(elliott_draws))), 1e-9, elliott,
+        "identity", range(len(elliott_draws)), 1e-9, elliott,
     ))
 
     kummer_params = ((0.5, 0.5, 0.5), (0.4, 0.6, 0.5), (0.9, 0.8, 0.7))
@@ -623,7 +570,7 @@ def _build_hyper():
     ))
 
     def growth_exp_endpoints(i):
-        a, b = growth_pairs[int(round(i))]
+        a, b = growth_pairs[i]
         f = lambda x: k_of((a, b), x)
         lo = derivative(f, 0.001, order=1, step=2e-4)
         hi = derivative(f, 20.0, order=1, step=0.05)
@@ -633,7 +580,7 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.growth_exp_endpoints", "k' runs from ab/(a+b) to G(a+b)/(G(a)G(b))",
-        "identity", (0, 1), 1e-3, growth_exp_endpoints,
+        "identity", range(len(growth_pairs)), 1e-3, growth_exp_endpoints,
     ))
 
     power_trips = ((0.9, 0.8, 0.5), (0.6, 0.9, 0.5))
@@ -656,7 +603,7 @@ def _build_hyper():
     ))
 
     def growth_power_endpoints(i):
-        a, b, c = power_trips[int(round(i))]
+        a, b, c = power_trips[i]
         d = a + b - c
         f = lambda x: l_of((a, b, c), x)
         lo = derivative(f, 0.001, order=1, step=2e-4)
@@ -669,18 +616,18 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.growth_power_endpoints", "l' runs from ab/(cd) to G(c)G(d)/(G(a)G(b))",
-        "identity", (0, 1), 1e-3, growth_power_endpoints,
+        "identity", range(len(power_trips)), 1e-3, growth_power_endpoints,
     ))
 
     f32_draws = _f32_draws(100)
 
     def f32(i):
-        n, a, b, eps = f32_draws[int(round(i))]
+        n, a, b, eps = f32_draws[i]
         return hyper.f32_terminating(n, a, b, eps)
 
     checks.append(CheckSpec(
         "hyper.f32_positive", "terminating 3F2(-n,a,b;1+a+b,1+eps-n;1) > 0 in the eps window",
-        "inequality", tuple(range(len(f32_draws))), 1e-12, f32,
+        "inequality", range(len(f32_draws)), 1e-12, f32,
     ))
     return checks
 

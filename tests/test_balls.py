@@ -56,25 +56,6 @@ class TestSurface:
         assert geo.volume > 0.0
 
 
-def _power_ratio(n):
-    return math.exp(balls.log_ball_volume(n) - n / (n + 1.0) * balls.log_ball_volume(n + 1))
-
-
-def _sqrt_shift(n):
-    return 2.0 * PI * math.exp(2.0 * (balls.log_ball_volume(n - 1) - balls.log_ball_volume(n))) - n
-
-
-def _quotient_exponent(n):
-    num = 2.0 * balls.log_ball_volume(n) - balls.log_ball_volume(n - 1) - balls.log_ball_volume(n + 1)
-    return num / math.log1p(1.0 / n)
-
-
-def _difference_scaled(n):
-    r1 = math.exp(balls.log_ball_volume(n + 1) - balls.log_ball_volume(n))
-    r2 = math.exp(balls.log_ball_volume(n) - balls.log_ball_volume(n - 1))
-    return ((n + 1) * r1 - n * r2) * math.sqrt(n)
-
-
 A_POW = 2.0 / math.sqrt(PI)
 B_POW = math.sqrt(math.e)
 A_SQRT, B_SQRT = 0.5, PI / 2.0 - 1.0
@@ -95,41 +76,41 @@ class TestSharpInequalities:
 
     def test_power_family(self):
         for n in range(1, 201):
-            t = _power_ratio(n)
+            t = balls.power_ratio(n)
             assert t >= A_POW - 1e-12
             assert t <= B_POW + 1e-12
 
     def test_sqrt_family(self):
         for n in range(1, 201):
-            c = _sqrt_shift(n)
+            c = balls.sqrt_shift(n)
             assert c >= A_SQRT - 1e-10
             assert c <= B_SQRT + 1e-10
 
     def test_quotient_family(self):
         for n in range(1, 201):
-            e = _quotient_exponent(n)
+            e = balls.quotient_exponent(n)
             assert e >= ALPHA_Q - 1e-10
             assert e <= BETA_Q + 1e-10
 
     def test_difference_family(self):
         for n in range(2, 201):
-            d = _difference_scaled(n)
+            d = balls.difference_scaled(n)
             assert d >= A_DIFF - 1e-12
             assert d < B_DIFF
 
     def test_equality_points(self):
-        assert abs(_power_ratio(1) - A_POW) < 1e-13
-        assert abs(_sqrt_shift(1) - B_SQRT) < 1e-13
-        assert abs(_quotient_exponent(1) - ALPHA_Q) < 1e-12
-        assert abs(_difference_scaled(2) - A_DIFF) < 1e-13
+        assert abs(balls.power_ratio(1) - A_POW) < 1e-13
+        assert abs(balls.sqrt_shift(1) - B_SQRT) < 1e-13
+        assert abs(balls.quotient_exponent(1) - ALPHA_Q) < 1e-12
+        assert abs(balls.difference_scaled(2) - A_DIFF) < 1e-13
 
     def test_sharpness_spot_checks(self):
         bump = 1e-3
-        assert _power_ratio(1) < A_POW * (1.0 + bump)
-        assert _sqrt_shift(1) > B_SQRT * (1.0 - bump)
-        assert _quotient_exponent(1) < ALPHA_Q * (1.0 + bump)
-        assert _difference_scaled(2) < A_DIFF * (1.0 + bump)
-        assert any(_difference_scaled(n) > B_DIFF * (1.0 - bump) for n in range(2, 201))
+        assert balls.power_ratio(1) < A_POW * (1.0 + bump)
+        assert balls.sqrt_shift(1) > B_SQRT * (1.0 - bump)
+        assert balls.quotient_exponent(1) < ALPHA_Q * (1.0 + bump)
+        assert balls.difference_scaled(2) < A_DIFF * (1.0 + bump)
+        assert any(balls.difference_scaled(n) > B_DIFF * (1.0 - bump) for n in range(2, 201))
 
 
 class TestAsymptoticShape:

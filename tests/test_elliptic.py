@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -186,6 +187,18 @@ class TestInverseNewton:
         assert max(counts) <= 6
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
+
+    def test_tolerance_floor_at_one_ulp_of_target(self):
+        # at a = 0.001 the targets run past y = 512, where one ulp of y
+        # exceeds the absolute tolerance 1e-13; the solve then settles for
+        # one ulp of y instead of hitting the iteration cap
+        a = 0.001
+        y_lo = 0.5 * math.pi / math.sin(math.pi * a) * (1.0 + 1e-9)
+        y_hi = 0.5 * hyper.ramanujan_R(a, 1.0 - a) + E._ASYM_MARGIN
+        rng = random.Random(20260)
+        for y in [523.0400660893072] + [rng.uniform(y_lo, y_hi) for _ in range(500)]:
+            r = E.mu_a_inverse(a, y)
+            assert abs(E._mu_and_slope(a, r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
 
 
 class TestModularFunctionPhi:

@@ -17,7 +17,7 @@ class TestGamma:
                                    99.5, 170.6, -0.5, -2.5, -9.9, -99.7, -170.5])
     def test_against_mpmath(self, x):
         ref = float(mp.gamma(x))
-        assert abs(G.gamma(x) - ref) <= 1e-13 * abs(ref)
+        assert abs(G.gamma(x) - ref) <= 4e-15 * abs(ref)
 
     def test_sqrt_pi(self):
         assert abs(G.gamma(0.5) - math.sqrt(math.pi)) < 1e-14
@@ -48,6 +48,8 @@ class TestGamma:
                 G.gamma(x)
         with pytest.raises(OverflowError):
             G.gamma(172.0)
+        with pytest.raises(OverflowError):
+            G.gamma(math.inf)
 
 
 class TestLogGamma:
@@ -74,6 +76,13 @@ class TestLogGamma:
             G.log_gamma(0.0)
         with pytest.raises(DomainError):
             G.log_gamma(-3.2)
+        with pytest.raises(DomainError):
+            G.log_gamma(math.nan)
+        # the value itself leaves binary64 past about 2.5e305
+        assert G.log_gamma(2.5e305) < math.inf
+        with pytest.raises(OverflowError):
+            G.log_gamma(3e305)
+        assert G.log_gamma(math.inf) == math.inf
 
 
 class TestPsi:
@@ -103,10 +112,14 @@ class TestPsi:
         with pytest.raises(PoleError):
             G.trigamma(0.0)
 
-    @pytest.mark.parametrize("x", [1e-300, -1e-300, 5e-324])
-    def test_trigamma_overflow_is_range_error(self, x):
+    @pytest.mark.parametrize("fn,x", [
+        pytest.param(G.trigamma, x, id=repr(x)) for x in (1e-300, -1e-300, 5e-324)
+    ] + [
+        pytest.param(G.digamma, x, id=f"digamma-{x!r}") for x in (1e-310, -1e-310, 5e-324)
+    ])
+    def test_trigamma_overflow_is_range_error(self, fn, x):
         with pytest.raises(RangeError):
-            G.trigamma(x)
+            fn(x)
 
 
 class TestBeta:

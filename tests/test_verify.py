@@ -53,6 +53,11 @@ class TestRunner:
                          lambda x: 0.0)
         assert verify.run_check(spec, grid_n=7).points == 7
 
+    def test_grid_override_keeps_integer_ranges(self):
+        grid = range(2, 1001, 2)
+        spec = CheckSpec("t.range", "identity", "identity", grid, 1.0, lambda n: 0.0)
+        assert verify.run_check(spec, grid_n=7).points == len(grid)
+
     def test_tol_scale(self):
         spec = CheckSpec("t.tol", "identity", "identity", Grid(0.0, 1.0, 4), 1e-3,
                          lambda x: 1e-2)
