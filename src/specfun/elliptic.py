@@ -4,11 +4,16 @@ The classical integrals ride the arithmetic-geometric mean: K from the
 AGM limit, E from the companion c_n^2 sum.  The generalized integrals of
 signature parameter a are (pi/2) 2F1(a, 1-a; 1; r^2) and
 (pi/2) 2F1(a-1, 1-a; 1; r^2), evaluated through the hypergeometric
-engine with exact complements, so the ratio defining the ring modulus
+engine with exact complements.  The ring modulus
 
     mu_a(r) = pi/(2 sin(pi a)) * F(a,1-a;1;1-r^2) / F(a,1-a;1;r^2)
 
-stays accurate deep into both corners.  Inverting mu_a uses the symmetry
+takes both of its factors from one series in s^2 = min(r, r')^2 <= 1/2:
+the 2F1 series of F(a,1-a;1;s^2) together with the logarithmic series of
+F(a,1-a;1;1-s^2) (DLMF 15.8.10), whose terms are all positive, so mu_a
+stays accurate deep into both corners (a = 1/2 uses the AGM instead).
+sin(pi a) is gamma.sinpi, exact also for a next to 0 or 1.  Inverting
+mu_a uses the symmetry
 mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 to keep the numeric root finder on
 the well-conditioned half r <= 1/sqrt(2).  There it runs Newton in log r
 from the asymptote mu_a(r) ~ R_a/2 - log r (taken to three terms), with
@@ -29,6 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError
+from .gamma import sinpi
 from .hyper import hyp2f1, ramanujan_R
 from . import kernel
 
@@ -186,7 +192,7 @@ def e_a(a, r: float) -> float:
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"e_a needs r in [0, 1], got {r}")
     if r == 1.0:
-        return math.sin(math.pi * a) / (2.0 * (1.0 - a))
+        return sinpi(a) / (2.0 * (1.0 - a))
     return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, r * r, one_minus_x=_complement(r))
 
 
@@ -196,20 +202,58 @@ def e_a_prime(a, r: float) -> float:
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"e_a_prime needs r in [0, 1], got {r}")
     if r == 0.0:
-        return math.sin(math.pi * a) / (2.0 * (1.0 - a))
+        return sinpi(a) / (2.0 * (1.0 - a))
     return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
 
 
+def _mu_series(a: float, x: float):
+    """(F, E) = (sum c_n x^n, sum c_n h_n x^n) for 0 <= x <= 1/2.
+
+    c_n = (a)_n (1-a)_n / n!^2 are the coefficients of F(a,1-a;1;x) and
+    h_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n), so that
+    F(a,1-a;1;1-x) = (sin(pi a)/pi) (E - F log x) (DLMF 15.8.10).  Every
+    term is positive: h_0 = R_a, and h_n falls to 0 from above since
+    1/(a+n) + 1/(1-a+n) >= 2/(n+1/2).  The term ratio is below x <= 1/2,
+    so once both new terms are under 1e-17 of their sums the tail is
+    below the last term.
+    """
+    p = a * (1.0 - a)  # (a+n)(1-a+n) = n(n+1) + p
+    h = ramanujan_R(a, 1.0 - a)
+    c = f = 1.0
+    e = h
+    n = 0
+    while True:
+        q = n * (n + 1) + p
+        n += 1
+        c *= q * x / (n * n)
+        h += 2.0 / n - (2 * n - 1) / q
+        t = c * h
+        f += c
+        e += t
+        if c <= 1e-17 * f and t <= 1e-17 * e:
+            return f, e
+
+
 def _mu_and_slope(a: float, r: float):
-    """(mu_a(r), d mu_a / d(log r)) without the public endpoint guard."""
-    xc = _complement(r)
+    """(mu_a(r), d mu_a / d(log r)) without the public endpoint guard.
+
+    Away from a = 1/2 (where the AGM is cheaper) one series in
+    s^2 = min(r, r')^2 <= 1/2 gives both factors of mu_a: with
+    (F, E) = _mu_series(a, s^2), F is F(a,1-a;1;s^2) and
+    (sin(pi a)/pi) (E - 2 F log s) is F(a,1-a;1;1-s^2).  For r <= 1/sqrt(2)
+    the sine cancels, mu_a(r) = E/(2F) - log r.
+    """
+    x, xc = r * r, _complement(r)
     if a == 0.5:
         g = agm(1.0, math.sqrt(xc))  # F(1/2, 1/2; 1; r^2) = 1 / g
         return 0.5 * math.pi * g / agm(1.0, r), -g * g / xc
-    x = r * r
-    num = hyp2f1(a, 1.0 - a, 1.0, xc, one_minus_x=x)
-    den = hyp2f1(a, 1.0 - a, 1.0, x, one_minus_x=xc)
-    return 0.5 * math.pi / math.sin(math.pi * a) * num / den, -1.0 / (xc * den * den)
+    if x <= xc:
+        f, e = _mu_series(a, x)
+        return 0.5 * e / f - math.log(r), -1.0 / (xc * f * f)
+    k = sinpi(a) / math.pi
+    f, e = _mu_series(a, xc)
+    den = k * (e - f * math.log(xc))  # F(a,1-a;1;r^2)
+    return 0.5 * f / (k * den), -1.0 / (xc * den * den)
 
 
 def _mu_full(a: float, r: float) -> float:
@@ -242,11 +286,10 @@ _LOG_BRACKET = (math.log(1e-15), math.log(_SQRT_HALF + 0.01))
 def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
     """log r at the root of the three-term asymptote of mu_a(r) = y.
 
-    mu_a(r) = R_a/2 - log r + E(x) / (2 F(x)) exactly, x = r^2, with
-    F = F(a,1-a;1;x) and E(x) = sum c_n (h_n - R_a) x^n, where c_n x^n are
-    the terms of F and h_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n) (DLMF
-    15.8.10).  Truncating E and F after x^2 misses the root by under 0.02
-    in log r on r <= 1/sqrt(2), and by under 2e-7 below r = 0.1.
+    mu_a(r) = E/(2F) - log r = R_a/2 - log r + (E - R_a F) / (2F) exactly,
+    with (F, E) the sums of _mu_series at x = r^2.  Truncating F and
+    E - R_a F = sum c_n (h_n - R_a) x^n after x^2 misses the root by under
+    0.02 in log r on r <= 1/sqrt(2), and by under 2e-7 below r = 0.1.
     """
     p = a * (1.0 - a)
     e1, e2 = 2.0 * p - 1.0, 0.25 * (3.0 * p * p + 2.0 * p - 2.0)
@@ -289,7 +332,7 @@ def mu_a_inverse(a, y: float) -> float:
     a = _sig(a)
     if not y > 0.0:
         raise DomainError(f"mu_a_inverse needs y > 0, got {y}")
-    c_sym = 0.5 * math.pi / math.sin(math.pi * a)
+    c_sym = 0.5 * math.pi / sinpi(a)
     if y < c_sym:
         rc = _mu_inverse_lower(a, c_sym * c_sym / y)
         root = math.sqrt((1.0 - rc) * (1.0 + rc))
@@ -338,7 +381,7 @@ def generalized_legendre_residual(a, r: float) -> float:
         raise DomainError(f"needs r in (0, 1), got {r}")
     ka = k_a(a, r)
     kap = k_a_prime(a, r)
-    rhs = math.pi * math.sin(math.pi * a) / (4.0 * (1.0 - a))
+    rhs = math.pi * sinpi(a) / (4.0 * (1.0 - a))
     return e_a(a, r) * kap + e_a_prime(a, r) * ka - ka * kap - rhs
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "log_gamma",
     "digamma",
     "trigamma",
+    "sinpi",
     "beta",
     "ramanujan_gamma",
     "theta",
@@ -111,11 +112,24 @@ _SHIFT_PSI = 10.0
 _TRIGAMMA_TINY = 1e-154  # below it 1/x^2 leaves binary64
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+def _check_argument(name: str, x: float) -> None:
+    # NaN and -inf have no value on the real line (math.floor(-inf) would
+    # raise a bare OverflowError); the poles 0, -1, -2, ... raise PoleError
+    if not x > -math.inf:
+        raise DomainError(f"{name} needs a number above -inf, got {x}")
+    if x <= 0.0 and x == math.floor(x):
+        raise PoleError(f"{name} pole at {x}")
 
 
-def _sinpi(x: float) -> float:
+def sinpi(x: float) -> float:
+    """sin(pi x) to full relative accuracy, also next to the integers.
+
+    math.sin(math.pi * x) keeps only the absolute accuracy of the product:
+    at x = 1 - 1e-8 it is off by about 6e-9 relative.  Raises DomainError
+    at NaN and +-inf.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"sinpi needs a finite x, got {x}")
     # reduce to |x - n| <= 1/2, exact in binary64, before multiplying by pi;
     # x - floor(x) = 1 + x would round tiny negative x away
     n = round(x)
@@ -145,11 +159,10 @@ def gamma(x: float) -> float:
     """Gamma(x) on the real line away from the poles at 0, -1, -2, ...
 
     Relative error within ~7e-16 across [-170, 170]; raises OverflowError
-    past the binary64 ceiling near 171.62 and at x = inf.  Deep-left
-    arguments underflow to a signed zero.
+    past the binary64 ceiling near 171.62 and at x = inf, DomainError at
+    NaN and -inf.  Deep-left arguments underflow to a signed zero.
     """
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at {x}")
+    _check_argument("gamma", x)
     if x == math.inf:
         raise OverflowError(f"gamma({x}) exceeds binary64 range")
     return math.gamma(x)
@@ -159,12 +172,11 @@ def digamma(x: float) -> float:
     """Psi(x) = d/dx log Gamma(x), poles excluded.
 
     Psi(x) ~ -1/x overflows binary64 for |x| below about 5.6e-309, which
-    raises RangeError.
+    raises RangeError; NaN and -inf raise DomainError, Psi(inf) = inf.
     """
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"digamma pole at {x}")
+    _check_argument("digamma", x)
     if x < 0.5:
-        pi_cot = math.pi * _cospi(x) / _sinpi(x)
+        pi_cot = math.pi * _cospi(x) / sinpi(x)
         if math.isinf(pi_cot):
             raise RangeError(f"digamma({x}) overflows binary64")
         return digamma(1.0 - x) - pi_cot
@@ -186,14 +198,13 @@ def trigamma(x: float) -> float:
     """Psi'(x), poles excluded.
 
     Psi'(x) ~ 1/x^2 overflows binary64 near 0, so |x| < 1e-154 raises
-    RangeError.
+    RangeError; NaN and -inf raise DomainError, Psi'(inf) = 0.
     """
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"trigamma pole at {x}")
+    _check_argument("trigamma", x)
     if abs(x) < _TRIGAMMA_TINY:
         raise RangeError(f"trigamma({x}) overflows binary64; needs |x| >= {_TRIGAMMA_TINY}")
     if x < 0.5:
-        s = _sinpi(x)
+        s = sinpi(x)
         return math.pi * math.pi / (s * s) - trigamma(1.0 - x)
     shift = 0.0
     y = x
@@ -431,10 +442,10 @@ def mono_f(x: float) -> float:
     """log Gamma(x+1) / (x log x), continued through the x = 1 hole.
 
     Strictly increasing on (0, infinity) onto (0, 1); the value at the
-    removable singularity is 1 - gamma.
+    removable singularity is 1 - gamma.  Needs a finite x > 0.
     """
-    if not x > 0.0:
-        raise DomainError(f"mono_f needs x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"mono_f needs a finite x > 0, got {x}")
     t = x - 1.0
     if abs(t) <= 1e-5:
         return _MONO_F_LIMIT + _MONO_F_SLOPE * t
@@ -446,10 +457,11 @@ def lemma_g(x: float) -> float:
 
     Summed to N = max(1000, 50(1+x)) terms; the remainder is replaced by
     its midpoint integral plus the f'/24 Euler-Maclaurin correction,
-    leaving the declared truncation error below 1e-12.
+    leaving the declared truncation error below 1e-12.  Needs a finite
+    x > -1.
     """
-    if not x > -1.0:
-        raise DomainError(f"lemma_g needs x > -1, got {x}")
+    if not -1.0 < x < math.inf:
+        raise DomainError(f"lemma_g needs a finite x > -1, got {x}")
     n_terms = max(1000, int(math.ceil(50.0 * (1.0 + x))))
     s = compensated_sum((n - x) / (n + x) ** 3 for n in range(1, n_terms + 1))
     u = n_terms + 0.5
@@ -460,9 +472,9 @@ def lemma_g(x: float) -> float:
 
 def lemma_h(x: float) -> float:
     """x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x); zero at x = 0,
-    nonnegative on (-1, infinity)."""
-    if not x > -1.0:
-        raise DomainError(f"lemma_h needs x > -1, got {x}")
+    nonnegative on (-1, infinity).  Needs a finite x > -1."""
+    if not -1.0 < x < math.inf:
+        raise DomainError(f"lemma_h needs a finite x > -1, got {x}")
     if x == 0.0:
         return 0.0
     return x * x * trigamma(1.0 + x) - x * digamma(1.0 + x) + log_gamma(1.0 + x)

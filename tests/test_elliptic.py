@@ -145,6 +145,39 @@ class TestRingModulus:
         with pytest.raises(DomainError):
             E.mu_a(0.3, 1.0 - 1e-9)
 
+    # the extreme signatures test sin(pi a) next to 0 and 1 and the
+    # digamma reflection in R_a; the three r laws cover the bulk and both
+    # corners, past the public guard
+    _SIGNATURES = [1.0 / 3.0, 0.25, 1.0 / 6.0, 1e-4, 1.0 - 1e-4, 1.0 - 1e-8]
+
+    def test_against_mpmath_sweep(self):
+        rng = random.Random(4604)
+        signatures = self._SIGNATURES + [rng.uniform(0.001, 0.999) for _ in range(14)]
+        worst = 0.0
+        for a in signatures:
+            rs = ([rng.random() for _ in range(5)]
+                  + [10.0 ** -rng.uniform(0.0, 12.0) for _ in range(5)]
+                  + [1.0 - 10.0 ** -rng.uniform(0.3, 12.0) for _ in range(5)])
+            for r in rs:
+                am, x = mp.mpf(a), mp.mpf(r) ** 2
+                ref = (mp.pi / (2 * mp.sin(mp.pi * am))
+                       * mp.hyp2f1(am, 1 - am, 1, 1 - x) / mp.hyp2f1(am, 1 - am, 1, x))
+                worst = max(worst, float(abs(E._mu_full(a, r) / ref - 1)))
+        assert worst <= 1e-14
+
+    def test_symmetry_product(self):
+        # mu_a(r) mu_a(r') = (pi / (2 sin(pi a)))^2 puts r and r' on opposite
+        # sides of 1/sqrt(2).  r' = sqrt(1 - r^2) is rounded, and below
+        # r = 0.1 that rounding alone moves mu_a(r') by more than 1e-14.
+        rng = random.Random(4605)
+        for a in self._SIGNATURES + [0.5, 0.05, 0.95]:
+            c_sym = 0.5 * math.pi / float(mp.sin(mp.pi * mp.mpf(a)))
+            for _ in range(12):
+                r = rng.uniform(0.1, 0.995)
+                rp = math.sqrt((1.0 - r) * (1.0 + r))
+                product = E._mu_full(a, r) * E._mu_full(a, rp)
+                assert abs(product / (c_sym * c_sym) - 1.0) <= 1e-14
+
     @given(st.floats(0.02, 0.98), st.sampled_from([0.5, 1.0 / 3.0, 0.21]))
     @settings(max_examples=120, deadline=None)
     def test_inverse_roundtrip(self, r, a):
@@ -154,8 +187,8 @@ class TestRingModulus:
 
 
 class TestInverseNewton:
-    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0])
-    @pytest.mark.parametrize("r", [1e-6, 0.1, 0.5, 0.707, 0.9])
+    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0, 0.05, 0.95])
+    @pytest.mark.parametrize("r", [1e-6, 0.1, 0.5, 0.707, 0.9, 0.999])
     def test_slope_identity(self, a, r):
         # d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2) against a stencil
         _, slope = E._mu_and_slope(a, r)

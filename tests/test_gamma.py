@@ -315,6 +315,24 @@ class TestLemmas:
             G.lemma_h(-1.5)
 
 
+@pytest.mark.parametrize("x", [-math.inf, math.nan, math.inf], ids=["-inf", "nan", "inf"])
+@pytest.mark.parametrize("fn", [
+    G.gamma, G.log_gamma, G.digamma, G.trigamma, G.sinpi, G.theta, G.mono_f,
+    G.lemma_g, G.lemma_h,
+], ids=lambda fn: fn.__name__)
+def test_non_finite_argument(fn, x):
+    # a non-NaN value or a documented exception; gamma(inf) documents
+    # OverflowError, every other refusal is a DomainError
+    try:
+        value = fn(x)
+    except DomainError:
+        return
+    except OverflowError:
+        assert fn is G.gamma and x == math.inf
+        return
+    assert isinstance(value, float) and not math.isnan(value)
+
+
 def test_sixthroot_tail_coefficients_are_exact_rationals():
     from fractions import Fraction
 
