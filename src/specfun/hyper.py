@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintError, DomainError, ParameterError
+from .errors import ConstraintError, DomainError, ParameterError, RangeError
 from .gamma import EULER_GAMMA, digamma, gamma, log_gamma
 from . import kernel
 
@@ -54,19 +54,29 @@ _TERM_STOP = 1e-17  # relative term size under which the series is done
 _MAX_TERMS = 100_000
 _CROSSOVER = 0.75
 _INT_SNAP = 1e-10
+_F32_MAX_N = 10**6  # f32_terminating costs O(n), about 0.4 s at the cap
+
+
+def _check_params(a: float, b: float, c: float) -> None:
+    # one rule for HyperParams and hyp2f1; finiteness first, since
+    # math.floor(-inf) raises a bare OverflowError
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"parameters must be finite, got ({a}, {b}, {c})")
+    if c <= 0.0 and c == math.floor(c):
+        raise ParameterError(f"c = {c} is a nonpositive integer")
 
 
 @dataclass(frozen=True)
 class HyperParams:
-    """(a, b, c) parameter triple; c must avoid the poles 0, -1, -2, ..."""
+    """(a, b, c) parameter triple: finite, and c must avoid the poles
+    0, -1, -2, ...  Raises DomainError or ParameterError."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        if self.c <= 0.0 and self.c == math.floor(self.c):
-            raise ParameterError(f"c = {self.c} is a nonpositive integer")
+        _check_params(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,22 @@ class EvalResult:
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a, n) = a(a+1)...(a+n-1); (a, 0) = 1."""
+    """Rising factorial (a, n) = a(a+1)...(a+n-1); (a, 0) = 1.
+
+    Stops as soon as the product is 0 or overflows, which for every
+    finite a happens within 308 factors (a = 5e-324 is the worst), so
+    any n costs O(1).  Raises DomainError at NaN a and OverflowError past
+    binary64.
+    """
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer needs integer n >= 0, got {n}")
+    if math.isnan(a):
+        raise DomainError("pochhammer needs a number a, got nan")
     p = 1.0
     for k in range(int(n)):
         p *= a + k
+        if p == 0.0 or math.isinf(p):
+            break
     if math.isinf(p):
         raise OverflowError(f"pochhammer({a}, {n}) overflows")
     return p
@@ -231,8 +251,7 @@ def hyp2f1(a: float, b: float, c: float, x: float, one_minus_x: float = None) ->
     rounded up to 1.0 is accepted as long as a positive complement is
     given explicitly; the true argument 1 - one_minus_x is then interior.
     """
-    if c <= 0.0 and c == math.floor(c):
-        raise ParameterError(f"c = {c} is a nonpositive integer")
+    _check_params(a, b, c)
     if x == 1.0 and one_minus_x is not None and one_minus_x > 0.0:
         x = math.nextafter(1.0, 0.0)
     if not 0.0 <= x < 1.0:
@@ -421,9 +440,12 @@ def kummer_residual(a: float, b: float, c: float, x: float) -> float:
 
 def f32_terminating(n: int, a: float, b: float, eps: float) -> float:
     """Terminating 3F2(-n, a, b; 1+a+b, 1+eps-n; 1); positive inside the
-    window ab/(1+a+b) < eps < 1."""
+    window ab/(1+a+b) < eps < 1.  The n + 1 terms cost O(n), so n above
+    10^6 raises RangeError."""
     if n < 1 or n != int(n):
         raise DomainError(f"needs integer n >= 1, got {n}")
+    if n > _F32_MAX_N:
+        raise RangeError(f"needs n <= {_F32_MAX_N}, got {n}")
     if not (a > 0.0 and b > 0.0):
         raise DomainError("needs a, b > 0")
     lo = a * b / (1.0 + a + b)
@@ -432,10 +454,12 @@ def f32_terminating(n: int, a: float, b: float, eps: float) -> float:
     n = int(n)
     terms = []
     t = 1.0
+    # (k + 1 - n) is an exact integer, so eps - 1 at k = n - 2 keeps its
+    # digits instead of rounding to 0
     for k in range(n + 1):
         terms.append(t)
         t *= (
             (-n + k) * (a + k) * (b + k)
-            / ((1.0 + a + b + k) * (1.0 + eps - n + k) * (k + 1.0))
+            / ((1.0 + a + b + k) * ((k + 1 - n) + eps) * (k + 1.0))
         )
     return kernel.compensated_sum(terms)

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import specfun
 from specfun import cli, gamma
 
 
@@ -117,3 +120,16 @@ class TestTable:
     def test_bad_choice(self, capsys):
         code, _, _ = run_cli(capsys, "table", "zeta")
         assert code == 2
+
+
+def test_module_entry_point_runs_cli_once():
+    # the package does not import cli, so ``python -m specfun.cli`` runs it
+    # only as __main__ and warns about nothing
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "specfun.cli", "eval", "gamma", "0.5"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert float(proc.stdout.split()[0]) == gamma.gamma(0.5)

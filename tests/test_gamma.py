@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -135,6 +136,10 @@ class TestBeta:
         with pytest.raises(DomainError):
             G.beta(-1.0, 2.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 0.5), (0.5, math.inf), (math.inf, math.inf)])
+    def test_infinite_argument_is_the_limit_zero(self, a, b):
+        assert G.beta(a, b) == 0.0
+
 
 # the record the sixth-root correction must reproduce; two of the printed
 # values (x = 6/12 and 11/12) are truncations, not roundings
@@ -209,6 +214,17 @@ class TestDeTemple:
         for n in (2, 10, 100, 1000):
             rec = G.detemple(n)
             assert abs(rec.d_n - EG) > abs(rec.r_minus_gamma)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 1000, 10**4, 10**9, 10**15])
+    def test_against_harmonic(self, n):
+        # both sides of the switch to the closed form at n = 32, and n far
+        # past any O(n) sum
+        rec = G.detemple(n)
+        h = mp.harmonic(n)
+        d_ref = h - mp.log(n)
+        r_ref = h - mp.log(mp.mpf(n) + 0.5)
+        assert abs(rec.d_n - d_ref) <= 1e-15 * d_ref
+        assert abs(rec.r_n - r_ref) <= 1e-15 * r_ref
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -301,6 +317,21 @@ class TestLemmas:
         u = n + 0.5
         s += 1.0 / (u + x) - x / (u + x) ** 2
         assert abs(G.lemma_g(x) - s) < 1e-9
+
+    def test_lemma_g_against_mpmath(self):
+        # lemma_g(x) = Psi'(1+x) + x Psi''(1+x); both sides of the switch to
+        # the asymptotic tail at 1 + x + m = 12, and large x, where the two
+        # terms cancel to ~1/(2x^2)
+        rng = random.Random(5150)
+        xs = ([rng.uniform(-0.999, 100.0) for _ in range(150)]
+              + [10.0 ** rng.uniform(0.0, 8.0) for _ in range(100)]
+              + [-0.999, 8.9, 9.0, 10.0, 11.0, 12.0, 1e4])
+        worst = 0.0
+        for x in xs:
+            xm = mp.mpf(x)
+            ref = mp.psi(1, 1 + xm) + xm * mp.psi(2, 1 + xm)
+            worst = max(worst, float(abs(G.lemma_g(x) / ref - 1)))
+        assert worst <= 5e-15
 
     def test_lemma_h(self):
         assert G.lemma_h(0.0) == 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfun import elliptic, gamma, hyper
-from specfun.errors import ConstraintError, DomainError, ParameterError
+from specfun.errors import ConstraintError, DomainError, ParameterError, RangeError
 from specfun.hyper import HyperParams
 
 mp.mp.dps = 40
@@ -24,6 +24,16 @@ class TestPochhammer:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             hyper.pochhammer(1e300, 3)
+
+    def test_huge_n_stops_at_zero_or_overflow(self):
+        # a product that reached 0 or inf stays there, so n = 10^9 returns
+        # at once; a = 5e-324 needs the most factors (308) to overflow
+        assert hyper.pochhammer(-3.0, 10**9) == 0.0
+        for a in (5e-324, 0.5, -170.5):
+            with pytest.raises(OverflowError):
+                hyper.pochhammer(a, 10**9)
+        with pytest.raises(DomainError):
+            hyper.pochhammer(math.nan, 10**9)
 
 
 # branch coverage: direct series, zero-balanced, integer-offset log series
@@ -240,6 +250,20 @@ class TestProductIdentities:
             hyper.kummer_residual(0.5, 0.5, 2.0, 0.3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: hyper.f21(HyperParams(*p), 0.5),
+    lambda p: hyper.hyp2f1(*p, 0.5),
+    lambda p: hyper.gauss_value_at_one(HyperParams(*p)),
+], ids=["f21", "hyp2f1", "gauss_value_at_one"])
+@pytest.mark.parametrize("value", [-math.inf, math.nan, math.inf], ids=["-inf", "nan", "inf"])
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["a", "b", "c"])
+def test_non_finite_parameter(call, value, slot):
+    params = [0.5, 0.5, 2.0]
+    params[slot] = value
+    with pytest.raises(DomainError):
+        call(params)
+
+
 class TestTerminating3F2:
     def test_examples_positive(self):
         assert hyper.f32_terminating(5, 0.5, 0.5, 0.2) > 0.0
@@ -266,6 +290,16 @@ class TestTerminating3F2:
             t /= (1 + a + b + k) * (1 + eps - n + k) * (k + 1)
         got = hyper.f32_terminating(50, 1.0, 1.0, 0.5)
         assert abs(got - float(total)) < 1e-12 * abs(float(total))
+
+    def test_denominator_near_zero(self):
+        # at k = n - 2 the denominator is eps - 1 = -1e-12; summed as
+        # 1 + eps - n + k it rounded to 0.0 and divided by zero
+        assert hyper.f32_terminating(10**6, 1e-300, 1.0, 1.0 - 1e-12) == 1.0
+
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**9])
+    def test_cost_cap(self, n):
+        with pytest.raises(RangeError):
+            hyper.f32_terminating(n, 0.5, 0.5, 0.2)
 
     def test_window(self):
         with pytest.raises(ConstraintError):
