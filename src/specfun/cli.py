@@ -11,6 +11,7 @@ Numbers print in shortest round-trip decimal.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import balls, elliptic, gamma, hyper, verify
@@ -74,7 +75,8 @@ def _parse_args_for(kinds, raw):
     for kind, token in zip(kinds, raw):
         v = float(token)
         if kind == "i":
-            if v != int(v):
+            # int() of inf raises OverflowError, not ValueError
+            if not math.isfinite(v) or v != int(v):
                 raise ValueError(f"expected an integer, got {token}")
             out.append(int(v))
         else:

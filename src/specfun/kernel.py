@@ -1,7 +1,6 @@
 """Shared numeric substrate.
 
-Error-free transformations and a two-term (double-double) value type,
-exact compensated summation, central-difference stencils, a bracketed
+Exact compensated summation, central-difference stencils, a bracketed
 monotone root finder, and grid generation.  Everything here is a pure
 function of its inputs and safe to call from any number of threads.
 
@@ -21,99 +20,12 @@ from typing import Callable, Iterable, Optional
 from .errors import BracketError, DomainError, IterationCapError
 
 __all__ = [
-    "PairValue",
     "BracketRoot",
     "Grid",
     "compensated_sum",
     "derivative",
     "invert_monotone",
 ]
-
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
-
-
-def _two_sum(a: float, b: float):
-    """s + e == a + b exactly, s = fl(a + b)."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
-def _quick_two_sum(a: float, b: float):
-    """Assumes |a| >= |b|."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float):
-    """p + e == a * b exactly, via Dekker splitting."""
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
-
-
-@dataclass(frozen=True)
-class PairValue:
-    """Unevaluated two-term sum hi + lo with |lo| <= ulp(hi)/2.
-
-    Gives roughly 32 significant decimal digits.  Used where a single
-    binary64 accumulation would lose the result to cancellation (the
-    exponentially convergent Euler-Mascheroni series, in particular).
-    """
-
-    hi: float
-    lo: float = 0.0
-
-    @staticmethod
-    def from_float(x: float) -> "PairValue":
-        return PairValue(float(x), 0.0)
-
-    def to_float(self) -> float:
-        return self.hi + self.lo
-
-    def add(self, other: "PairValue") -> "PairValue":
-        s, e = _two_sum(self.hi, other.hi)
-        t, f = _two_sum(self.lo, other.lo)
-        e += t
-        s, e = _quick_two_sum(s, e)
-        e += f
-        hi, lo = _quick_two_sum(s, e)
-        return PairValue(hi, lo)
-
-    def sub(self, other: "PairValue") -> "PairValue":
-        return self.add(PairValue(-other.hi, -other.lo))
-
-    def neg(self) -> "PairValue":
-        return PairValue(-self.hi, -self.lo)
-
-    def mul(self, other: "PairValue") -> "PairValue":
-        p, e = _two_prod(self.hi, other.hi)
-        e += self.hi * other.lo + self.lo * other.hi
-        hi, lo = _quick_two_sum(p, e)
-        return PairValue(hi, lo)
-
-    def mul_float(self, k: float) -> "PairValue":
-        p, e = _two_prod(self.hi, k)
-        e += self.lo * k
-        hi, lo = _quick_two_sum(p, e)
-        return PairValue(hi, lo)
-
-    def div_float(self, k: float) -> "PairValue":
-        q1 = self.hi / k
-        p, e = _two_prod(q1, k)
-        # remainder (self - q1*k) evaluated exactly
-        r_hi, r_e = _two_sum(self.hi, -p)
-        r = r_hi + (r_e + self.lo - e)
-        q2 = r / k
-        hi, lo = _quick_two_sum(q1, q2)
-        return PairValue(hi, lo)
 
 
 def compensated_sum(terms: Iterable[float]) -> float:

@@ -251,7 +251,7 @@ def _build_gamma():
         return (est.error_bound - abs(est.value - eg)) / est.error_bound
 
     checks.append(CheckSpec(
-        "gamma.karatsuba_bound", "|estimate - g| <= c_k = 2/(12k)! + 2k^2 e^-k",
+        "gamma.karatsuba_bound", "|estimate - g| <= c_k + ulp, c_k = 2/(12k)! + 2k^2 e^-k",
         "inequality", (1, 5, 10, 20), 1e-12, karatsuba_margin,
     ))
 

@@ -61,6 +61,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "detemple", "2.5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("detemple", "inf"), ("pochhammer", "0.5", "inf")])
+    def test_non_finite_integer_argument(self, capsys, argv):
+        code, _, err = run_cli(capsys, "eval", *argv)
+        assert code == 2
+        assert "expected an integer, got inf" in err
+
 
 class TestVerify:
     def test_stdout_json(self, capsys):

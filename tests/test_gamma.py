@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -226,6 +227,15 @@ class TestDeTemple:
         assert abs(rec.d_n - d_ref) <= 1e-15 * d_ref
         assert abs(rec.r_n - r_ref) <= 1e-15 * r_ref
 
+    def test_gap_against_mpmath(self):
+        # below n = 32 the gap is a cancelling difference of O(1) terms
+        off = []
+        for n in range(1, 41):
+            ref = mp.harmonic(n) - mp.log(mp.mpf(n) + 0.5) - mp.euler
+            if abs(G.detemple(n).r_minus_gamma - ref) > 1e-15 * ref:
+                off.append(n)
+        assert off == []
+
     def test_domain(self):
         with pytest.raises(DomainError):
             G.detemple(0)
@@ -247,11 +257,25 @@ class TestKaratsubaEulerGamma:
         e20 = abs(G.karatsuba_euler_gamma(20).value - EG)
         assert e20 < e1
 
-    def test_pair_arithmetic_survives_k30(self):
-        # at k = 30 the alternating terms peak near e^30; plain binary64
-        # accumulation would be ~1e-4 off
-        est = G.karatsuba_euler_gamma(30)
-        assert abs(est.value - EG) <= est.error_bound
+    def test_bound_holds_against_mpmath(self):
+        # the alternating terms peak near e^k, so the sum cancels about
+        # 0.43 k digits; the bound must cover the actual error on all of k
+        violations = []
+        for k in range(1, 201):
+            est = G.karatsuba_euler_gamma(k)
+            if abs(mp.mpf(est.value) - mp.euler) > est.error_bound:
+                violations.append(k)
+        assert violations == []
+
+    def test_decimal_context_untouched(self):
+        # neither reads the caller's decimal context nor leaves a change in it
+        ref = (G.karatsuba_euler_gamma(30), G.detemple(24))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.traps[decimal.Inexact] = True
+            before = repr(decimal.getcontext())
+            assert (G.karatsuba_euler_gamma(30), G.detemple(24)) == ref
+            assert repr(decimal.getcontext()) == before
 
     @pytest.mark.parametrize("k", [0, 201, 2.5])
     def test_range(self, k):

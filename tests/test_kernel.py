@@ -8,49 +8,12 @@ from specfun.errors import BracketError, DomainError
 from specfun.kernel import (
     BracketRoot,
     Grid,
-    PairValue,
     compensated_sum,
     derivative,
     invert_monotone,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100)
-
-
-class TestPairValue:
-    def test_roundtrip(self):
-        x = PairValue.from_float(1.25)
-        assert x.to_float() == 1.25
-        assert x.lo == 0.0
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6),
-           st.integers(-10**6, 10**6), st.integers(1, 10**6))
-    @settings(max_examples=200)
-    def test_arithmetic_matches_exact_rationals(self, p1, q1, p2, q2):
-        a = Fraction(p1, q1)
-        b = Fraction(p2, q2)
-        x = PairValue.from_float(p1).div_float(float(q1))
-        y = PairValue.from_float(p2).div_float(float(q2))
-        for op, ref in (
-            (x.add(y), a + b),
-            (x.sub(y), a - b),
-            (x.mul(y), a * b),
-        ):
-            got = Fraction(op.hi) + Fraction(op.lo)
-            scale = max(1.0, abs(float(ref)))
-            assert abs(float(got - ref)) <= 1e-30 * scale
-
-    @given(finite)
-    @settings(max_examples=200)
-    def test_normalization_invariant(self, v):
-        x = PairValue.from_float(v).add(PairValue.from_float(v * 1e-18))
-        if x.hi != 0.0 and math.isfinite(x.hi):
-            assert abs(x.lo) <= 0.5 * math.ulp(x.hi) + 1e-300
-
-    def test_mul_float_exact(self):
-        x = PairValue.from_float(1.0).div_float(3.0)
-        y = x.mul_float(3.0)
-        assert abs(y.to_float() - 1.0) < 1e-30
 
 
 class TestCompensatedSum:
