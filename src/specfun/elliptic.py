@@ -215,18 +215,20 @@ def _mu_series(a: float, x: float):
     term is positive: h_0 = R_a, and h_n falls to 0 from above since
     1/(a+n) + 1/(1-a+n) >= 2/(n+1/2).  The term ratio is below x <= 1/2,
     so once both new terms are under 1e-17 of their sums the tail is
-    below the last term.
+    below the last term.  Terms stay under max(1, h_0) x^n, so the sums
+    are finite wherever R_a is.  The counter n is a float: the loop is
+    float-only.
     """
     p = a * (1.0 - a)  # (a+n)(1-a+n) = n(n+1) + p
     h = ramanujan_R(a, 1.0 - a)
     c = f = 1.0
     e = h
-    n = 0
+    n = 0.0
     while True:
-        q = n * (n + 1) + p
-        n += 1
+        q = n * (n + 1.0) + p
+        n += 1.0
         c *= q * x / (n * n)
-        h += 2.0 / n - (2 * n - 1) / q
+        h += 2.0 / n - (2.0 * n - 1.0) / q
         t = c * h
         f += c
         e += t

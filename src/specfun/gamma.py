@@ -16,6 +16,7 @@ built on the polygamma asymptotic series (DLMF 5.15), not O(n) sums.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -244,8 +245,11 @@ def ramanujan_gamma(x: float, terms: int = 7) -> GammaEstimate:
     """Gamma(x+1) via sqrt(pi) (x/e)^x (8x^3+4x^2+x+ tail)^(1/6).
 
     ``terms`` selects how many of the seven rational tail coefficients
-    enter (0 keeps only the cubic).  The error bound is the heuristic
-    contribution of the first omitted term.
+    enter (0 keeps only the cubic).  The error bound is the first two
+    omitted tail terms over 6 body (the seventh coefficient's size stands
+    in for unknown ones) plus the rounding of the exponent y, which exp
+    turns into relative error: x ulps of log x and a few of |y|.  Against
+    mpmath it holds on x in [1, 170] for every ``terms``.
     """
     if not x >= 1.0:
         raise DomainError(f"ramanujan_gamma needs x >= 1, got {x}")
@@ -256,12 +260,15 @@ def ramanujan_gamma(x: float, terms: int = 7) -> GammaEstimate:
     for j in range(terms):
         body += _RAMANUJAN_TAIL_FLOAT[j] * p
         p /= x
-    value = math.exp(0.5 * math.log(math.pi) + x * (math.log(x) - 1.0) + math.log(body) / 6.0)
-    if terms < 7:
-        omitted = abs(_RAMANUJAN_TAIL_FLOAT[terms]) * p
-    else:
-        omitted = abs(_RAMANUJAN_TAIL_FLOAT[6]) * p  # unknown next coefficient; reuse scale
-    return GammaEstimate(value=value, error_bound=value * omitted / (6.0 * body), method="ramanujan_series")
+    log_x = math.log(x)
+    y = 0.5 * math.log(math.pi) + x * (log_x - 1.0) + math.log(body) / 6.0
+    value = math.exp(y)
+    first = abs(_RAMANUJAN_TAIL_FLOAT[min(terms, 6)])
+    second = abs(_RAMANUJAN_TAIL_FLOAT[min(terms + 1, 6)])
+    truncation = (first + second / x) * p / (6.0 * body)
+    rounding = sys.float_info.epsilon * (x * log_x + 2.0 * abs(y) + 4.0)
+    return GammaEstimate(value=value, error_bound=value * (truncation + rounding),
+                         method="ramanujan_series")
 
 
 # the 14-entry record of theta as (x, printed 4-decimal value); the last

@@ -2,7 +2,8 @@
 
 Evaluation strategy (d = c - a - b):
 
-* x <= 0.75 — the defining series, compensated, terms by ratio recurrence.
+* x <= 0.75 — the defining series, terms by ratio recurrence, summed
+  exactly rounded by ``math.fsum``.
 * x > 0.75, |d| ~ 0 — the zero-balanced logarithmic expansion in powers of
   1 - x (the digamma series behind the R(a,b) asymptotic at x = 1).
 * x > 0.75, d a negative value — Euler reflection
@@ -110,31 +111,36 @@ def pochhammer(a: float, n: int) -> float:
 
 
 def _series(a, b, c, x):
-    """Defining series at |x| <= crossover; compensated accumulation."""
+    """Defining series at |x| <= crossover, summed exactly rounded by
+    math.fsum.  The loop is float-only (an int counter would put a + n on
+    the interpreter's slow mixed-type path); the plain running sum s only
+    feeds the stop test |t| < 1e-17 |s|, written without abs().  A series
+    that leaves binary64 raises OverflowError, after the cap if a term
+    does (a non-finite term never passes the stop test)."""
     t = 1.0
     s = 1.0
-    comp = 0.0
+    terms = [1.0]
     small = 0
-    n = 0
-    for n in range(_MAX_TERMS):
-        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        y = t
-        hi = s + y
-        if abs(s) >= abs(y):
-            comp += (s - hi) + y
-        else:
-            comp += (y - hi) + s
-        s = hi
-        if abs(t) < _TERM_STOP * abs(s):
+    n = 0.0
+    for _ in range(_MAX_TERMS):
+        n1 = n + 1.0
+        t *= (a + n) * (b + n) / ((c + n) * n1) * x
+        terms.append(t)
+        s += t
+        lim = _TERM_STOP * (s if s > 0.0 else -s)
+        if -lim < t < lim:
             small += 1
             if small >= 3:
                 break
         else:
             small = 0
-    total = s + comp
+        n = n1
+    if not math.isfinite(s):
+        raise OverflowError(f"2F1 series at ({a}, {b}, {c}, {x}) leaves binary64")
+    total = math.fsum(terms)  # s is finite, so is every term
     capped = small < 3
     err = abs(t) if capped else max(2.0 * abs(t), 4.0 * _EPS * abs(total))
-    return total, err, n + 1
+    return total, err, int(n1)
 
 
 def _zero_balanced(a, b, w):
@@ -144,19 +150,24 @@ def _zero_balanced(a, b, w):
     pa, pb, pn = digamma(a), digamma(b), -EULER_GAMMA
     coef = 1.0
     s = 0.0
-    n = 0
-    for n in range(_MAX_TERMS):
+    n = 0.0
+    for _ in range(_MAX_TERMS):
+        n1 = n + 1.0
         term = coef * (2.0 * pn - pa - pb - log_w)
         s += term
-        if n > 2 and abs(term) < _TERM_STOP * abs(s):
+        lim = _TERM_STOP * (s if s > 0.0 else -s)
+        if n > 2.0 and -lim < term < lim:
             break
-        coef *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
-        pn += 1.0 / (n + 1)
+        coef *= (a + n) * (b + n) / (n1 * n1) * w
+        pn += 1.0 / n1
         pa += 1.0 / (a + n)
         pb += 1.0 / (b + n)
+        n = n1
+    if not math.isfinite(s):
+        raise OverflowError(f"zero-balanced 2F1 series at ({a}, {b}, 1 - {w}) leaves binary64")
     value = pref * s
     err = abs(pref) * abs(term) * 2.0 + 4.0 * _EPS * abs(value)
-    return value, err, n + 1
+    return value, err, int(n1)
 
 
 def _near_one_int(a, b, c, m, w):
@@ -176,21 +187,27 @@ def _near_one_int(a, b, c, m, w):
     pbm = digamma(b + m)
     coef = 1.0 / math.factorial(m)
     s2 = 0.0
-    n = 0
-    for n in range(_MAX_TERMS):
+    am, bm, mf = a + m, b + m, float(m)
+    n = 0.0
+    for _ in range(_MAX_TERMS):
+        n1 = n + 1.0
         term = coef * (log_w - pn - pnm + pam + pbm)
         s2 += term
-        if n > 2 and abs(term) < _TERM_STOP * abs(s2):
+        lim = _TERM_STOP * (s2 if s2 > 0.0 else -s2)
+        if n > 2.0 and -lim < term < lim:
             break
-        coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-        pn += 1.0 / (n + 1)
-        pnm += 1.0 / (n + m + 1)
-        pam += 1.0 / (a + m + n)
-        pbm += 1.0 / (b + m + n)
+        coef *= (am + n) * (bm + n) / (n1 * (n1 + mf)) * w
+        pn += 1.0 / n1
+        pnm += 1.0 / (n1 + mf)
+        pam += 1.0 / (am + n)
+        pbm += 1.0 / (bm + n)
+        n = n1
+    if not math.isfinite(s2):
+        raise OverflowError(f"2F1 log series at ({a}, {b}, {c}, 1 - {w}) leaves binary64")
     pref2 = -((-1.0) ** m) * gamma(c) / (gamma(a) * gamma(b)) * w ** m
     value = p1 + pref2 * s2
     err = abs(pref2) * abs(term) * 2.0 + 4.0 * _EPS * (abs(p1) + abs(pref2 * s2))
-    return value, err, n + m + 1
+    return value, err, int(n1) + m
 
 
 def _connection(a, b, c, x, w):
@@ -250,6 +267,8 @@ def hyp2f1(a: float, b: float, c: float, x: float, one_minus_x: float = None) ->
     it (e.g. evaluating at 1 - r^2 with complement r^2).  An ``x`` that
     rounded up to 1.0 is accepted as long as a positive complement is
     given explicitly; the true argument 1 - one_minus_x is then interior.
+    Raises OverflowError when a series term or partial sum leaves binary64
+    (e.g. a = b = 300 at x = 0.7, or c = 1e-310).
     """
     _check_params(a, b, c)
     if x == 1.0 and one_minus_x is not None and one_minus_x > 0.0:
@@ -264,7 +283,8 @@ def f21(params: HyperParams, x: float, one_minus_x: float = None) -> EvalResult:
 
     Positive parameters, except that one of a, b may lie in (-1, 0) when
     c >= 1 (the second-kind elliptic case); other negative parameters are
-    rejected.
+    rejected.  Raises OverflowError, like ``hyp2f1``, when a series term
+    or partial sum leaves binary64.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"argument must lie in [0, 1), got {x}")
@@ -333,13 +353,13 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
         return lhs - ((c - a) * u(z) + (a - c + b * z) * v(z))
     if which == "sym_combo":
         def q(t):
-            return u(t) * v(1.0 - t) + u(1.0 - t) * v(t) - v(t) * v(1.0 - t)
+            vt, v1 = v(t), v(1.0 - t)
+            return u(t) * v1 + u(1.0 - t) * vt - vt * v1
 
         dq = kernel.derivative(q, z, order=1, domain=(0.0, 1.0))
+        uz, u1, vz, v1 = u(z), u(1.0 - z), v(z), v(1.0 - z)
         rhs = (1.0 - a - b) * (
-            (1.0 - z) * u(z) * v(1.0 - z)
-            - z * u(1.0 - z) * v(z)
-            - (1.0 - 2.0 * z) * v(z) * v(1.0 - z)
+            (1.0 - z) * uz * v1 - z * u1 * vz - (1.0 - 2.0 * z) * vz * v1
         )
         return z * (1.0 - z) * dq - rhs
     dv = kernel.derivative(v, z, order=1, domain=(0.0, 1.0))

@@ -306,6 +306,15 @@ class TestRamanujanGamma:
             est = G.ramanujan_gamma(10.0, t)
             assert abs(est.value - ref) <= 30.0 * est.error_bound
 
+    def test_error_bound_holds_strictly(self):
+        # truncation (first two omitted terms) plus exponent rounding,
+        # which dominates from x ~ 50 on; checked against mpmath
+        for x in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0):
+            ref = mp.gamma(mp.mpf(x) + 1)
+            for t in range(8):
+                est = G.ramanujan_gamma(x, t)
+                assert abs(mp.mpf(est.value) - ref) <= est.error_bound, (x, t)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             G.ramanujan_gamma(0.5, 3)

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import mpmath as mp
 import pytest
@@ -342,3 +344,197 @@ class TestGrowthTransforms:
         ref = math.exp(gamma.log_gamma(c) + gamma.log_gamma(d)
                        - gamma.log_gamma(a) - gamma.log_gamma(b))
         assert abs(hi - ref) < 1e-3
+
+
+# --- float-only term loops against the int-counter loops they replaced ---
+#
+# The references below are the earlier loops, kept as written: an int
+# counter, a Fast2Sum-compensated running sum in _series, and abs() in
+# the stop tests.  The float-only loops must use the same number of terms
+# and, apart from fsum rounding the exact sum where Fast2Sum falls short
+# of it, give the same bits.
+
+_EPS = 2.220446049250313e-16
+
+
+def _ref_series(a, b, c, x):
+    t = 1.0
+    s = 1.0
+    comp = 0.0
+    small = 0
+    n = 0
+    for n in range(hyper._MAX_TERMS):
+        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        y = t
+        hi = s + y
+        if abs(s) >= abs(y):
+            comp += (s - hi) + y
+        else:
+            comp += (y - hi) + s
+        s = hi
+        if abs(t) < hyper._TERM_STOP * abs(s):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    total = s + comp
+    capped = small < 3
+    err = abs(t) if capped else max(2.0 * abs(t), 4.0 * _EPS * abs(total))
+    return total, err, n + 1
+
+
+def _ref_zero_balanced(a, b, w):
+    pref = gamma.gamma(a + b) / (gamma.gamma(a) * gamma.gamma(b))
+    log_w = math.log(w)
+    pa, pb, pn = gamma.digamma(a), gamma.digamma(b), -gamma.EULER_GAMMA
+    coef = 1.0
+    s = 0.0
+    n = 0
+    for n in range(hyper._MAX_TERMS):
+        term = coef * (2.0 * pn - pa - pb - log_w)
+        s += term
+        if n > 2 and abs(term) < hyper._TERM_STOP * abs(s):
+            break
+        coef *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
+        pn += 1.0 / (n + 1)
+        pa += 1.0 / (a + n)
+        pb += 1.0 / (b + n)
+    value = pref * s
+    err = abs(pref) * abs(term) * 2.0 + 4.0 * _EPS * abs(value)
+    return value, err, n + 1
+
+
+def _ref_near_one_int(a, b, c, m, w):
+    s1 = 0.0
+    coef = 1.0
+    for n in range(m):
+        if n > 0:
+            coef *= (a + n - 1.0) * (b + n - 1.0) / (n * (n - m)) * w
+        s1 += coef
+    p1 = math.factorial(m - 1) * gamma.gamma(c) / (gamma.gamma(a + m) * gamma.gamma(b + m)) * s1
+    log_w = math.log(w)
+    pn = -gamma.EULER_GAMMA
+    pnm = gamma.digamma(m + 1.0)
+    pam = gamma.digamma(a + m)
+    pbm = gamma.digamma(b + m)
+    coef = 1.0 / math.factorial(m)
+    s2 = 0.0
+    n = 0
+    for n in range(hyper._MAX_TERMS):
+        term = coef * (log_w - pn - pnm + pam + pbm)
+        s2 += term
+        if n > 2 and abs(term) < hyper._TERM_STOP * abs(s2):
+            break
+        coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
+        pn += 1.0 / (n + 1)
+        pnm += 1.0 / (n + m + 1)
+        pam += 1.0 / (a + m + n)
+        pbm += 1.0 / (b + m + n)
+    pref2 = -((-1.0) ** m) * gamma.gamma(c) / (gamma.gamma(a) * gamma.gamma(b)) * w ** m
+    value = p1 + pref2 * s2
+    err = abs(pref2) * abs(term) * 2.0 + 4.0 * _EPS * (abs(p1) + abs(pref2 * s2))
+    return value, err, n + m + 1
+
+
+def _ref_mu_series(a, x):
+    p = a * (1.0 - a)
+    h = hyper.ramanujan_R(a, 1.0 - a)
+    c = f = 1.0
+    e = h
+    n = 0
+    while True:
+        q = n * (n + 1) + p
+        n += 1
+        c *= q * x / (n * n)
+        h += 2.0 / n - (2 * n - 1) / q
+        t = c * h
+        f += c
+        e += t
+        if c <= 1e-17 * f and t <= 1e-17 * e:
+            return f, e
+
+
+def _bits(values):
+    # repr keeps the sign of zero and tells NaN apart, where == would not
+    return tuple(repr(v) for v in values)
+
+
+class TestFloatOnlyLoops:
+    @staticmethod
+    def _off_integer(rng, lo, hi):
+        while True:
+            c = rng.uniform(lo, hi)
+            if abs(c - round(c)) > 0.05:
+                return c
+
+    def test_series_matches_compensated_reference(self):
+        rng = random.Random(20260707)
+        for i in range(2400):
+            kind = i % 4
+            a = rng.uniform(-1.0, 0.0) if kind == 1 else rng.uniform(0.05, 4.0)
+            b = rng.uniform(0.05, 4.0)
+            c = self._off_integer(rng, -5.0, -0.05) if kind == 2 else rng.uniform(0.1, 5.0)
+            x = rng.uniform(0.0, 0.75)
+            got, ref = hyper._series(a, b, c, x), _ref_series(a, b, c, x)
+            assert got[2] == ref[2], (a, b, c, x)
+            if got[0] != ref[0]:
+                # fsum rounds the exact sum of the terms; Fast2Sum may not
+                assert abs(got[0] - ref[0]) <= math.ulp(ref[0]), (a, b, c, x)
+                exact = mp.hyp2f1(a, b, c, x)
+                assert abs(got[0] - exact) <= abs(ref[0] - exact), (a, b, c, x)
+
+    def test_zero_balanced_is_bit_identical(self):
+        rng = random.Random(7)
+        for i in range(600):
+            if i % 3 == 0:  # one negative parameter, c = a + b >= 1
+                a = rng.uniform(-0.95, -0.05)
+                b = rng.uniform(1.0 - a, 4.0)
+            else:
+                a, b = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
+            w = rng.uniform(0.001, 0.25)
+            assert _bits(hyper._zero_balanced(a, b, w)) == _bits(_ref_zero_balanced(a, b, w))
+
+    def test_near_one_int_is_bit_identical(self):
+        rng = random.Random(11)
+        for _ in range(600):
+            a, b = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
+            m = rng.choice((1, 2, 3, 5))
+            w = rng.uniform(0.001, 0.25)
+            got = hyper._near_one_int(a, b, a + b + m, m, w)
+            assert _bits(got) == _bits(_ref_near_one_int(a, b, a + b + m, m, w))
+
+    def test_mu_series_is_bit_identical(self):
+        rng = random.Random(13)
+        for _ in range(600):
+            a, x = rng.uniform(0.001, 0.999), rng.uniform(0.0, 0.5)
+            assert _bits(elliptic._mu_series(a, x)) == _bits(_ref_mu_series(a, x))
+
+    @pytest.mark.parametrize("a,b,c,x", [
+        (2.0, 3.0, 1e-160, 0.5),    # sum near 1e160, past sqrt of the largest float
+        (2.0, 3.0, 1e-200, 0.5),    # the last terms too: t^2 < (1e-17 s)^2 would overflow
+        (1.5, 2.5, -1e-200, 0.5),   # the same, every term after 1 negative
+        (2.0, 3.0, 4.0, 1e-300),    # terms after t_1 = 1.5e-300 underflow to 0
+        (2.0, 3.0, 4.0, 5e-324),    # t_1 is subnormal, the rest 0
+    ])
+    def test_stop_rule_edges(self, a, b, c, x):
+        got, ref = hyper._series(a, b, c, x), _ref_series(a, b, c, x)
+        assert got[2] == ref[2]
+        assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("a,b,c,x", [
+    (300.0, 300.0, 0.5, 0.7),
+    (1e200, 1e200, 1.0, 0.5),
+    (2.0, 3.0, 1e-310, 0.3),
+])
+def test_series_leaving_binary64_raises(a, b, c, x):
+    for call in (lambda: hyper.hyp2f1(a, b, c, x),
+                 lambda: hyper.f21(HyperParams(a, b, c), x)):
+        best = math.inf
+        for _ in range(3):  # the best of three, so a busy machine does not fail it
+            start = time.perf_counter()
+            with pytest.raises(OverflowError):
+                call()
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
