@@ -25,17 +25,24 @@ the closed-form slope
 so each step costs one mu_a evaluation; most solves take one or two.
 Once the target is deep enough that the error of exp(R_a/2 - y) is below
 roundoff, that asymptote is the answer.
+
+The two constants of a that mu_a and its inverse need, R_a and
+sin(pi a), live on the SignatureParam record and are computed once per
+call: mu_a, mu_a_inverse and phi_k_a build one record from a float a (or
+take the caller's) and pass it down, so a phi_k_a solve evaluates R_a
+once, not once per mu_a evaluation.  k_a, e_a and the ODE residuals need
+neither constant and take the plain float.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError
-from .gamma import sinpi
-from .hyper import hyp2f1, ramanujan_R
+from .gamma import EULER_GAMMA, digamma_reflected, sinpi
+from .hyper import hyp2f1
 from . import kernel
 
 __all__ = [
@@ -70,11 +77,32 @@ _MU_GUARD = 1e-7  # public mu_a refuses closer to the endpoints than this
 
 @dataclass(frozen=True)
 class SignatureParam:
+    """Signature parameter a in (0, 1) with the two constants of a that the
+    ring modulus needs, each computed once, here:
+
+    * r_a: Ramanujan's R(a, 1-a) = -2 gamma - psi(a) - psi(1-a), the h_0
+      of mu_a's series and the asymptote mu_a(r) ~ r_a/2 - log r; from
+      one digamma, bit-identical to hyper.ramanujan_R(a, 1.0 - a);
+    * sin_pi_a: gamma.sinpi(a), of the symmetry value pi/(2 sin(pi a)).
+
+    Every function taking a signature parameter accepts this record in
+    place of the float; one that evaluates mu_a or solves phi_k_a many
+    times at one a is cheaper given the record, built once.  R_a
+    overflows for a below about 5.6e-309, which raises RangeError.
+    """
+
     a: float
+    r_a: float = field(init=False, repr=False, compare=False)
+    sin_pi_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise DomainError(f"signature parameter must lie in (0, 1), got {self.a}")
+        a = float(self.a)
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"signature parameter must lie in (0, 1), got {a}")
+        psi_a, psi_b = digamma_reflected(a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r_a", -2.0 * EULER_GAMMA - psi_a - psi_b)
+        object.__setattr__(self, "sin_pi_a", sinpi(a))
 
 
 @dataclass(frozen=True)
@@ -96,6 +124,10 @@ def _sig(a) -> float:
     if not 0.0 < a < 1.0:
         raise DomainError(f"signature parameter must lie in (0, 1), got {a}")
     return a
+
+
+def _record(a) -> SignatureParam:
+    return a if isinstance(a, SignatureParam) else SignatureParam(a)
 
 
 def _complement(r: float) -> float:
@@ -206,7 +238,7 @@ def e_a_prime(a, r: float) -> float:
     return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
 
 
-def _mu_series(a: float, x: float):
+def _mu_series(sig: SignatureParam, x: float):
     """(F, E) = (sum c_n x^n, sum c_n h_n x^n) for 0 <= x <= 1/2.
 
     c_n = (a)_n (1-a)_n / n!^2 are the coefficients of F(a,1-a;1;x) and
@@ -219,8 +251,9 @@ def _mu_series(a: float, x: float):
     are finite wherever R_a is.  The counter n is a float: the loop is
     float-only.
     """
+    a = sig.a
     p = a * (1.0 - a)  # (a+n)(1-a+n) = n(n+1) + p
-    h = ramanujan_R(a, 1.0 - a)
+    h = sig.r_a
     c = f = 1.0
     e = h
     n = 0.0
@@ -236,46 +269,49 @@ def _mu_series(a: float, x: float):
             return f, e
 
 
-def _mu_and_slope(a: float, r: float):
+def _mu_and_slope(sig: SignatureParam, r: float):
     """(mu_a(r), d mu_a / d(log r)) without the public endpoint guard.
 
     Away from a = 1/2 (where the AGM is cheaper) one series in
     s^2 = min(r, r')^2 <= 1/2 gives both factors of mu_a: with
-    (F, E) = _mu_series(a, s^2), F is F(a,1-a;1;s^2) and
+    (F, E) = _mu_series(sig, s^2), F is F(a,1-a;1;s^2) and
     (sin(pi a)/pi) (E - 2 F log s) is F(a,1-a;1;1-s^2).  For r <= 1/sqrt(2)
     the sine cancels, mu_a(r) = E/(2F) - log r.
     """
     x, xc = r * r, _complement(r)
-    if a == 0.5:
+    if sig.a == 0.5:
         g = agm(1.0, math.sqrt(xc))  # F(1/2, 1/2; 1; r^2) = 1 / g
         return 0.5 * math.pi * g / agm(1.0, r), -g * g / xc
     if x <= xc:
-        f, e = _mu_series(a, x)
+        f, e = _mu_series(sig, x)
         return 0.5 * e / f - math.log(r), -1.0 / (xc * f * f)
-    k = sinpi(a) / math.pi
-    f, e = _mu_series(a, xc)
+    k = sig.sin_pi_a / math.pi
+    f, e = _mu_series(sig, xc)
     den = k * (e - f * math.log(xc))  # F(a,1-a;1;r^2)
     return 0.5 * f / (k * den), -1.0 / (xc * den * den)
 
 
-def _mu_full(a: float, r: float) -> float:
-    # internal evaluator without the public endpoint guard
-    return _mu_and_slope(a, r)[0]
+def _mu_full(a, r: float) -> float:
+    # internal evaluator without the public endpoint guard; a float or a record
+    return _mu_and_slope(_record(a), r)[0]
+
+
+_CLASSICAL = SignatureParam(0.5)
 
 
 def mu(r: float) -> float:
     """Plane ring modulus pi K'(r) / (2 K(r))."""
-    return mu_a(0.5, r)
+    return mu_a(_CLASSICAL, r)
 
 
 def mu_a(a, r: float) -> float:
     """Generalized ring modulus; decreasing homeomorphism of (0,1) onto
     (0, infinity).  Refuses r within 1e-7 of either endpoint rather than
     degrade silently."""
-    a = _sig(a)
+    sig = _record(a)
     if not _MU_GUARD <= r <= 1.0 - _MU_GUARD:
         raise DomainError(f"mu_a supports r in [{_MU_GUARD}, {1 - _MU_GUARD}], got {r}")
-    return _mu_full(a, r)
+    return _mu_and_slope(sig, r)[0]
 
 
 _INVERT_TOL = 1e-13
@@ -304,19 +340,19 @@ def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
     return t
 
 
-def _mu_inverse_lower(a: float, y: float) -> float:
+def _mu_inverse_lower(sig: SignatureParam, y: float) -> float:
     # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on underflow
-    r_half = 0.5 * ramanujan_R(a, 1.0 - a)
+    r_half = 0.5 * sig.r_a
     if y >= r_half + _ASYM_MARGIN:
         # mu_a(r) = R_a/2 - log r + O(r^2); the dropped term is below
         # e^(-2*margin) here, far under roundoff
         return math.exp(r_half - y)
     # the root lies at or below 1/sqrt(2); the start may overshoot it there
-    t0 = min(_mu_inverse_start(a, y, r_half), _LOG_SQRT_HALF)
+    t0 = min(_mu_inverse_start(sig.a, y, r_half), _LOG_SQRT_HALF)
     # from y = 512 on one ulp of y exceeds _INVERT_TOL, so no r could meet it
     tol = max(_INVERT_TOL, math.ulp(y))
     res = kernel.invert_monotone(
-        lambda t: _mu_and_slope(a, math.exp(t)), y, *_LOG_BRACKET, tol=tol, x0=t0
+        lambda t: _mu_and_slope(sig, math.exp(t)), y, *_LOG_BRACKET, tol=tol, x0=t0
     )
     return math.exp(res.root)
 
@@ -331,12 +367,12 @@ def mu_a_inverse(a, y: float) -> float:
     represent (saturating endpoint 1.0) or below the smallest normal
     float (saturating endpoint 0.0).
     """
-    a = _sig(a)
+    sig = _record(a)
     if not y > 0.0:
         raise DomainError(f"mu_a_inverse needs y > 0, got {y}")
-    c_sym = 0.5 * math.pi / sinpi(a)
+    c_sym = 0.5 * math.pi / sig.sin_pi_a
     if y < c_sym:
-        rc = _mu_inverse_lower(a, c_sym * c_sym / y)
+        rc = _mu_inverse_lower(sig, c_sym * c_sym / y)
         root = math.sqrt((1.0 - rc) * (1.0 + rc))
         if root >= 1.0:
             raise BracketError(
@@ -344,7 +380,7 @@ def mu_a_inverse(a, y: float) -> float:
                 saturating_endpoint=1.0,
             )
         return root
-    root = _mu_inverse_lower(a, y)
+    root = _mu_inverse_lower(sig, y)
     if root < sys.float_info.min:
         raise BracketError(
             f"mu_a^-1({y}) underflows binary64", saturating_endpoint=0.0
@@ -354,17 +390,17 @@ def mu_a_inverse(a, y: float) -> float:
 
 def phi_k_a(a, big_k: float, r: float) -> float:
     """Modular function: the s with mu_a(s) = mu_a(r) / K."""
-    a = _sig(a)
+    sig = _record(a)
     if not big_k > 0.0:
         raise DomainError(f"phi_k_a needs K > 0, got {big_k}")
     if not 0.0 < r < 1.0:
         raise DomainError(f"phi_k_a needs r interior to (0, 1), got {r}")
-    return mu_a_inverse(a, _mu_full(a, r) / big_k)
+    return mu_a_inverse(sig, _mu_and_slope(sig, r)[0] / big_k)
 
 
 def phi_k(big_k: float, r: float) -> float:
     """Classical modular function (signature parameter 1/2)."""
-    return phi_k_a(0.5, big_k, r)
+    return phi_k_a(_CLASSICAL, big_k, r)
 
 
 def legendre_residual(r: float) -> float:
@@ -459,11 +495,12 @@ def schwarzian_residual(a, r: float, step: float = None) -> float:
     default step 1e-2 r(1-r), improving superquadratically as the step
     shrinks.
     """
-    a = _sig(a)
+    sig = _record(a)
+    a = sig.a
     if not 0.1 < r < 0.9:
         raise DomainError(f"schwarzian guard band is (0.1, 0.9), got r = {r}")
     h = 1e-2 * r * (1.0 - r) if step is None else float(step)
-    f = lambda t: _mu_full(a, t)
+    f = lambda t: _mu_and_slope(sig, t)[0]
     w1 = kernel.derivative(f, r, order=1, step=h, domain=(0.0, 1.0))
     w2 = kernel.derivative(f, r, order=2, step=h, domain=(0.0, 1.0))
     w3 = kernel.derivative(f, r, order=3, step=h, domain=(0.0, 1.0))

@@ -36,6 +36,7 @@ __all__ = [
     "gamma",
     "log_gamma",
     "digamma",
+    "digamma_reflected",
     "trigamma",
     "sinpi",
     "beta",
@@ -171,9 +172,7 @@ def digamma(x: float) -> float:
     """
     _check_argument("digamma", x)
     if x < 0.5:
-        pi_cot = math.pi * _cospi(x) / sinpi(x)
-        if math.isinf(pi_cot):
-            raise RangeError(f"digamma({x}) overflows binary64")
+        pi_cot = _pi_cot(x)
         return digamma(1.0 - x) - pi_cot
     shift = 0.0
     y = x
@@ -187,6 +186,38 @@ def digamma(x: float) -> float:
         s -= c * p
         p *= inv2
     return s - shift
+
+
+def _pi_cot(x: float) -> float:
+    # the reflection term of digamma, Psi(x) = Psi(1 - x) - pi cot(pi x)
+    pi_cot = math.pi * _cospi(x) / sinpi(x)
+    if math.isinf(pi_cot):
+        raise RangeError(f"digamma({x}) overflows binary64")
+    return pi_cot
+
+
+def digamma_reflected(a: float) -> tuple:
+    """(Psi(a), Psi(1 - a)) for 0 < a < 1 from one asymptotic Psi.
+
+    The argument below 1/2 is reflected onto the other one, as digamma
+    itself does, so both values are bit-identical to digamma's (1 - a is
+    rounded as ``1.0 - a``; from a = 1/2 on it is exact, and 1 - (1 - a)
+    is a).  Raises RangeError where digamma does, for a or 1 - a below
+    about 5.6e-309.
+    """
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"digamma_reflected needs 0 < a < 1, got {a}")
+    b = 1.0 - a
+    if a < 0.5:
+        pi_cot = _pi_cot(a)
+        psi_b = digamma(b)
+        return psi_b - pi_cot, psi_b
+    if b < 0.5:
+        pi_cot = _pi_cot(b)
+        psi_a = digamma(a)
+        return psi_a, psi_a - pi_cot
+    psi_a = digamma(a)  # a = 1/2
+    return psi_a, psi_a
 
 
 def trigamma(x: float) -> float:

@@ -53,6 +53,10 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _TERM_STOP = 1e-17  # relative term size under which the series is done
 _MAX_TERMS = 100_000
+_BLOCK = 100  # terms between finiteness checks; divides _MAX_TERMS
+# the term loops iterate these two ranges, built once: building them per
+# call cost about 0.15 us, 7% of a six-term series
+_BLOCKS, _BLOCK_TERMS = range(_MAX_TERMS // _BLOCK), range(_BLOCK)
 _CROSSOVER = 0.75
 _INT_SNAP = 1e-10
 _F32_MAX_N = 10**6  # f32_terminating costs O(n), about 0.4 s at the cap
@@ -115,26 +119,32 @@ def _series(a, b, c, x):
     math.fsum.  The loop is float-only (an int counter would put a + n on
     the interpreter's slow mixed-type path); the plain running sum s only
     feeds the stop test |t| < 1e-17 |s|, written without abs().  A series
-    that leaves binary64 raises OverflowError, after the cap if a term
-    does (a non-finite term never passes the stop test)."""
+    that leaves binary64 raises OverflowError: a non-finite term never
+    passes the stop test, so s is checked once per block of _BLOCK terms,
+    off the per-term path."""
     t = 1.0
     s = 1.0
     terms = [1.0]
     small = 0
     n = 0.0
-    for _ in range(_MAX_TERMS):
-        n1 = n + 1.0
-        t *= (a + n) * (b + n) / ((c + n) * n1) * x
-        terms.append(t)
-        s += t
-        lim = _TERM_STOP * (s if s > 0.0 else -s)
-        if -lim < t < lim:
-            small += 1
-            if small >= 3:
-                break
+    for _ in _BLOCKS:
+        for _ in _BLOCK_TERMS:
+            n1 = n + 1.0
+            t *= (a + n) * (b + n) / ((c + n) * n1) * x
+            terms.append(t)
+            s += t
+            lim = _TERM_STOP * (s if s > 0.0 else -s)
+            if -lim < t < lim:
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            n = n1
         else:
-            small = 0
-        n = n1
+            if math.isfinite(s):
+                continue
+        break
     if not math.isfinite(s):
         raise OverflowError(f"2F1 series at ({a}, {b}, {c}, {x}) leaves binary64")
     total = math.fsum(terms)  # s is finite, so is every term
@@ -151,18 +161,23 @@ def _zero_balanced(a, b, w):
     coef = 1.0
     s = 0.0
     n = 0.0
-    for _ in range(_MAX_TERMS):
-        n1 = n + 1.0
-        term = coef * (2.0 * pn - pa - pb - log_w)
-        s += term
-        lim = _TERM_STOP * (s if s > 0.0 else -s)
-        if n > 2.0 and -lim < term < lim:
-            break
-        coef *= (a + n) * (b + n) / (n1 * n1) * w
-        pn += 1.0 / n1
-        pa += 1.0 / (a + n)
-        pb += 1.0 / (b + n)
-        n = n1
+    for _ in _BLOCKS:  # blocks as in _series
+        for _ in _BLOCK_TERMS:
+            n1 = n + 1.0
+            term = coef * (2.0 * pn - pa - pb - log_w)
+            s += term
+            lim = _TERM_STOP * (s if s > 0.0 else -s)
+            if n > 2.0 and -lim < term < lim:
+                break
+            coef *= (a + n) * (b + n) / (n1 * n1) * w
+            pn += 1.0 / n1
+            pa += 1.0 / (a + n)
+            pb += 1.0 / (b + n)
+            n = n1
+        else:
+            if math.isfinite(s):
+                continue
+        break
     if not math.isfinite(s):
         raise OverflowError(f"zero-balanced 2F1 series at ({a}, {b}, 1 - {w}) leaves binary64")
     value = pref * s
@@ -189,19 +204,24 @@ def _near_one_int(a, b, c, m, w):
     s2 = 0.0
     am, bm, mf = a + m, b + m, float(m)
     n = 0.0
-    for _ in range(_MAX_TERMS):
-        n1 = n + 1.0
-        term = coef * (log_w - pn - pnm + pam + pbm)
-        s2 += term
-        lim = _TERM_STOP * (s2 if s2 > 0.0 else -s2)
-        if n > 2.0 and -lim < term < lim:
-            break
-        coef *= (am + n) * (bm + n) / (n1 * (n1 + mf)) * w
-        pn += 1.0 / n1
-        pnm += 1.0 / (n1 + mf)
-        pam += 1.0 / (am + n)
-        pbm += 1.0 / (bm + n)
-        n = n1
+    for _ in _BLOCKS:  # blocks as in _series
+        for _ in _BLOCK_TERMS:
+            n1 = n + 1.0
+            term = coef * (log_w - pn - pnm + pam + pbm)
+            s2 += term
+            lim = _TERM_STOP * (s2 if s2 > 0.0 else -s2)
+            if n > 2.0 and -lim < term < lim:
+                break
+            coef *= (am + n) * (bm + n) / (n1 * (n1 + mf)) * w
+            pn += 1.0 / n1
+            pnm += 1.0 / (n1 + mf)
+            pam += 1.0 / (am + n)
+            pbm += 1.0 / (bm + n)
+            n = n1
+        else:
+            if math.isfinite(s2):
+                continue
+        break
     if not math.isfinite(s2):
         raise OverflowError(f"2F1 log series at ({a}, {b}, {c}, 1 - {w}) leaves binary64")
     pref2 = -((-1.0) ** m) * gamma(c) / (gamma(a) * gamma(b)) * w ** m

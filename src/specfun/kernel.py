@@ -35,15 +35,16 @@ def compensated_sum(terms: Iterable[float]) -> float:
     nearest binary64 to the true sum regardless of cancellation, and is
     invariant under permutation of the input.  Non-finite inputs fall back
     to plain summation so that infinities and NaNs propagate instead of
-    raising.
+    raising.  A list goes to math.fsum as it is; any other iterable is
+    listed first, only so that the fallback can read it again.
     """
-    xs = [float(t) for t in terms]
+    xs = terms if isinstance(terms, list) else list(terms)
     try:
         return math.fsum(xs)
     except (ValueError, OverflowError):
         total = 0.0
         for v in xs:
-            total += v
+            total += float(v)
         return total
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, UnknownIdentityError
-from .elliptic import _mu_full, phi_k_a
+from .elliptic import SignatureParam, _mu_full, phi_k_a
 
 __all__ = [
     "ModularSpec",
@@ -77,16 +77,16 @@ def solve_modular(spec: ModularSpec, r: float) -> ModuliPair:
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    a, p = spec.signature_a, spec.degree_p
-    s = phi_k_a(a, 1.0 / p, r)
-    gap = abs(_mu_full(a, s) - p * _mu_full(a, r))
+    sig, p = SignatureParam(spec.signature_a), spec.degree_p
+    s = phi_k_a(sig, 1.0 / p, r)
+    gap = abs(_mu_full(sig, s) - p * _mu_full(sig, r))
     if gap > _FORWARD_TOL:
         raise RuntimeError(f"modular solve failed forward check: |mu(s) - p mu(r)| = {gap}")
     return ModuliPair(alpha=r * r, beta=s * s)
 
 
-def _phi_sq(a: float, p: float, r: float) -> float:
-    return phi_k_a(a, 1.0 / p, r) ** 2
+def _phi_sq(sig: SignatureParam, p: float, r: float) -> float:
+    return phi_k_a(sig, 1.0 / p, r) ** 2
 
 
 _THIRD = 1.0 / 3.0
@@ -208,17 +208,17 @@ def get_identity(identity_id: str) -> ModularIdentity:
 
 
 def _moduli_for(identity: ModularIdentity, r: float):
-    a = identity.signature_a
+    sig = SignatureParam(identity.signature_a)
     al = r * r
     if identity.id == "classical_deg9_chain":
-        return [ModuliPair(al, _phi_sq(a, 3.0, r), third=_phi_sq(a, 9.0, r))]
+        return [ModuliPair(al, _phi_sq(sig, 3.0, r), third=_phi_sq(sig, 9.0, r))]
     if identity.id == "classical_mixed_357":
         return [
-            ModuliPair(al, _phi_sq(a, 7.0, r)),
-            ModuliPair(_phi_sq(a, 3.0, r), _phi_sq(a, 5.0, r)),
+            ModuliPair(al, _phi_sq(sig, 7.0, r)),
+            ModuliPair(_phi_sq(sig, 3.0, r), _phi_sq(sig, 5.0, r)),
         ]
     p = float(identity.degrees[0])
-    return [ModuliPair(al, _phi_sq(a, p, r))]
+    return [ModuliPair(al, _phi_sq(sig, p, r))]
 
 
 def identity_residual(identity_id: str, r: float) -> float:

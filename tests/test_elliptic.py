@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfun import elliptic as E
-from specfun import hyper, kernel
-from specfun.errors import BracketError, DomainError
+from specfun import gamma, hyper, kernel
+from specfun.errors import BracketError, DomainError, RangeError
 
 mp.mp.dps = 40
 
@@ -115,6 +115,67 @@ class TestModulusPoint:
             E.ModulusPoint.from_r(1.0)
 
 
+class TestSignatureParam:
+    @staticmethod
+    def _signatures():
+        rng = random.Random(8080)
+        return ([rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(2000)]
+                + [10.0 ** -rng.uniform(0.0, 300.0) for _ in range(2000)]
+                + [1.0 - 10.0 ** -k for k in range(1, 17)] + [0.5])
+
+    def test_r_a_is_bit_identical_to_ramanujan_R(self):
+        for a in self._signatures():
+            sig = E.SignatureParam(a)
+            assert repr(sig.r_a) == repr(hyper.ramanujan_R(a, 1.0 - a)), a
+            assert repr(sig.sin_pi_a) == repr(gamma.sinpi(a)), a
+
+    def test_r_a_overflow_is_range_error(self):
+        # pi cot(pi a) overflows below about 5.6e-309, as in digamma
+        with pytest.raises(RangeError):
+            hyper.ramanujan_R(5e-324, 1.0)
+        with pytest.raises(RangeError):
+            E.SignatureParam(5e-324)
+
+    def test_domain(self):
+        for a in (0.0, 1.0, -0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                E.SignatureParam(a)
+
+    def test_record_and_float_agree(self):
+        rng = random.Random(8081)
+        for _ in range(200):
+            a, r = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+            sig = E.SignatureParam(a)
+            assert repr(E.mu_a(sig, r)) == repr(E.mu_a(a, r))
+            assert repr(E.phi_k_a(sig, 0.5, r)) == repr(E.phi_k_a(a, 0.5, r))
+        assert E.SignatureParam(0.3) == E.SignatureParam(0.3)
+        assert hash(E.SignatureParam(0.3)) == hash(E.SignatureParam(0.3))
+
+    @pytest.mark.parametrize("a", [1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 6.0, 0.05, 0.95])
+    def test_digamma_calls_per_solve(self, a, monkeypatch):
+        # R_a takes one digamma (the larger of a, 1 - a; the other comes
+        # by reflection), once per solve; none when the record is given
+        digamma = gamma.digamma
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return digamma(x)
+
+        monkeypatch.setattr(gamma, "digamma", counted)
+        sig = E.SignatureParam(a)
+        calls[0] = 0
+        rs = [0.02 + 0.0096 * i for i in range(100)]
+        for p in (2.0, 5.0, 23.0):
+            for r in rs:
+                E.phi_k_a(sig, 1.0 / p, r)
+        assert calls[0] == 0
+        for p in (2.0, 5.0, 23.0):
+            for r in rs:
+                E.phi_k_a(a, 1.0 / p, r)
+        assert calls[0] <= 2 * 3 * len(rs)
+
+
 class TestRingModulus:
     def test_symmetry_point(self):
         assert abs(E.mu(math.sqrt(0.5)) - math.pi / 2.0) < 1e-14
@@ -191,7 +252,7 @@ class TestInverseNewton:
     @pytest.mark.parametrize("r", [1e-6, 0.1, 0.5, 0.707, 0.9, 0.999])
     def test_slope_identity(self, a, r):
         # d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2) against a stencil
-        _, slope = E._mu_and_slope(a, r)
+        _, slope = E._mu_and_slope(E.SignatureParam(a), r)
         stencil = kernel.derivative(lambda t: E._mu_full(a, math.exp(t)), math.log(r))
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
@@ -216,7 +277,7 @@ class TestInverseNewton:
             calls[0] = 0
             r = E.mu_a_inverse(a, y)
             counts.append(calls[0])
-            assert abs(mu_and_slope(a, r)[0] - y) <= 1e-13
+            assert abs(mu_and_slope(E.SignatureParam(a), r)[0] - y) <= 1e-13
         assert max(counts) <= 6
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
@@ -231,7 +292,7 @@ class TestInverseNewton:
         rng = random.Random(20260)
         for y in [523.0400660893072] + [rng.uniform(y_lo, y_hi) for _ in range(500)]:
             r = E.mu_a_inverse(a, y)
-            assert abs(E._mu_and_slope(a, r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
+            assert abs(E._mu_and_slope(E.SignatureParam(a), r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
 
 
 class TestModularFunctionPhi:

@@ -508,7 +508,7 @@ class TestFloatOnlyLoops:
         rng = random.Random(13)
         for _ in range(600):
             a, x = rng.uniform(0.001, 0.999), rng.uniform(0.0, 0.5)
-            assert _bits(elliptic._mu_series(a, x)) == _bits(_ref_mu_series(a, x))
+            assert _bits(elliptic._mu_series(elliptic.SignatureParam(a), x)) == _bits(_ref_mu_series(a, x))
 
     @pytest.mark.parametrize("a,b,c,x", [
         (2.0, 3.0, 1e-160, 0.5),    # sum near 1e160, past sqrt of the largest float
@@ -538,3 +538,24 @@ def test_series_leaving_binary64_raises(a, b, c, x):
                 call()
             best = min(best, time.perf_counter() - start)
         assert best < 0.05
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hyper.hyp2f1(300.0, 300.0, 0.5, 0.7),
+    lambda: hyper.hyp2f1(1e200, 1e200, 1.0, 0.5),
+    lambda: hyper.hyp2f1(2.0, 3.0, 1e-310, 0.3),
+    # the two logarithmic series, driven past binary64 by an argument
+    # far outside their range
+    lambda: hyper._zero_balanced(2.0, 3.0, 1e300),
+    lambda: hyper._near_one_int(2.0, 3.0, 6.0, 1, 1e300),
+], ids=["series_a_b_300", "series_a_b_1e200", "series_c_1e-310", "zero_balanced", "near_one_int"])
+def test_overflow_raises_within_one_block(call):
+    # finiteness is checked once per block of terms, not after the
+    # 100,000-term cap (about 20 ms a call)
+    best = math.inf
+    for _ in range(3):  # the best of three, so a busy machine does not fail it
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            call()
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.002

@@ -63,6 +63,14 @@ class TestCompensatedSum:
         assert math.isnan(compensated_sum([float("inf"), float("-inf")]))
         assert compensated_sum([float("inf"), 1.0]) == float("inf")
 
+    def test_iterables_are_read_once_each(self):
+        # a generator is listed, so the non-finite fallback can reread it
+        xs = [0.1, 1e100, 0.2, -1e100]
+        assert compensated_sum(x for x in xs) == compensated_sum(xs) == 0.30000000000000004
+        assert compensated_sum(tuple(xs)) == compensated_sum(xs)
+        assert math.isnan(compensated_sum(x for x in (float("inf"), float("-inf"))))
+        assert compensated_sum(iter([1e308, 1e308])) == float("inf")
+
 
 class TestDerivative:
     def test_square_order1(self):

@@ -2,13 +2,29 @@ import math
 
 import pytest
 
-from specfun import modular
+from specfun import gamma, modular
 from specfun.elliptic import _mu_full, phi_k_a
 from specfun.errors import DomainError, UnknownIdentityError
 from specfun.modular import ModularSpec, ModuliPair, solve_modular
 
 
 class TestSolveModular:
+    def test_one_r_a_per_solve(self, monkeypatch):
+        # one SignatureParam per solve: its R_a is the only digamma call
+        digamma = gamma.digamma
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return digamma(x)
+
+        monkeypatch.setattr(gamma, "digamma", counted)
+        for a in (0.5, 1.0 / 3.0, 0.2):
+            for r in (0.1, 0.5, 0.9):
+                calls[0] = 0
+                solve_modular(ModularSpec(a, 3.0), r)
+                assert calls[0] == 1
+
     def test_degree_one_is_identity(self):
         pair = solve_modular(ModularSpec(0.5, 1.0), 0.4)
         assert abs(pair.beta - pair.alpha) < 1e-12
