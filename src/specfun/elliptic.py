@@ -26,16 +26,22 @@ so each step costs one mu_a evaluation; most solves take one or two.
 Once the target is deep enough that the error of exp(R_a/2 - y) is below
 roundoff, that asymptote is the answer.
 
+Short of that, once y is 12 above R_a/2 (roots below about e^-12), the
+three-term start of Newton is itself the root: the terms it drops are
+below e^(-72), so no mu_a evaluation confirms it.
+
 The two constants of a that mu_a and its inverse need, R_a and
-sin(pi a), live on the SignatureParam record and are computed once per
-call: mu_a, mu_a_inverse and phi_k_a build one record from a float a (or
-take the caller's) and pass it down, so a phi_k_a solve evaluates R_a
-once, not once per mu_a evaluation.  k_a, e_a and the ODE residuals need
-neither constant and take the plain float.
+sin(pi a), live on the SignatureParam record.  mu_a, mu_a_inverse,
+phi_k_a and mu_a_unguarded take the caller's record or look a float a
+up in a bounded memo of records (64 entries), so a process builds the
+record of a given a once, not once per call or per mu_a evaluation.
+k_a, e_a and the ODE residuals need neither constant and take the plain
+float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -60,6 +66,7 @@ __all__ = [
     "mu",
     "mu_a",
     "mu_a_inverse",
+    "mu_a_unguarded",
     "phi_k",
     "phi_k_a",
     "legendre_residual",
@@ -86,9 +93,11 @@ class SignatureParam:
     * sin_pi_a: gamma.sinpi(a), of the symmetry value pi/(2 sin(pi a)).
 
     Every function taking a signature parameter accepts this record in
-    place of the float; one that evaluates mu_a or solves phi_k_a many
-    times at one a is cheaper given the record, built once.  R_a
-    overflows for a below about 5.6e-309, which raises RangeError.
+    place of the float.  mu_a, mu_a_inverse, phi_k_a and mu_a_unguarded
+    turn a float a into its record through a memo of the last 64 a, so a
+    process builds the record of one a once; a record built here directly
+    is not memoized.  R_a overflows for a below about 5.6e-309, which
+    raises RangeError (on every call: errors are not memoized).
     """
 
     a: float
@@ -126,8 +135,18 @@ def _sig(a) -> float:
     return a
 
 
+_RECORD_MEMO_SIZE = 64  # a registry pass uses 20 distinct a, inverse solves 4
+
+
+@functools.lru_cache(maxsize=_RECORD_MEMO_SIZE)
+def _memo_record(a: float) -> SignatureParam:
+    # records are frozen and compare by a, so a hit is the record a fresh
+    # build would give; lru_cache caches no exception
+    return SignatureParam(a)
+
+
 def _record(a) -> SignatureParam:
-    return a if isinstance(a, SignatureParam) else SignatureParam(a)
+    return a if isinstance(a, SignatureParam) else _memo_record(float(a))
 
 
 def _complement(r: float) -> float:
@@ -291,17 +310,19 @@ def _mu_and_slope(sig: SignatureParam, r: float):
     return 0.5 * f / (k * den), -1.0 / (xc * den * den)
 
 
-def _mu_full(a, r: float) -> float:
-    # internal evaluator without the public endpoint guard; a float or a record
-    return _mu_and_slope(_record(a), r)[0]
-
-
-_CLASSICAL = SignatureParam(0.5)
+def mu_a_unguarded(a, r: float) -> float:
+    """mu_a(r) for any r in (0, 1), without mu_a's 1e-7 endpoint guard; a
+    is a float or a SignatureParam.  Within about 1e-15 relative of mpmath
+    from r = 1e-12 to 1 - 1e-12."""
+    sig = _record(a)
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"mu_a_unguarded needs r in (0, 1), got {r}")
+    return _mu_and_slope(sig, r)[0]
 
 
 def mu(r: float) -> float:
     """Plane ring modulus pi K'(r) / (2 K(r))."""
-    return mu_a(_CLASSICAL, r)
+    return mu_a(0.5, r)
 
 
 def mu_a(a, r: float) -> float:
@@ -316,6 +337,7 @@ def mu_a(a, r: float) -> float:
 
 _INVERT_TOL = 1e-13
 _ASYM_MARGIN = 25.0  # use the log asymptote once -log(root) exceeds this
+_START_MARGIN = 12.0  # the three-term start is the root once -log(root) exceeds this
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_HALF = math.log(_SQRT_HALF)
 _LOG_BRACKET = (math.log(1e-15), math.log(_SQRT_HALF + 0.01))
@@ -349,6 +371,10 @@ def _mu_inverse_lower(sig: SignatureParam, y: float) -> float:
         return math.exp(r_half - y)
     # the root lies at or below 1/sqrt(2); the start may overshoot it there
     t0 = min(_mu_inverse_start(sig.a, y, r_half), _LOG_SQRT_HALF)
+    if y >= r_half + _START_MARGIN:
+        # the start drops terms of order r^6 < e^(-72), with a coefficient
+        # bounded in a: its residual is within max(1e-13, ulp(y)) already
+        return math.exp(t0)
     # from y = 512 on one ulp of y exceeds _INVERT_TOL, so no r could meet it
     tol = max(_INVERT_TOL, math.ulp(y))
     res = kernel.invert_monotone(
@@ -366,6 +392,11 @@ def mu_a_inverse(a, y: float) -> float:
     Raises BracketError when the root is closer to 1 than binary64 can
     represent (saturating endpoint 1.0) or below the smallest normal
     float (saturating endpoint 0.0).
+
+    Targets y from R_a/2 + 12 on (roots below about e^-12) return the
+    root of the three-term asymptote with no mu_a evaluation, and from
+    R_a/2 + 25 on the one-term exp(R_a/2 - y).  A float a reads its
+    SignatureParam from the memo of records, built once per a.
     """
     sig = _record(a)
     if not y > 0.0:
@@ -400,7 +431,7 @@ def phi_k_a(a, big_k: float, r: float) -> float:
 
 def phi_k(big_k: float, r: float) -> float:
     """Classical modular function (signature parameter 1/2)."""
-    return phi_k_a(_CLASSICAL, big_k, r)
+    return phi_k_a(0.5, big_k, r)
 
 
 def legendre_residual(r: float) -> float:

@@ -247,16 +247,45 @@ def trigamma(x: float) -> float:
     return s + shift
 
 
+def _binet(x: float) -> float:
+    # Binet's mu(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2 for
+    # x >= 10, where eight Stirling terms leave an error below 2e-18
+    inv2 = 1.0 / (x * x)
+    s = 0.0
+    for c in reversed(_STIRLING_C):
+        s = s * inv2 + c
+    return s / x
+
+
 def beta(a: float, b: float) -> float:
     """B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0; the limit 0 when
-    either is +inf."""
+    either is +inf.
+
+    From a + b = 25 on, with x = min(a, b) and y = max(a, b), the large
+    parts of the three Stirling series cancel in closed form (DiDonato and
+    Morris, ACM TOMS 708, betaln): log Gamma(y) - log Gamma(x+y) =
+    -(y - 1/2) log1p(x/y) - x log(x+y) + x + mu(y) - mu(x+y), mu being
+    Binet's remainder, and (x+y)^-x is taken by pow.  From x = 10 on,
+    B = sqrt(2 pi / y) (x/(x+y))^(x-1/2) exp(mu(x) + mu(y) - mu(x+y)
+    - y log1p(x/y)).  Against mpmath the relative error is below 3e-15
+    where x < 10 or y is far above x, and up to about 1.2e-13 where x and
+    y are both near 500 and B nears the underflow threshold: there the
+    (x - 1/2)-th power and y log1p(x/y) ~ 300 each carry one rounding.
+    """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta needs a, b > 0, got ({a}, {b})")
     if a == math.inf or b == math.inf:
         return 0.0
     if a + b < 25.0:
         return gamma(a) * gamma(b) / gamma(a + b)
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    x, y = (a, b) if a <= b else (b, a)
+    s = x + y
+    if x < 10.0:
+        e = x - (y - 0.5) * math.log1p(x / y) + _binet(y) - _binet(s)
+        h = s ** (-0.5 * x)  # halves keep (x+y)^-x normal wherever B is
+        return math.gamma(x) * math.exp(e) * h * h
+    e = _binet(x) + _binet(y) - _binet(s) - y * math.log1p(x / y)
+    return math.sqrt(2.0 * math.pi / y) * math.exp(e) * (x / s) ** (x - 0.5)
 
 
 # the seven printed tail coefficients of the sixth-root expansion, exact

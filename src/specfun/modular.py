@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, UnknownIdentityError
-from .elliptic import SignatureParam, _mu_full, phi_k_a
+from .elliptic import SignatureParam, mu_a_unguarded, phi_k_a
 
 __all__ = [
     "ModularSpec",
@@ -79,7 +79,7 @@ def solve_modular(spec: ModularSpec, r: float) -> ModuliPair:
         raise DomainError(f"r must lie in (0, 1), got {r}")
     sig, p = SignatureParam(spec.signature_a), spec.degree_p
     s = phi_k_a(sig, 1.0 / p, r)
-    gap = abs(_mu_full(sig, s) - p * _mu_full(sig, r))
+    gap = abs(mu_a_unguarded(sig, s) - p * mu_a_unguarded(sig, r))
     if gap > _FORWARD_TOL:
         raise RuntimeError(f"modular solve failed forward check: |mu(s) - p mu(r)| = {gap}")
     return ModuliPair(alpha=r * r, beta=s * s)

@@ -175,6 +175,32 @@ class TestSignatureParam:
                 E.phi_k_a(a, 1.0 / p, r)
         assert calls[0] <= 2 * 3 * len(rs)
 
+    def test_float_a_builds_one_record_per_process(self, monkeypatch):
+        # the memo of records: 300 solves at one float a, one R_a
+        digamma = gamma.digamma
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return digamma(x)
+
+        monkeypatch.setattr(gamma, "digamma", counted)
+        E._memo_record.cache_clear()
+        for p in (2.0, 5.0, 23.0):
+            for i in range(100):
+                E.phi_k_a(0.3, 1.0 / p, 0.02 + 0.0096 * i)
+        assert calls[0] == 1
+        assert E._record(0.3) is E._record(0.3)
+
+    def test_errors_are_not_memoized(self):
+        E._memo_record.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                E.phi_k_a(5e-324, 0.5, 0.5)
+            with pytest.raises(DomainError):
+                E.mu_a(1.5, 0.5)
+        assert E._memo_record.cache_info().currsize == 0
+
 
 class TestRingModulus:
     def test_symmetry_point(self):
@@ -206,6 +232,12 @@ class TestRingModulus:
         with pytest.raises(DomainError):
             E.mu_a(0.3, 1.0 - 1e-9)
 
+    @pytest.mark.parametrize("r", [math.nan, 0.0, 1.0, 1.5, -0.5])
+    def test_unguarded_domain(self, r):
+        # a NaN r used to loop forever in the series
+        with pytest.raises(DomainError):
+            E.mu_a_unguarded(0.3, r)
+
     # the extreme signatures test sin(pi a) next to 0 and 1 and the
     # digamma reflection in R_a; the three r laws cover the bulk and both
     # corners, past the public guard
@@ -223,7 +255,7 @@ class TestRingModulus:
                 am, x = mp.mpf(a), mp.mpf(r) ** 2
                 ref = (mp.pi / (2 * mp.sin(mp.pi * am))
                        * mp.hyp2f1(am, 1 - am, 1, 1 - x) / mp.hyp2f1(am, 1 - am, 1, x))
-                worst = max(worst, float(abs(E._mu_full(a, r) / ref - 1)))
+                worst = max(worst, float(abs(E.mu_a_unguarded(a, r) / ref - 1)))
         assert worst <= 1e-14
 
     def test_symmetry_product(self):
@@ -236,7 +268,7 @@ class TestRingModulus:
             for _ in range(12):
                 r = rng.uniform(0.1, 0.995)
                 rp = math.sqrt((1.0 - r) * (1.0 + r))
-                product = E._mu_full(a, r) * E._mu_full(a, rp)
+                product = E.mu_a_unguarded(a, r) * E.mu_a_unguarded(a, rp)
                 assert abs(product / (c_sym * c_sym) - 1.0) <= 1e-14
 
     @given(st.floats(0.02, 0.98), st.sampled_from([0.5, 1.0 / 3.0, 0.21]))
@@ -253,7 +285,7 @@ class TestInverseNewton:
     def test_slope_identity(self, a, r):
         # d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2) against a stencil
         _, slope = E._mu_and_slope(E.SignatureParam(a), r)
-        stencil = kernel.derivative(lambda t: E._mu_full(a, math.exp(t)), math.log(r))
+        stencil = kernel.derivative(lambda t: E.mu_a_unguarded(a, math.exp(t)), math.log(r))
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
     @pytest.mark.parametrize("a", [0.05, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 0.9])
@@ -282,6 +314,33 @@ class TestInverseNewton:
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
 
+    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0, 0.05, 0.95])
+    def test_no_root_finder_in_the_three_term_band(self, a, monkeypatch):
+        invert = kernel.invert_monotone
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return invert(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "invert_monotone", counted)
+        r_half = 0.5 * E.SignatureParam(a).r_a
+        for i in range(200):
+            E.mu_a_inverse(a, r_half + E._START_MARGIN + (E._ASYM_MARGIN - E._START_MARGIN) * i / 200)
+        assert calls[0] == 0
+        E.mu_a_inverse(a, r_half + E._START_MARGIN - 0.01)
+        assert calls[0] == 1
+
+    def test_three_term_root_meets_the_solver_tolerance(self):
+        # from 12 above R_a/2 (_START_MARGIN) to just past _ASYM_MARGIN the
+        # start is returned unconfirmed; it must still meet the stop rule
+        rng = random.Random(91200)
+        for _ in range(40000):
+            sig = E.SignatureParam(rng.uniform(1e-8, 1.0 - 1e-8))
+            y = 0.5 * sig.r_a + rng.uniform(12.0, 25.5)
+            r = E.mu_a_inverse(sig, y)
+            assert abs(E._mu_and_slope(sig, r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y)), (sig.a, y)
+
     def test_tolerance_floor_at_one_ulp_of_target(self):
         # at a = 0.001 the targets run past y = 512, where one ulp of y
         # exceeds the absolute tolerance 1e-13; the solve then settles for
@@ -302,7 +361,7 @@ class TestModularFunctionPhi:
 
     def test_forward_mu_relation(self):
         s = E.phi_k_a(0.5, 2.0, 0.5)
-        assert abs(E._mu_full(0.5, s) - E._mu_full(0.5, 0.5) / 2.0) <= 1e-12
+        assert abs(E.mu_a_unguarded(0.5, s) - E.mu_a_unguarded(0.5, 0.5) / 2.0) <= 1e-12
 
     def test_inverse_composition(self):
         for r in (0.2, 0.6, 0.9):

@@ -141,6 +141,37 @@ class TestBeta:
     def test_infinite_argument_is_the_limit_zero(self, a, b):
         assert G.beta(a, b) == 0.0
 
+    @staticmethod
+    def _rel_err(a, b):
+        # at 15 digits mp.beta(1e300, 0.5) itself returns sqrt(pi)
+        with mp.workdps(20 + int(math.log10(max(a, b, 1.0)))):
+            ref = mp.beta(mp.mpf(a), mp.mpf(b))
+            if not mp.mpf(2.0 ** -1022) <= ref <= mp.mpf(1.7976931348623157e308):
+                return None  # not a normal float
+            return float(abs(mp.mpf(G.beta(a, b)) / ref - 1))
+
+    @pytest.mark.parametrize("a, b", [(1e300, 0.5), (0.5, 1e300), (1e15, 2.0), (1e10, 0.5)])
+    def test_large_unequal_arguments(self, a, b):
+        # log Gamma(a) - log Gamma(a + b) cancelled here: 1.0, 160x and 2.2e-5 off
+        assert self._rel_err(a, b) <= 1e-13
+
+    def test_log_uniform_sweep(self):
+        # B(x, y) <= B(x, x) < 2^-1022 once both exceed 600: no mpmath there
+        rng = random.Random(7080)
+        pairs = [(10.0 ** rng.uniform(-3.0, 300.0), 10.0 ** rng.uniform(-3.0, 300.0))
+                 for _ in range(3000)]
+        errs = [self._rel_err(a, b) for a, b in pairs if min(a, b) <= 600.0]
+        errs = [e for e in errs if e is not None]
+        assert len(errs) >= 50
+        assert max(errs) <= 1e-13
+
+    def test_both_arguments_large(self):
+        # with both near 500, B nears the underflow threshold and the error
+        # is largest (1.2e-13 measured); three lgammas were 2e-12 off here
+        rng = random.Random(7081)
+        errs = [self._rel_err(rng.uniform(10.0, 600.0), rng.uniform(10.0, 600.0)) for _ in range(400)]
+        assert max(e for e in errs if e is not None) <= 2e-13
+
 
 # the record the sixth-root correction must reproduce; two of the printed
 # values (x = 6/12 and 11/12) are truncations, not roundings
