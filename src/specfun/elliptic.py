@@ -31,12 +31,17 @@ three-term start of Newton is itself the root: the terms it drops are
 below e^(-72), so no mu_a evaluation confirms it.
 
 The two constants of a that mu_a and its inverse need, R_a and
-sin(pi a), live on the SignatureParam record.  mu_a, mu_a_inverse,
-phi_k_a and mu_a_unguarded take the caller's record or look a float a
-up in a bounded memo of records (64 entries), so a process builds the
-record of a given a once, not once per call or per mu_a evaluation.
-k_a, e_a and the ODE residuals need neither constant and take the plain
-float.
+sin(pi a), live on the SignatureParam record, and so do the series
+coefficients c_n and c_n h_n, which depend on a alone: the record grows
+that table lazily as far as an evaluation needs it (at most 50 entries,
+since x <= 1/2), so at a repeated a a mu_a evaluation sums stored
+coefficients instead of running their recurrence.  The table is published
+whole by one attribute store and never mutated, so threads may share a
+record without a lock.  mu_a, mu_a_inverse, phi_k_a and mu_a_unguarded
+take the caller's record or look a float a up in a bounded memo of
+records (64 entries), so a process builds the record of a given a once,
+not once per call or per mu_a evaluation.  k_a, e_a and the ODE residuals
+need none of this and take the plain float.
 """
 
 from __future__ import annotations
@@ -92,6 +97,11 @@ class SignatureParam:
       one digamma, bit-identical to hyper.ramanujan_R(a, 1.0 - a);
     * sin_pi_a: gamma.sinpi(a), of the symmetry value pi/(2 sin(pi a)).
 
+    It also carries the coefficients of mu_a's series (see _mu_series),
+    grown lazily by the evaluations that need them, at most 50 terms,
+    and replaced whole, never mutated, so a record is safe to share
+    between threads.  Building a record does none of that work.
+
     Every function taking a signature parameter accepts this record in
     place of the float.  mu_a, mu_a_inverse, phi_k_a and mu_a_unguarded
     turn a float a into its record through a memo of the last 64 a, so a
@@ -103,6 +113,10 @@ class SignatureParam:
     a: float
     r_a: float = field(init=False, repr=False, compare=False)
     sin_pi_a: float = field(init=False, repr=False, compare=False)
+    # ([c_n], [c_n h_n], h_N) for n = 1..N of mu_a's series, grown by
+    # _mu_series; a class-level default, not a field, so building a record
+    # costs nothing more and equality, hash and repr stay by a
+    _mu_table = None
 
     def __post_init__(self):
         a = float(self.a)
@@ -267,24 +281,50 @@ def _mu_series(sig: SignatureParam, x: float):
     1/(a+n) + 1/(1-a+n) >= 2/(n+1/2).  The term ratio is below x <= 1/2,
     so once both new terms are under 1e-17 of their sums the tail is
     below the last term.  Terms stay under max(1, h_0) x^n, so the sums
-    are finite wherever R_a is.  The counter n is a float: the loop is
-    float-only.
+    are finite wherever R_a is.
+
+    The coefficients c_n and c_n h_n (n >= 1) depend on a alone, so they
+    are read from the record's table: two multiply-adds per term and no
+    division.  A sum that runs past the table's end goes on by the
+    recurrence, appending to copies of its lists, and then publishes
+    the longer table, with the last h, in one attribute store; published
+    lists are never mutated, so a reader in another thread sees the old
+    table or the new one.  Each term is the same float product either
+    way, so the result depends on (a, x) alone, not on how far the table
+    had grown.  At x = 1/2 the sums stop after at most 49 terms over
+    a in [1e-6, 1 - 1e-6] (measured), so a table stays under 50 entries.
     """
-    a = sig.a
-    p = a * (1.0 - a)  # (a+n)(1-a+n) = n(n+1) + p
-    h = sig.r_a
-    c = f = 1.0
-    e = h
-    n = 0.0
+    cs, ds, h = sig._mu_table or ((), (), sig.r_a)
+    f, e, p = 1.0, sig.r_a, 1.0
+    for c, d in zip(cs, ds):
+        p *= x
+        u, v = c * p, d * p
+        f += u
+        e += v
+        if u <= 1e-17 * f and v <= 1e-17 * e:
+            return f, e
+    # past the table: c_k = c_{k-1} q / k^2 and h_k = h_{k-1} + 2/k - (2k-1)/q,
+    # q = (a+k-1)(k-a) = (k-1)k + ab with b = 1-a; the counter k is a float
+    ab = sig.a * (1.0 - sig.a)
+    k = float(len(cs))
+    c = cs[-1] if cs else 1.0
+    cs, ds = list(cs), list(ds)
     while True:
-        q = n * (n + 1.0) + p
-        n += 1.0
-        c *= q * x / (n * n)
-        h += 2.0 / n - (2.0 * n - 1.0) / q
-        t = c * h
-        f += c
-        e += t
-        if c <= 1e-17 * f and t <= 1e-17 * e:
+        q = k * (k + 1.0) + ab
+        k += 1.0
+        c = c * q / (k * k)
+        h += 2.0 / k - (2.0 * k - 1.0) / q
+        d = c * h
+        cs.append(c)
+        ds.append(d)
+        p *= x
+        u, v = c * p, d * p
+        f += u
+        e += v
+        if u <= 1e-17 * f and v <= 1e-17 * e:
+            # publish copies, never grow a published table in place: other
+            # threads may be reading it
+            object.__setattr__(sig, "_mu_table", (cs, ds, h))
             return f, e
 
 

@@ -271,19 +271,36 @@ def beta(a: float, b: float) -> float:
     where x < 10 or y is far above x, and up to about 1.2e-13 where x and
     y are both near 500 and B nears the underflow threshold: there the
     (x - 1/2)-th power and y log1p(x/y) ~ 300 each carry one rounding.
+
+    Below a + b = 25, B is Gamma(a) Gamma(b) / Gamma(a+b) while that
+    product is finite, else Gamma(x) (Gamma(y) / Gamma(a+b)), which keeps
+    B(1e-300, 1e-300) = 2e300.  B ~ 1/x + 1/y leaves binary64 once x is
+    below about 1e-308; that raises OverflowError, as gamma does past its
+    ceiling.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta needs a, b > 0, got ({a}, {b})")
     if a == math.inf or b == math.inf:
         return 0.0
-    if a + b < 25.0:
-        return gamma(a) * gamma(b) / gamma(a + b)
     x, y = (a, b) if a <= b else (b, a)
     s = x + y
+    if s < 25.0 or x < 10.0:
+        try:
+            gx = math.gamma(x)
+        except OverflowError:  # Gamma(x) ~ 1/x, and B with it
+            raise OverflowError(f"beta({a}, {b}) exceeds binary64 range") from None
+    if s < 25.0:
+        gy, gs = math.gamma(y), math.gamma(s)
+        if gx * gy < math.inf:
+            return gx * gy / gs
+        v = gx * (gy / gs)
+        if v == math.inf:
+            raise OverflowError(f"beta({a}, {b}) exceeds binary64 range")
+        return v
     if x < 10.0:
         e = x - (y - 0.5) * math.log1p(x / y) + _binet(y) - _binet(s)
         h = s ** (-0.5 * x)  # halves keep (x+y)^-x normal wherever B is
-        return math.gamma(x) * math.exp(e) * h * h
+        return gx * math.exp(e) * h * h
     e = _binet(x) + _binet(y) - _binet(s) - y * math.log1p(x / y)
     return math.sqrt(2.0 * math.pi / y) * math.exp(e) * (x / s) ** (x - 0.5)
 

@@ -235,8 +235,9 @@ def _connection(a, b, c, x, w):
     d = c - a - b
     f1, e1, n1 = _series(a, b, 1.0 - d, w)
     f2, e2, n2 = _series(c - a, c - b, 1.0 + d, w)
-    g1 = gamma(c) * gamma(d) / (gamma(c - a) * gamma(c - b))
-    g2 = gamma(c) * gamma(-d) / (gamma(a) * gamma(b)) * w ** d
+    gc = gamma(c)
+    g1 = gc * gamma(d) / (gamma(c - a) * gamma(c - b))
+    g2 = gc * gamma(-d) / (gamma(a) * gamma(b)) * w ** d
     value = g1 * f1 + g2 * f2
     err = abs(g1) * e1 + abs(g2) * e2 + 4.0 * _EPS * (abs(g1 * f1) + abs(g2 * f2))
     return value, err, n1 + n2
@@ -269,9 +270,9 @@ def _dispatch(a, b, c, x, w):
 
 
 def _validate_negative_params(a: float, b: float, c: float):
-    negatives = [p for p in (a, b) if p < 0.0]
-    if not negatives:
+    if a >= 0.0 and b >= 0.0:
         return
+    negatives = [p for p in (a, b) if p < 0.0]
     if len(negatives) == 2:
         raise ParameterError(f"at most one of a, b may be negative, got ({a}, {b})")
     if not -1.0 < negatives[0] < 0.0:

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -200,6 +202,66 @@ class TestSignatureParam:
             with pytest.raises(DomainError):
                 E.mu_a(1.5, 0.5)
         assert E._memo_record.cache_info().currsize == 0
+
+    def test_series_table_does_not_change_the_sums(self):
+        # a fresh record, one whose table grew further and one whose table
+        # is shorter than the sum needs give the same bits
+        rng = random.Random(8082)
+        for _ in range(3000):
+            a, x = rng.uniform(1e-3, 1.0 - 1e-3), rng.uniform(0.0, 0.5)
+            longer, shorter = E.SignatureParam(a), E.SignatureParam(a)
+            E._mu_series(longer, rng.uniform(x, 0.5))
+            E._mu_series(shorter, rng.uniform(0.0, x))
+            want = tuple(map(repr, E._mu_series(E.SignatureParam(a), x)))
+            assert tuple(map(repr, E._mu_series(longer, x))) == want, (a, x)
+            assert tuple(map(repr, E._mu_series(shorter, x))) == want, (a, x)
+
+    def test_series_table_is_thread_safe(self):
+        # four threads grow and read one fresh record's table at once, two
+        # of them walking the r values in the opposite order; five rounds,
+        # each on a fresh record, since a race need not show in one
+        rng = random.Random(8083)
+        rs = [rng.uniform(0.01, 0.99) for _ in range(500)]
+        want = [E.mu_a(E.SignatureParam(0.3), r) for r in rs]
+        got = [None] * 4
+
+        def run(sig, start, i):
+            order = rs if i % 2 == 0 else rs[::-1]
+            start.wait()
+            values = [E.mu_a(sig, r) for r in order]
+            got[i] = values if i % 2 == 0 else values[::-1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sig, start = E.SignatureParam(0.3), threading.Barrier(4)
+                threads = [threading.Thread(target=run, args=(sig, start, i)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert got == [want] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.154, 1.0 / 3.0, 0.5, 1.0 - 1e-6])
+    def test_series_table_is_bounded(self, a):
+        # x <= 1/2 needs at most 49 terms (measured, at a near 0.154 and 0.846)
+        sig = E.SignatureParam(a)
+        E._mu_series(sig, 0.5)
+        cs, ds, _ = sig._mu_table
+        assert len(cs) == len(ds) <= 50
+
+    def test_series_table_grows_only_past_its_end(self):
+        sig = E.SignatureParam(0.3)
+        E._mu_series(sig, 0.25)
+        table = sig._mu_table
+        E._mu_series(sig, 0.25)
+        E._mu_series(sig, 0.1)
+        assert sig._mu_table is table
+        E._mu_series(sig, 0.5)
+        assert len(sig._mu_table[0]) > len(table[0])
 
 
 class TestRingModulus:

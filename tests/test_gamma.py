@@ -172,6 +172,23 @@ class TestBeta:
         errs = [self._rel_err(rng.uniform(10.0, 600.0), rng.uniform(10.0, 600.0)) for _ in range(400)]
         assert max(e for e in errs if e is not None) <= 2e-13
 
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e-300), (1e-200, 1e-150), (3e-308, 1e-300)])
+    def test_tiny_arguments_past_the_gamma_product(self, a, b):
+        # Gamma(a) Gamma(b) overflows although B is finite
+        assert abs(G.beta(a, b) / float(mp.beta(a, b)) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("a, b", [(1e-310, 1.0), (1.0, 1e-310), (1e-310, 30.0), (6e-309, 6e-309)])
+    def test_leaving_binary64_raises(self, a, b):
+        with pytest.raises(OverflowError, match="beta"):
+            G.beta(a, b)
+
+    def test_small_sum_keeps_the_gamma_product(self):
+        rng = random.Random(7082)
+        for _ in range(3000):
+            a, b = 10.0 ** rng.uniform(-3.0, 1.4), 10.0 ** rng.uniform(-3.0, 1.4)
+            if a + b < 25.0:
+                assert repr(G.beta(a, b)) == repr(G.gamma(a) * G.gamma(b) / G.gamma(a + b)), (a, b)
+
 
 # the record the sixth-root correction must reproduce; two of the printed
 # values (x = 6/12 and 11/12) are truncations, not roundings

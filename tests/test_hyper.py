@@ -504,11 +504,24 @@ class TestFloatOnlyLoops:
             got = hyper._near_one_int(a, b, a + b + m, m, w)
             assert _bits(got) == _bits(_ref_near_one_int(a, b, a + b + m, m, w))
 
-    def test_mu_series_is_bit_identical(self):
+    def test_mu_series_within_one_ulp_of_the_recurrence(self):
+        # the record's coefficients c_n are free of x, where the recurrence
+        # folds x into them, so the sums may round apart: by at most 1 ulp,
+        # and no further from mpmath over the sweep
         rng = random.Random(13)
+        worst_got, worst_ref = [0.0, 0.0], [0.0, 0.0]
         for _ in range(600):
             a, x = rng.uniform(0.001, 0.999), rng.uniform(0.0, 0.5)
-            assert _bits(elliptic._mu_series(elliptic.SignatureParam(a), x)) == _bits(_ref_mu_series(a, x))
+            got, ref = elliptic._mu_series(elliptic.SignatureParam(a), x), _ref_mu_series(a, x)
+            for i in range(2):
+                assert abs(got[i] - ref[i]) <= math.ulp(ref[i]), (a, x, i)
+            with mp.workdps(25):
+                f = mp.hyp2f1(a, 1 - mp.mpf(a), 1, x)
+                e = mp.pi / mp.sinpi(a) * mp.hyp2f1(a, 1 - mp.mpf(a), 1, 1 - mp.mpf(x)) + f * mp.log(x)
+            for i, exact in enumerate((f, e)):
+                worst_got[i] = max(worst_got[i], float(abs(got[i] / exact - 1)))
+                worst_ref[i] = max(worst_ref[i], float(abs(ref[i] / exact - 1)))
+        assert worst_got[0] <= worst_ref[0] and worst_got[1] <= worst_ref[1], (worst_got, worst_ref)
 
     @pytest.mark.parametrize("a,b,c,x", [
         (2.0, 3.0, 1e-160, 0.5),    # sum near 1e160, past sqrt of the largest float
