@@ -2,8 +2,8 @@
 
 Modules
 -------
-kernel    shared numeric substrate (exact summation, stencils,
-          bracketed inversion, grids)
+kernel    shared numeric substrate (stencils, bracketed inversion,
+          grids)
 gamma     gamma family, Euler-Mascheroni accelerations, sixth-root expansion
 balls     unit-ball volumes / sphere areas and their sharp inequalities
 hyper     Gauss 2F1 engine and the classical product identities

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError, PoleError, RangeError
-from .kernel import compensated_sum
 
 __all__ = [
     "EULER_GAMMA",
@@ -449,7 +448,7 @@ def detemple(n: int) -> DeTempleValues:
     O(1) in n.  From n = 32 on, with the gap R_n - gamma = psi(n+1) -
     log(n+1/2) from its asymptotic series, H_n = gamma + log(n+1/2) + gap
     gives R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap.  Below
-    32 the harmonic number is a compensated sum of its n terms, and the
+    32 the harmonic number is the math.fsum of its n terms, and the
     gap is H_n - log(n+1/2) - gamma in 40-digit decimal arithmetic, which
     its cancellation leaves over 30 digits of.
     """
@@ -461,7 +460,7 @@ def detemple(n: int) -> DeTempleValues:
         d_n = EULER_GAMMA + math.log1p(0.5 / n) + gap
         r_n = EULER_GAMMA + gap
     else:
-        harmonic = compensated_sum(1.0 / k for k in range(1, n + 1))
+        harmonic = math.fsum([1.0 / k for k in range(1, n + 1)])
         d_n = harmonic - math.log(n)
         r_n = harmonic - math.log(n + 0.5)
         with localcontext(Context(prec=40)):
@@ -555,7 +554,7 @@ def lemma_g(x: float) -> float:
         t += b * ((2 * k + 1) * c * inv - 2 * k) * p
         p *= inv2
     head.append(inv * (inv * t))
-    return compensated_sum(head)
+    return math.fsum(head)
 
 
 def lemma_h(x: float) -> float:

@@ -269,48 +269,48 @@ def _dispatch(a, b, c, x, w):
     return v, e, n, "near_one_expansion"
 
 
-def _validate_negative_params(a: float, b: float, c: float):
-    if a >= 0.0 and b >= 0.0:
-        return
-    negatives = [p for p in (a, b) if p < 0.0]
-    if len(negatives) == 2:
-        raise ParameterError(f"at most one of a, b may be negative, got ({a}, {b})")
-    if not -1.0 < negatives[0] < 0.0:
-        raise ParameterError(f"negative parameter {negatives[0]} outside (-1, 0)")
-    if c < 1.0:
-        raise ParameterError(f"negative parameter requires c >= 1, got c = {c}")
-
-
-def hyp2f1(a: float, b: float, c: float, x: float, one_minus_x: float = None) -> float:
-    """Bare value of F(a, b; c; x); see ``f21`` for the full result.
-
-    ``one_minus_x`` supplies the complement exactly when the caller knows
-    it (e.g. evaluating at 1 - r^2 with complement r^2).  An ``x`` that
-    rounded up to 1.0 is accepted as long as a positive complement is
-    given explicitly; the true argument 1 - one_minus_x is then interior.
-    Raises OverflowError when a series term or partial sum leaves binary64
-    (e.g. a = b = 300 at x = 0.7, or c = 1e-310).
-    """
-    _check_params(a, b, c)
+def _check_argument(a: float, b: float, c: float, x: float, one_minus_x) -> float:
+    """The argument rule of hyp2f1 and f21 (see hyp2f1), for finite a, b,
+    c; returns the x to evaluate at.  Past the negative-parameter window
+    the values stay accurate but f21's error estimates do not."""
     if x == 1.0 and one_minus_x is not None and one_minus_x > 0.0:
         x = math.nextafter(1.0, 0.0)
     if not 0.0 <= x < 1.0:
         raise DomainError(f"argument must lie in [0, 1), got {x}")
+    if a >= 0.0 and b >= 0.0:
+        return x
+    if a < 0.0 and b < 0.0:
+        raise ParameterError(f"at most one of a, b may be negative, got ({a}, {b})")
+    if min(a, b) <= -1.0:
+        raise ParameterError(f"negative parameter {min(a, b)} outside (-1, 0)")
+    if c < 1.0:
+        raise ParameterError(f"negative parameter requires c >= 1, got c = {c}")
+    return x
+
+
+def hyp2f1(a: float, b: float, c: float, x: float, one_minus_x: float = None) -> float:
+    """Bare value of F(a, b; c; x): ``f21``'s value, bit for bit, under
+    the same argument rule.
+
+    x lies in [0, 1), or is 1.0 with a positive ``one_minus_x``: that
+    complement, given exactly where the caller knows it (r^2 against
+    1 - r^2), makes the true argument interior.  At most one of a, b may
+    be negative, in (-1, 0), and then c >= 1.  Outside that rule, at a
+    non-finite parameter or at a pole c = 0, -1, ... it raises DomainError
+    or ParameterError; OverflowError when a series term or partial sum
+    leaves binary64 (a = b = 300 at x = 0.7, or c = 1e-310).
+    """
+    _check_params(a, b, c)
+    x = _check_argument(a, b, c, x, one_minus_x)
     return _dispatch(a, b, c, x, one_minus_x)[0]
 
 
 def f21(params: HyperParams, x: float, one_minus_x: float = None) -> EvalResult:
-    """F(a, b; c; x) for x in [0, 1) with an absolute error estimate.
-
-    Positive parameters, except that one of a, b may lie in (-1, 0) when
-    c >= 1 (the second-kind elliptic case); other negative parameters are
-    rejected.  Raises OverflowError, like ``hyp2f1``, when a series term
-    or partial sum leaves binary64.
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"argument must lie in [0, 1), got {x}")
-    _validate_negative_params(params.a, params.b, params.c)
-    v, e, n, method = _dispatch(params.a, params.b, params.c, x, one_minus_x)
+    """F(a, b; c; x) with an absolute error estimate, the branch taken and
+    the terms used; accepts, refuses and raises as ``hyp2f1`` does."""
+    a, b, c = params.a, params.b, params.c
+    x = _check_argument(a, b, c, x, one_minus_x)
+    v, e, n, method = _dispatch(a, b, c, x, one_minus_x)
     return EvalResult(value=v, abs_err_estimate=e, terms_used=n, method=method)
 
 
@@ -348,6 +348,8 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
 
     Derivatives come from central stencils, so those residuals carry the
     stencil's truncation noise (~1e-6 scale); shift_c is fully algebraic.
+    u and b_shift lower a or b by 1, so a or b below 1 needs c >= 1
+    (hyp2f1's negative-parameter window; else ParameterError).
     """
     if which not in CONTIGUOUS_IDS:
         raise DomainError(f"unknown relation {which!r}; use one of {CONTIGUOUS_IDS}")
@@ -482,7 +484,8 @@ def kummer_residual(a: float, b: float, c: float, x: float) -> float:
 def f32_terminating(n: int, a: float, b: float, eps: float) -> float:
     """Terminating 3F2(-n, a, b; 1+a+b, 1+eps-n; 1); positive inside the
     window ab/(1+a+b) < eps < 1.  The n + 1 terms cost O(n), so n above
-    10^6 raises RangeError."""
+    10^6 raises RangeError.  A term or sum past binary64 raises
+    OverflowError, as the 2F1 series do, not NaN."""
     if n < 1 or n != int(n):
         raise DomainError(f"needs integer n >= 1, got {n}")
     if n > _F32_MAX_N:
@@ -503,4 +506,10 @@ def f32_terminating(n: int, a: float, b: float, eps: float) -> float:
             (-n + k) * (a + k) * (b + k)
             / ((1.0 + a + b + k) * ((k + 1 - n) + eps) * (k + 1.0))
         )
-    return kernel.compensated_sum(terms)
+    try:
+        total = math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or past binary64
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"3F2 terms at ({n}, {a}, {b}, {eps}) leave binary64")
+    return total

@@ -1,8 +1,9 @@
 """Shared numeric substrate.
 
-Exact compensated summation, central-difference stencils, a bracketed
-monotone root finder, and grid generation.  Everything here is a pure
-function of its inputs and safe to call from any number of threads.
+Central-difference stencils, a bracketed monotone root finder, and grid
+generation.  Everything here is a pure function of its inputs and safe
+to call from any number of threads.  Exact summation is not wrapped
+here: the library calls math.fsum directly.
 
 The root finder takes Newton steps when the function also returns its
 slope, and secant steps when it does not.  From a good start point, plain
@@ -15,37 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import BracketError, DomainError, IterationCapError
 
 __all__ = [
     "BracketRoot",
     "Grid",
-    "compensated_sum",
     "derivative",
     "invert_monotone",
 ]
-
-
-def compensated_sum(terms: Iterable[float]) -> float:
-    """Sum of ``terms`` correctly rounded from the exact value.
-
-    Backed by math.fsum (Shewchuk's exact summation), so the result is the
-    nearest binary64 to the true sum regardless of cancellation, and is
-    invariant under permutation of the input.  Non-finite inputs fall back
-    to plain summation so that infinities and NaNs propagate instead of
-    raising.  A list goes to math.fsum as it is; any other iterable is
-    listed first, only so that the fallback can read it again.
-    """
-    xs = terms if isinstance(terms, list) else list(terms)
-    try:
-        return math.fsum(xs)
-    except (ValueError, OverflowError):
-        total = 0.0
-        for v in xs:
-            total += float(v)
-        return total
 
 
 # central stencils: orders 1 and 2 use 5 points, order 3 uses 7 points;

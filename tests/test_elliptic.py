@@ -288,21 +288,53 @@ class TestRingModulus:
             vals = [E.mu_a(a, r) for r in (0.05, 0.25, 0.5, 0.75, 0.95)]
             assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
-    def test_guard(self):
-        with pytest.raises(DomainError):
-            E.mu(1e-9)
-        with pytest.raises(DomainError):
-            E.mu_a(0.3, 1.0 - 1e-9)
-
     @pytest.mark.parametrize("r", [math.nan, 0.0, 1.0, 1.5, -0.5])
     def test_unguarded_domain(self, r):
-        # a NaN r used to loop forever in the series
+        # mu_a takes every r inside (0, 1) and refuses what lies outside;
+        # a NaN r must not reach the series, where it never stops
         with pytest.raises(DomainError):
-            E.mu_a_unguarded(0.3, r)
+            E.mu_a(0.3, r)
+
+    def test_against_mpmath_near_the_ends(self):
+        # r or 1 - r in [1e-15.5, 1e-7]; there 1 - r^2 >= 1e-31, so 50
+        # digits leave 19 to spare
+        rng = random.Random(1107)
+        worst = 0.0
+        with mp.workdps(50):
+            for i in range(600):
+                a = rng.uniform(0.001, 0.999)
+                d = 10.0 ** -rng.uniform(7.0, 15.5)
+                r = d if i % 2 else 1.0 - d
+                am, x = mp.mpf(a), mp.mpf(r) ** 2
+                ref = (mp.pi / (2 * mp.sin(mp.pi * am))
+                       * mp.hyp2f1(am, 1 - am, 1, 1 - x) / mp.hyp2f1(am, 1 - am, 1, x))
+                worst = max(worst, float(abs(E.mu_a(a, r) / ref - 1)))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0, 1e-4, 1.0 - 1e-8])
+    def test_tiny_r_against_the_asymptote(self, a):
+        # mu_a(r) = R_a/2 - log r + O(r^2), the O(r^2) far below roundoff
+        am = mp.mpf(a)
+        half_r_a = (-2 * mp.euler - mp.digamma(am) - mp.digamma(1 - am)) / 2
+        for r in (1e-20, 1e-100, 1e-300, 5e-324):
+            assert abs(E.mu_a(a, r) / (half_r_a - mp.log(r)) - 1) <= 1e-15, r
+
+    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0])
+    def test_roundtrip_through_the_inverse(self, a):
+        # targets up to 700, so most roots lie below 1e-7; a = 1/2 takes
+        # the AGM, whose forward error at such r reaches 4 ulp of mu_a
+        # (measured against the asymptote), where the series stays in 1
+        ulps = 4.0 if a == 0.5 else 1.0
+        c_sym = 0.5 * math.pi / math.sin(math.pi * a)
+        rng = random.Random(1108)
+        for _ in range(500):
+            y = rng.uniform(c_sym, 700.0)
+            r = E.mu_a_inverse(a, y)
+            assert abs(E.mu_a(a, r) - y) <= max(1e-13, ulps * math.ulp(y)), (y, r)
 
     # the extreme signatures test sin(pi a) next to 0 and 1 and the
     # digamma reflection in R_a; the three r laws cover the bulk and both
-    # corners, past the public guard
+    # corners
     _SIGNATURES = [1.0 / 3.0, 0.25, 1.0 / 6.0, 1e-4, 1.0 - 1e-4, 1.0 - 1e-8]
 
     def test_against_mpmath_sweep(self):
@@ -317,7 +349,7 @@ class TestRingModulus:
                 am, x = mp.mpf(a), mp.mpf(r) ** 2
                 ref = (mp.pi / (2 * mp.sin(mp.pi * am))
                        * mp.hyp2f1(am, 1 - am, 1, 1 - x) / mp.hyp2f1(am, 1 - am, 1, x))
-                worst = max(worst, float(abs(E.mu_a_unguarded(a, r) / ref - 1)))
+                worst = max(worst, float(abs(E.mu_a(a, r) / ref - 1)))
         assert worst <= 1e-14
 
     def test_symmetry_product(self):
@@ -330,7 +362,7 @@ class TestRingModulus:
             for _ in range(12):
                 r = rng.uniform(0.1, 0.995)
                 rp = math.sqrt((1.0 - r) * (1.0 + r))
-                product = E.mu_a_unguarded(a, r) * E.mu_a_unguarded(a, rp)
+                product = E.mu_a(a, r) * E.mu_a(a, rp)
                 assert abs(product / (c_sym * c_sym) - 1.0) <= 1e-14
 
     @given(st.floats(0.02, 0.98), st.sampled_from([0.5, 1.0 / 3.0, 0.21]))
@@ -347,7 +379,7 @@ class TestInverseNewton:
     def test_slope_identity(self, a, r):
         # d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2) against a stencil
         _, slope = E._mu_and_slope(E.SignatureParam(a), r)
-        stencil = kernel.derivative(lambda t: E.mu_a_unguarded(a, math.exp(t)), math.log(r))
+        stencil = kernel.derivative(lambda t: E.mu_a(a, math.exp(t)), math.log(r))
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
     @pytest.mark.parametrize("a", [0.05, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 0.9])
@@ -423,7 +455,7 @@ class TestModularFunctionPhi:
 
     def test_forward_mu_relation(self):
         s = E.phi_k_a(0.5, 2.0, 0.5)
-        assert abs(E.mu_a_unguarded(0.5, s) - E.mu_a_unguarded(0.5, 0.5) / 2.0) <= 1e-12
+        assert abs(E.mu_a(0.5, s) - E.mu_a(0.5, 0.5) / 2.0) <= 1e-12
 
     def test_inverse_composition(self):
         for r in (0.2, 0.6, 0.9):

@@ -124,6 +124,43 @@ class TestF21:
         with pytest.raises(DomainError):
             hyper.f21(HyperParams(0.5, 0.5, 1.0), -0.25)
 
+    def test_hyp2f1_and_f21_share_one_argument_rule(self):
+        # the same inputs accepted and refused, with the same exception
+        # type, and where both accept the same value to the bit
+        def outcome(call):
+            try:
+                return repr(call())
+            except Exception as exc:
+                return type(exc)
+
+        rng = random.Random(1109)
+        cases = [(-2.5, 0.3, 0.5, 0.3, None)]
+        for i in range(500):
+            a, b, c = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0), rng.uniform(0.1, 4.0)
+            x, w = rng.uniform(0.0, 0.99), None
+            kind = i % 5
+            if kind == 0:  # both negative
+                a, b = -rng.uniform(0.01, 0.99), -rng.uniform(0.01, 2.0)
+            elif kind == 1:  # one at or below -1
+                a = -rng.uniform(1.0, 3.0)
+            elif kind == 2:  # one in (-1, 0), with c on either side of 1
+                b, c = -rng.uniform(0.01, 0.99), rng.uniform(0.1, 2.0)
+            elif kind == 3:  # x rounded up to 1.0, with or without a complement
+                x, w = 1.0, rng.choice((1e-17, 1e-20, 0.0, None))
+            else:  # x outside [0, 1)
+                x = rng.choice((-0.25, 1.5, math.nan))
+            cases.append((a, b, c, x, w))
+        accepted = refused = 0
+        for a, b, c, x, w in cases:
+            got = outcome(lambda: hyper.hyp2f1(a, b, c, x, one_minus_x=w))
+            want = outcome(lambda: hyper.f21(HyperParams(a, b, c), x, one_minus_x=w).value)
+            assert got == want, (a, b, c, x, w)
+            accepted += isinstance(got, str)
+            refused += got in (DomainError, ParameterError)
+        assert accepted >= 100 and refused >= 300, (accepted, refused)
+        with pytest.raises(ParameterError):
+            hyper.hyp2f1(-2.5, 0.3, 0.5, 0.3)
+
     @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.3, 3.0),
            st.floats(0.0, 0.9), st.floats(0.001, 0.05))
     @settings(max_examples=150, deadline=None)
@@ -297,6 +334,17 @@ class TestTerminating3F2:
         # at k = n - 2 the denominator is eps - 1 = -1e-12; summed as
         # 1 + eps - n + k it rounded to 0.0 and divided by zero
         assert hyper.f32_terminating(10**6, 1e-300, 1.0, 1.0 - 1e-12) == 1.0
+
+    @pytest.mark.parametrize("n,a,b", [(10**6, 1e300, 1e-301), (5, 1e308, 1e-309)])
+    def test_leaving_binary64_raises(self, n, a, b):
+        # (-n+k)(a+k)(b+k) overflows before its division, and a plain sum
+        # would turn inf - inf into NaN
+        with pytest.raises(OverflowError):
+            hyper.f32_terminating(n, a, b, 0.5)
+
+    def test_finite_edge_keeps_its_value(self):
+        # the same huge a with every product still finite
+        assert hyper.f32_terminating(1000, 1e300, 1e-301, 0.5) == 1.0
 
     @pytest.mark.parametrize("n", [10**6 + 1, 10**9])
     def test_cost_cap(self, n):

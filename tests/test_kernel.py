@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,68 +7,9 @@ from specfun.errors import BracketError, DomainError
 from specfun.kernel import (
     BracketRoot,
     Grid,
-    compensated_sum,
     derivative,
     invert_monotone,
 )
-
-finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100)
-
-
-class TestCompensatedSum:
-    def test_empty(self):
-        assert compensated_sum([]) == 0.0
-
-    @given(finite)
-    def test_cancellation_pair(self, x):
-        assert compensated_sum([x, -x]) == 0.0
-
-    def test_small_increment_swarm(self):
-        # 1 + 10^4 copies of 1e-16: exact sum 1 + 1e-12, verified by rationals
-        terms = [1.0] + [1e-16] * 10**4
-        exact = Fraction(1) + 10**4 * Fraction(1e-16)
-        got = compensated_sum(terms)
-        assert got == float(exact)
-
-    def test_large_cancellation(self):
-        assert compensated_sum([1.0, 1e100, -1e100]) == 1.0
-
-    def test_million_terms_exact(self):
-        # shuffled +/- pairs leave a known residue behind
-        import random
-
-        rng = random.Random(7)
-        residue = [1e-3, -2.5e-7, 3.25]
-        terms = []
-        for _ in range(500_000):
-            v = rng.uniform(-1e10, 1e10)
-            terms.extend((v, -v))
-        terms.extend(residue)
-        rng.shuffle(terms)
-        exact = math.fsum(residue)
-        assert abs(compensated_sum(terms) - exact) <= 2.0 * math.ulp(exact)
-
-    @given(st.lists(st.floats(min_value=-1e15, max_value=1e15,
-                              allow_nan=False, allow_infinity=False), max_size=60),
-           st.randoms())
-    @settings(max_examples=150)
-    def test_permutation_insensitive(self, xs, rng):
-        base = compensated_sum(xs)
-        shuffled = list(xs)
-        rng.shuffle(shuffled)
-        assert compensated_sum(shuffled) == base
-
-    def test_non_finite_propagates(self):
-        assert math.isnan(compensated_sum([float("inf"), float("-inf")]))
-        assert compensated_sum([float("inf"), 1.0]) == float("inf")
-
-    def test_iterables_are_read_once_each(self):
-        # a generator is listed, so the non-finite fallback can reread it
-        xs = [0.1, 1e100, 0.2, -1e100]
-        assert compensated_sum(x for x in xs) == compensated_sum(xs) == 0.30000000000000004
-        assert compensated_sum(tuple(xs)) == compensated_sum(xs)
-        assert math.isnan(compensated_sum(x for x in (float("inf"), float("-inf"))))
-        assert compensated_sum(iter([1e308, 1e308])) == float("inf")
 
 
 class TestDerivative:
