@@ -53,12 +53,13 @@ from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError
 from .gamma import EULER_GAMMA, digamma_reflected, sinpi
-from .hyper import hyp2f1
+from .hyper import hyp2f1, hyp2f1_derivatives
 from . import kernel
 
 __all__ = [
     "SignatureParam",
     "ModulusPoint",
+    "check_signature",
     "agm",
     "ellip_k",
     "ellip_e",
@@ -115,7 +116,7 @@ class SignatureParam:
     _mu_table = None
 
     def __post_init__(self):
-        a = _sig(self.a)
+        a = check_signature(self.a)
         psi_a, psi_b = digamma_reflected(a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r_a", -2.0 * EULER_GAMMA - psi_a - psi_b)
@@ -134,7 +135,9 @@ class ModulusPoint:
         return ModulusPoint(r=r, r_prime=math.sqrt((1.0 - r) * (1.0 + r)))
 
 
-def _sig(a) -> float:
+def check_signature(a) -> float:
+    """The float signature parameter of a float or a SignatureParam; the
+    one owner of the rule 0 < a < 1 (DomainError outside, NaN too)."""
     if isinstance(a, SignatureParam):
         return a.a
     a = float(a)
@@ -230,7 +233,7 @@ def ellip_e_prime(r: float) -> float:
 
 def k_a(a, r: float) -> float:
     """First-kind generalized integral (pi/2) F(a, 1-a; 1; r^2)."""
-    a = _sig(a)
+    a = check_signature(a)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"k_a needs r in [0, 1), got {r}")
     return 0.5 * math.pi * hyp2f1(a, 1.0 - a, 1.0, r * r, one_minus_x=_complement(r))
@@ -238,7 +241,7 @@ def k_a(a, r: float) -> float:
 
 def k_a_prime(a, r: float) -> float:
     """k_a at the complementary modulus."""
-    a = _sig(a)
+    a = check_signature(a)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"k_a_prime needs r in (0, 1], got {r}")
     return 0.5 * math.pi * hyp2f1(a, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
@@ -247,7 +250,7 @@ def k_a_prime(a, r: float) -> float:
 def e_a(a, r: float) -> float:
     """Second-kind generalized integral (pi/2) F(a-1, 1-a; 1; r^2);
     e_a(1) = sin(pi a) / (2(1-a)) in closed form."""
-    a = _sig(a)
+    a = check_signature(a)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"e_a needs r in [0, 1], got {r}")
     if r == 1.0:
@@ -257,7 +260,7 @@ def e_a(a, r: float) -> float:
 
 def e_a_prime(a, r: float) -> float:
     """e_a at the complementary modulus."""
-    a = _sig(a)
+    a = check_signature(a)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"e_a_prime needs r in [0, 1], got {r}")
     if r == 0.0:
@@ -333,6 +336,10 @@ def _mu_and_slope(sig: SignatureParam, r: float):
     """
     x, xc = r * r, _complement(r)
     if sig.a == 0.5:
+        if r < 1e-9:
+            # the series' value there, F = 1 and E = R_a to the last bit;
+            # the AGM quotient drifts up to 4 ulp off it
+            return 0.5 * sig.r_a - math.log(r), -1.0
         g = agm(1.0, math.sqrt(xc))  # F(1/2, 1/2; 1; r^2) = 1 / g
         return 0.5 * math.pi * g / agm(1.0, r), -g * g / xc
     if x <= xc:
@@ -471,7 +478,7 @@ def legendre_residual(r: float) -> float:
 
 def generalized_legendre_residual(a, r: float) -> float:
     """e_a k_a' + e_a' k_a - k_a k_a' - pi sin(pi a) / (4(1-a))."""
-    a = _sig(a)
+    a = check_signature(a)
     if not 0.0 < r < 1.0:
         raise DomainError(f"needs r in (0, 1), got {r}")
     ka = k_a(a, r)
@@ -509,38 +516,35 @@ def ode_residual(which: str, a, r: float) -> float:
     """Residual of the second-order ODE satisfied by k_a, e_a, or the
     square-root-argument solution F(a, 1-a; 1; sqrt(1-z^2)).
 
-    Derivatives are stencil-based; callers should expect ~1e-5 noise.
+    The derivatives are exact: hyper.hyp2f1_derivatives gives F, F' and
+    F'' from contiguous 2F1 values, and the chain rule carries them to r
+    (through x = r^2, or Z = sqrt(1 - r^2) with dZ/dr = -r/Z and
+    d^2Z/dr^2 = -1/Z^3).  The residual is at roundoff, about 1e-14.
     Arguments outside the guard band (0.05, 0.95) are refused.
     """
     if which not in ODE_IDS:
         raise DomainError(f"unknown ode {which!r}; use one of {ODE_IDS}")
-    a = _sig(a)
+    a = check_signature(a)
     if not _GUARD < r < 1.0 - _GUARD:
         raise DomainError(f"guard band violation: r must lie in ({_GUARD}, {1 - _GUARD})")
+    x, xc = r * r, _complement(r)
+    if which == "lemniscate_ode":
+        big_z = math.sqrt(xc)
+        one_minus_z = x / (1.0 + big_z)
+        w, f1, f2 = hyp2f1_derivatives(a, 1.0 - a, 1.0, big_z, one_minus_x=one_minus_z)
+        d1 = -r / big_z * f1
+        d2 = x / (big_z * big_z) * f2 - f1 / big_z ** 3
+        return (
+            big_z ** 3 * one_minus_z * r * d2
+            - (big_z * one_minus_z + (1.0 - 2.0 * big_z) * big_z * x) * d1
+            - a * (1.0 - a) * r ** 3 * w
+        )
+    lo = a if which == "ka_ode" else a - 1.0  # k_a or e_a: (pi/2) F(lo, 1-a; 1; r^2)
+    f0, f1, f2 = hyp2f1_derivatives(lo, 1.0 - a, 1.0, x, one_minus_x=xc)
+    f, d1, d2 = 0.5 * math.pi * f0, math.pi * r * f1, math.pi * (f1 + 2.0 * x * f2)
     if which == "ka_ode":
-        f = lambda t: k_a(a, t)
-        d1 = kernel.derivative(f, r, order=1, domain=(0.0, 1.0))
-        d2 = kernel.derivative(f, r, order=2, domain=(0.0, 1.0))
-        return r * _complement(r) * d2 + (1.0 - 3.0 * r * r) * d1 - 4.0 * a * (1.0 - a) * r * f(r)
-    if which == "ea_ode":
-        f = lambda t: e_a(a, t)
-        d1 = kernel.derivative(f, r, order=1, domain=(0.0, 1.0))
-        d2 = kernel.derivative(f, r, order=2, domain=(0.0, 1.0))
-        return r * _complement(r) * d2 + _complement(r) * d1 + 4.0 * (1.0 - a) ** 2 * r * f(r)
-
-    def w(t):
-        arg = math.sqrt(_complement(t))
-        return hyp2f1(a, 1.0 - a, 1.0, arg, one_minus_x=t * t / (1.0 + arg))
-
-    big_z = math.sqrt(_complement(r))
-    one_minus_z = r * r / (1.0 + big_z)
-    d1 = kernel.derivative(w, r, order=1, domain=(0.0, 1.0))
-    d2 = kernel.derivative(w, r, order=2, domain=(0.0, 1.0))
-    return (
-        big_z ** 3 * one_minus_z * r * d2
-        - (big_z * one_minus_z + (1.0 - 2.0 * big_z) * big_z * r * r) * d1
-        - a * (1.0 - a) * r ** 3 * w(r)
-    )
+        return r * xc * d2 + (1.0 - 3.0 * x) * d1 - 4.0 * a * (1.0 - a) * r * f
+    return r * xc * d2 + xc * d1 + 4.0 * (1.0 - a) ** 2 * r * f
 
 
 def schwarzian_residual(a, r: float, step: float = None) -> float:
@@ -548,20 +552,30 @@ def schwarzian_residual(a, r: float, step: float = None) -> float:
 
     -8a(1-a)/(r')^2 + (1 + 6r^2 - 3r^4) / (2 r^2 (r')^4).
 
-    Third-derivative stencils are noisy; expect ~1e-3 agreement at the
-    default step 1e-2 r(1-r), improving superquadratically as the step
-    shrinks.
+    The Schwarzian is exact: S = g'' - g'^2/2 with
+    g = log(-mu_a') = -log r - log r'^2 - 2 log F(r^2), F = F(a,1-a;1;.),
+    whose F' and F'' come from hyper.hyp2f1_derivatives; the residual is
+    at roundoff, about 1e-14.  Given a step, S comes instead from
+    central stencils of mu_a with that step; their third derivative is
+    noisy, and the residual shrinks superquadratically with the step.
     """
     sig = _record(a)
     a = sig.a
     if not 0.1 < r < 0.9:
         raise DomainError(f"schwarzian guard band is (0.1, 0.9), got r = {r}")
-    h = 1e-2 * r * (1.0 - r) if step is None else float(step)
-    f = lambda t: _mu_and_slope(sig, t)[0]
-    w1 = kernel.derivative(f, r, order=1, step=h, domain=(0.0, 1.0))
-    w2 = kernel.derivative(f, r, order=2, step=h, domain=(0.0, 1.0))
-    w3 = kernel.derivative(f, r, order=3, step=h, domain=(0.0, 1.0))
-    s_val = w3 / w1 - 1.5 * (w2 / w1) ** 2
-    rp2 = _complement(r)
+    x, rp2 = r * r, _complement(r)
+    if step is None:
+        f0, f1, f2 = hyp2f1_derivatives(a, 1.0 - a, 1.0, x, one_minus_x=rp2)
+        q1, q2 = f1 / f0, f2 / f0
+        g1 = -1.0 / r + 2.0 * r / rp2 - 4.0 * r * q1
+        g2 = 1.0 / x + 2.0 * (1.0 + x) / (rp2 * rp2) - 4.0 * q1 - 8.0 * x * (q2 - q1 * q1)
+        s_val = g2 - 0.5 * g1 * g1
+    else:
+        h = float(step)
+        f = lambda t: _mu_and_slope(sig, t)[0]
+        w1 = kernel.derivative(f, r, order=1, step=h, domain=(0.0, 1.0))
+        w2 = kernel.derivative(f, r, order=2, step=h, domain=(0.0, 1.0))
+        w3 = kernel.derivative(f, r, order=3, step=h, domain=(0.0, 1.0))
+        s_val = w3 / w1 - 1.5 * (w2 / w1) ** 2
     rhs = -8.0 * a * (1.0 - a) / rp2 + (1.0 + 6.0 * r * r - 3.0 * r ** 4) / (2.0 * r * r * rp2 * rp2)
     return s_val - rhs

@@ -39,6 +39,7 @@ __all__ = [
     "pochhammer",
     "f21",
     "hyp2f1",
+    "hyp2f1_derivatives",
     "gauss_value_at_one",
     "ramanujan_R",
     "contiguous_residual",
@@ -303,6 +304,23 @@ def hyp2f1(a: float, b: float, c: float, x: float, one_minus_x: float = None) ->
     _check_params(a, b, c)
     x = _check_argument(a, b, c, x, one_minus_x)
     return _dispatch(a, b, c, x, one_minus_x)[0]
+
+
+def hyp2f1_derivatives(a: float, b: float, c: float, x: float, one_minus_x: float = None):
+    """(F, dF/dx, d^2F/dx^2) of F(a, b; c; x), each exact to its 2F1's
+    accuracy: F is ``hyp2f1``'s value bit for bit, and the derivatives
+    are the contiguous values (ab/c) F(a+1, b+1; c+1; x) and
+    (a(a+1) b(b+1) / (c(c+1))) F(a+2, b+2; c+2; x) (DLMF 15.5.1), at the
+    same x and complement.  Accepts, refuses and raises as ``hyp2f1``
+    does; the shifted parameters never leave its rule.
+    """
+    _check_params(a, b, c)
+    x = _check_argument(a, b, c, x, one_minus_x)
+    f0 = _dispatch(a, b, c, x, one_minus_x)[0]
+    f1 = _dispatch(a + 1.0, b + 1.0, c + 1.0, x, one_minus_x)[0]
+    f2 = _dispatch(a + 2.0, b + 2.0, c + 2.0, x, one_minus_x)[0]
+    k = a * b / c
+    return f0, k * f1, k * (a + 1.0) * (b + 1.0) / (c + 1.0) * f2
 
 
 def f21(params: HyperParams, x: float, one_minus_x: float = None) -> EvalResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, UnknownIdentityError
-from .elliptic import mu_a, phi_k_a
+from .elliptic import check_signature, mu_a, phi_k_a
 
 __all__ = [
     "ModularSpec",
@@ -41,8 +41,7 @@ class ModularSpec:
     degree_p: float
 
     def __post_init__(self):
-        if not 0.0 < self.signature_a < 1.0:
-            raise DomainError(f"signature parameter must lie in (0,1), got {self.signature_a}")
+        check_signature(self.signature_a)
         if not self.degree_p >= 1.0:
             raise DomainError(f"degree must be >= 1, got {self.degree_p}")
 

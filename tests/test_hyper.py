@@ -126,7 +126,8 @@ class TestF21:
 
     def test_hyp2f1_and_f21_share_one_argument_rule(self):
         # the same inputs accepted and refused, with the same exception
-        # type, and where both accept the same value to the bit
+        # type, and where both accept the same value to the bit; so does
+        # the value of hyp2f1_derivatives
         def outcome(call):
             try:
                 return repr(call())
@@ -154,7 +155,8 @@ class TestF21:
         for a, b, c, x, w in cases:
             got = outcome(lambda: hyper.hyp2f1(a, b, c, x, one_minus_x=w))
             want = outcome(lambda: hyper.f21(HyperParams(a, b, c), x, one_minus_x=w).value)
-            assert got == want, (a, b, c, x, w)
+            derivs = outcome(lambda: hyper.hyp2f1_derivatives(a, b, c, x, one_minus_x=w)[0])
+            assert got == want == derivs, (a, b, c, x, w)
             accepted += isinstance(got, str)
             refused += got in (DomainError, ParameterError)
         assert accepted >= 100 and refused >= 300, (accepted, refused)
@@ -167,6 +169,72 @@ class TestF21:
     def test_increasing_in_argument(self, a, b, c, x, dx):
         # all series terms are positive for positive parameters
         assert hyper.hyp2f1(a, b, c, x + dx) >= hyper.hyp2f1(a, b, c, x)
+
+
+class TestDerivatives:
+    @staticmethod
+    def _draws(seed=1512):
+        # 60 draws per _dispatch branch of F; F' and F'' shift d = c - a - b
+        # down by 1 and 2, so near 1 they also take the reflection onto the
+        # integer offset.  a, b stay within the library's callers (signature
+        # parameters, the registry's triples): past about 3 the connection
+        # branch of hyp2f1 itself leaves 1e-12
+        rng = random.Random(seed)
+        for i in range(300):
+            kind = i % 5
+            a, b = rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5)
+            x = rng.uniform(0.76, 0.999)
+            if kind == 0:  # direct series, with x = 0 and a negative a now and then
+                x = 0.0 if i % 50 == 0 else rng.uniform(0.0, 0.75)
+                if i % 3 == 0:
+                    a = rng.uniform(-0.95, -0.05)
+                c = rng.uniform(1.0, 4.0) if a < 0.0 else rng.uniform(0.2, 4.0)
+            elif kind == 1:  # zero-balanced
+                c = a + b
+            elif kind == 2:  # integer offset
+                c = a + b + rng.choice((1.0, 2.0, 3.0))
+            elif kind == 3:  # connection
+                c = a + b + rng.choice((0.0, 1.0, 2.0)) + rng.uniform(0.1, 0.9)
+            else:  # reflection, onto the integer offset at d = -1 and -2
+                d = rng.choice((-1.0, -2.0)) if i % 2 else -rng.uniform(0.1, 2.9)
+                c = max(a + b, 0.2 - d) + d
+            yield kind, a, b, c, x
+
+    def test_against_mpmath(self):
+        methods = {}
+        for kind, a, b, c, x in self._draws():
+            got = hyper.hyp2f1_derivatives(a, b, c, x)
+            am, bm, cm, xm = map(mp.mpf, (a, b, c, x))
+            want = (
+                mp.hyp2f1(am, bm, cm, xm),
+                am * bm / cm * mp.hyp2f1(am + 1, bm + 1, cm + 1, xm),
+                am * (am + 1) * bm * (bm + 1) / (cm * (cm + 1))
+                * mp.hyp2f1(am + 2, bm + 2, cm + 2, xm),
+            )
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (kind, a, b, c, x)
+            methods.setdefault(kind, set()).add(hyper.f21(HyperParams(a, b, c), x).method)
+        assert methods == {
+            0: {"direct_series"}, 1: {"near_one_expansion"}, 2: {"near_one_expansion"},
+            3: {"near_one_expansion"}, 4: {"reflection_transform"},
+        }
+
+    def test_formula_against_numeric_differentiation(self):
+        # the contiguous values are the derivatives (DLMF 15.5.1), checked
+        # here without that formula
+        for a, b, c, x in ((0.7, 1.1, 1.3, 0.4), (0.3, 0.7, 1.0, 0.9), (-0.4, 1.2, 1.5, 0.8)):
+            f = lambda t: mp.hyp2f1(a, b, c, t)
+            want = (f(x), mp.diff(f, x), mp.diff(f, x, 2))
+            for g, w in zip(hyper.hyp2f1_derivatives(a, b, c, x), want):
+                assert abs(g - w) <= 1e-13 * abs(w)
+
+    def test_exact_complement(self):
+        # x = 1.0 with a positive complement is interior, as for hyp2f1
+        f, d1, d2 = hyper.hyp2f1_derivatives(0.5, 0.5, 1.0, 1.0, one_minus_x=1e-20)
+        assert f == hyper.hyp2f1(0.5, 0.5, 1.0, 1.0, one_minus_x=1e-20)
+        assert d1 == 0.25 * hyper.hyp2f1(1.5, 1.5, 2.0, 1.0, one_minus_x=1e-20)
+        assert math.isclose(d1, 0.25 / 1e-20 * 4.0 / math.pi, rel_tol=1e-12)
+        assert d2 > 0.0
 
 
 class TestGaussValueAtOne:

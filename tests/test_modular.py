@@ -52,7 +52,8 @@ class TestSolveModular:
     def test_validation(self):
         with pytest.raises(DomainError):
             ModularSpec(0.5, 0.5)
-        with pytest.raises(DomainError):
+        # the rule 0 < a < 1 and its message belong to elliptic
+        with pytest.raises(DomainError, match=r"signature parameter must lie in \(0, 1\)"):
             ModularSpec(1.5, 2.0)
         with pytest.raises(DomainError):
             solve_modular(ModularSpec(0.5, 2.0), 1.0)
