@@ -58,6 +58,7 @@ _REGISTRY = {
     "e_a": (elliptic.e_a, "ff"),
     "mu": (elliptic.mu, "f"),
     "mu_a": (elliptic.mu_a, "ff"),
+    "mu_a_inverse": (elliptic.mu_a_inverse, "ff"),
     "phi_k": (elliptic.phi_k, "ff"),
     "phi_k_a": (elliptic.phi_k_a, "fff"),
     "legendre_residual": (elliptic.legendre_residual, "f"),

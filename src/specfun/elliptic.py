@@ -13,22 +13,21 @@ the 2F1 series of F(a,1-a;1;s^2) together with the logarithmic series of
 F(a,1-a;1;1-s^2) (DLMF 15.8.10), whose terms are all positive, so mu_a
 stays accurate deep into both corners (a = 1/2 uses the AGM instead).
 sin(pi a) is gamma.sinpi, exact also for a next to 0 or 1.  Inverting
-mu_a uses the symmetry
-mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 to keep the numeric root finder on
-the well-conditioned half r <= 1/sqrt(2).  There it runs Newton in log r
-from the asymptote mu_a(r) ~ R_a/2 - log r (taken to three terms), with
-the closed-form slope
+mu_a uses the symmetry mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 to work on
+the well-conditioned half r <= 1/sqrt(2), where the nome q = exp(-2 mu_a)
+is at most exp(-pi / sin(pi a)).  At a = 1/2, 1/4, 1/3 and 1/6, the
+signatures of Ramanujan's theories 2, 4, 3 and 6, r^2 is a theta or eta
+quotient of q (Borwein-Borwein 1987; Berndt-Bhargava-Garvan 1995) that a
+few terms take to roundoff: no root finder.  Any other a runs Newton in
+log r from mu_a(r) ~ R_a/2 - log r (taken to three terms), with the slope
 
     d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2)
 
 (Anderson-Qiu-Vamanamurthy-Vuorinen), whose F is the denominator of mu_a,
 so each step costs one mu_a evaluation; most solves take one or two.
-Once the target is deep enough that the error of exp(R_a/2 - y) is below
-roundoff, that asymptote is the answer.
-
-Short of that, once y is 12 above R_a/2 (roots below about e^-12), the
-three-term start of Newton is itself the root: the terms it drops are
-below e^(-72), so no mu_a evaluation confirms it.
+From y = R_a/2 + 12 on (roots below about e^-12) the three-term start is
+itself the root, the terms it drops below e^(-72), and from R_a/2 + 25
+on the one-term exp(R_a/2 - y).
 
 The two constants of a that mu_a and its inverse need, R_a and
 sin(pi a), live on the SignatureParam record, and so do the series
@@ -416,27 +415,75 @@ def _mu_inverse_lower(sig: SignatureParam, y: float) -> float:
     return math.exp(res.root)
 
 
+def _euler(q: float) -> float:
+    # (q; q)_inf = 1 - q - q^2 + q^5 + q^7 - ..., to roundoff for q <= e^-3
+    q2 = q * q
+    return 1.0 - q * (1.0 + q * (1.0 - q2 * q * (1.0 + q2)))
+
+
+def _nome_half(sig, y):
+    # k = theta_2^2 / theta_3^2 = 4 s (sum q^(n(n+1)) / theta_3)^2 to roundoff
+    # for q <= e^-pi; s = sqrt(q) = exp(-y), as q may underflow before k
+    s = math.exp(-y)
+    q = s * s
+    q2 = q * q
+    q4 = q2 * q2
+    f = 1.0 + q2 * (1.0 + q4 * (1.0 + q4 * q2))
+    return 4.0 * s * (f / (1.0 + 2.0 * q * (1.0 + q2 * q * (1.0 + q4 * q)))) ** 2
+
+
+def _nome_quarter(sig, y):
+    k = _nome_half(sig, y)  # x_4 = 4k^2 / (1 + k^2)^2 at the same nome
+    return 2.0 * k / (1.0 + k * k)
+
+
+def _nome_third(sig, y):
+    # x = c^3 / (b^3 + c^3) for Borwein's cubic b = (q; q)^3 / (q^3; q^3)
+    # and c = 3 q^(1/3) (q^3; q^3)^3 / (q; q); here v = c^3 / (s^2 b^3)
+    s = math.exp(-y)
+    q = s * s
+    v = 27.0 * (_euler(q * q * q) / _euler(q)) ** 12
+    return s * math.sqrt(v / (1.0 + q * v))
+
+
+def _nome_sixth(sig, y):
+    # x = z / (2(1 + w)) with z = 1728/j = 27 lam^2 (1-lam)^2 / (4 m^3) and
+    # w = E_6 / E_4^(3/2) = 1 - 2x, lam = k^2 at theta nome exp(-y) and
+    # m = 1 - lam + lam^2: no sqrt(1 - z) to cancel next to x = 1/2
+    lam = _nome_half(sig, 0.5 * y) ** 2
+    m = 1.0 - lam + lam * lam
+    w = (1.0 + lam) * (2.0 - lam) * (1.0 - 2.0 * lam) / (2.0 * m * math.sqrt(m))
+    return lam * (1.0 - lam) * math.sqrt(27.0 / (8.0 * m * m * m * (1.0 + w)))
+
+
+# _mu_inverse_lower in closed form at the signatures 2, 4, 3 and 6
+_NOME_ROOTS = {0.5: _nome_half, 0.25: _nome_quarter, 1.0 / 3.0: _nome_third, 1.0 / 6.0: _nome_sixth}
+
+
 def mu_a_inverse(a, y: float) -> float:
     """Solve mu_a(r) = y for r in (0, 1).
 
     Targets below the symmetry value pi/(2 sin(pi a)) are mapped through
-    mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 so the root finder only ever
-    runs on r <= 1/sqrt(2), where one ulp of r moves mu_a by O(ulp).
+    mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2, so the solve only ever runs
+    on r <= 1/sqrt(2), where one ulp of r moves mu_a by O(ulp).
     Raises BracketError when the root is closer to 1 than binary64 can
     represent (saturating endpoint 1.0) or below the smallest normal
     float (saturating endpoint 0.0).
 
-    Targets y from R_a/2 + 12 on (roots below about e^-12) return the
-    root of the three-term asymptote with no mu_a evaluation, and from
-    R_a/2 + 25 on the one-term exp(R_a/2 - y).  A float a reads its
+    At a = 0.5, 0.25, 1/3 and 1/6 (these floats exactly) the root is a
+    closed form in the nome exp(-2y), within a few ulp, with no mu_a
+    evaluation.  Any other a runs Newton to within max(1e-13, ulp(y)) of
+    y, but from y = R_a/2 + 12 on returns the three-term asymptote's root
+    and from R_a/2 + 25 on exp(R_a/2 - y).  A float a reads its
     SignatureParam from the memo of records, built once per a.
     """
     sig = _record(a)
     if not y > 0.0:
         raise DomainError(f"mu_a_inverse needs y > 0, got {y}")
     c_sym = 0.5 * math.pi / sig.sin_pi_a
+    lower = _NOME_ROOTS.get(sig.a, _mu_inverse_lower)
     if y < c_sym:
-        rc = _mu_inverse_lower(sig, c_sym * c_sym / y)
+        rc = lower(sig, c_sym * c_sym / y)
         root = math.sqrt((1.0 - rc) * (1.0 + rc))
         if root >= 1.0:
             raise BracketError(
@@ -444,7 +491,7 @@ def mu_a_inverse(a, y: float) -> float:
                 saturating_endpoint=1.0,
             )
         return root
-    root = _mu_inverse_lower(sig, y)
+    root = lower(sig, y)
     if root < sys.float_info.min:
         raise BracketError(
             f"mu_a^-1({y}) underflows binary64", saturating_endpoint=0.0
@@ -453,7 +500,8 @@ def mu_a_inverse(a, y: float) -> float:
 
 
 def phi_k_a(a, big_k: float, r: float) -> float:
-    """Modular function: the s with mu_a(s) = mu_a(r) / K."""
+    """Modular function: the s with mu_a(s) = mu_a(r) / K, from one mu_a
+    evaluation and mu_a_inverse (closed form at a = 1/2, 1/4, 1/3, 1/6)."""
     sig = _record(a)
     if not big_k > 0.0:
         raise DomainError(f"phi_k_a needs K > 0, got {big_k}")

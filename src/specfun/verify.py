@@ -806,7 +806,7 @@ def _build_elliptic():
 
     checks.append(CheckSpec(
         "elliptic.phi_roundtrip", "phi^a_p inverts phi^a_(1/p)",
-        "identity", Grid(0.05, 0.95, 32, "atanh"), 1e-9, phi_roundtrip,
+        "identity", Grid(0.05, 0.95, 32, "atanh"), 5e-14, phi_roundtrip,
     ))
     checks.append(CheckSpec(
         "elliptic.beta_below_alpha", "solved modulus stays below the input for p > 1",
@@ -862,7 +862,7 @@ def _build_modular():
         identity = modular.get_identity(iid)
         checks.append(CheckSpec(
             f"modular.{iid}", identity.anchor,
-            "identity", Grid(0.05, 0.95, 64, "atanh"), 1e-6,
+            "identity", Grid(0.05, 0.95, 64, "atanh"), 2e-14,
             lambda r, i=iid: modular.identity_residual(i, r),
         ))
     return checks

@@ -67,6 +67,20 @@ class TestEval:
         assert code == 2
         assert "expected an integer, got inf" in err
 
+    @pytest.mark.parametrize("a", ["0.5", "0.16666666666666666", "0.3"])
+    @pytest.mark.parametrize("r", ["1e-12", "0.7", "0.999999"])
+    def test_mu_a_inverse_round_trips_mu_a(self, capsys, a, r):
+        code, out, _ = run_cli(capsys, "eval", "mu_a", a, r)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "eval", "mu_a_inverse", a, out.split()[0])
+        assert code == 0
+        assert abs(float(out.split()[0]) / float(r) - 1.0) <= 1e-12
+
+    def test_mu_a_inverse_saturation(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "mu_a_inverse", "0.5", "800")
+        assert code == 2
+        assert "underflows" in err
+
 
 class TestVerify:
     def test_stdout_json(self, capsys):

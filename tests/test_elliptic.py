@@ -379,7 +379,9 @@ class TestInverseNewton:
         stencil = kernel.derivative(lambda t: E.mu_a(a, math.exp(t)), math.log(r))
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
-    @pytest.mark.parametrize("a", [0.05, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 0.9])
+    # the Newton counts hold at general a; at the four nome signatures
+    # (E._NOME_ROOTS) mu_a_inverse runs no solver, so there the count is 0
+    @pytest.mark.parametrize("a", [0.05, 0.21, 0.9, 0.95, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5])
     def test_mu_evaluations_per_solve(self, a, monkeypatch):
         mu_and_slope = E._mu_and_slope
         calls = [0]
@@ -401,11 +403,11 @@ class TestInverseNewton:
             r = E.mu_a_inverse(a, y)
             counts.append(calls[0])
             assert abs(mu_and_slope(E.SignatureParam(a), r)[0] - y) <= 1e-13
-        assert max(counts) <= 6
+        assert max(counts) <= (0 if a in E._NOME_ROOTS else 6)
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
 
-    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0, 0.05, 0.95])
+    @pytest.mark.parametrize("a", [0.05, 0.21, 0.9, 0.95, 0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0])
     def test_no_root_finder_in_the_three_term_band(self, a, monkeypatch):
         invert = kernel.invert_monotone
         calls = [0]
@@ -420,7 +422,7 @@ class TestInverseNewton:
             E.mu_a_inverse(a, r_half + E._START_MARGIN + (E._ASYM_MARGIN - E._START_MARGIN) * i / 200)
         assert calls[0] == 0
         E.mu_a_inverse(a, r_half + E._START_MARGIN - 0.01)
-        assert calls[0] == 1
+        assert calls[0] == (0 if a in E._NOME_ROOTS else 1)
 
     def test_three_term_root_meets_the_solver_tolerance(self):
         # from 12 above R_a/2 (_START_MARGIN) to just past _ASYM_MARGIN the
@@ -443,6 +445,98 @@ class TestInverseNewton:
         for y in [523.0400660893072] + [rng.uniform(y_lo, y_hi) for _ in range(500)]:
             r = E.mu_a_inverse(a, y)
             assert abs(E._mu_and_slope(E.SignatureParam(a), r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
+
+
+def _outcome(fn, *args):
+    # the value of a call, or the endpoint of the BracketError it raises
+    try:
+        return fn(*args)
+    except BracketError as exc:
+        return ("BracketError", exc.saturating_endpoint)
+
+
+_NOME_SIGNATURES = [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0]
+
+
+class TestNomeInverse:
+    """mu_a_inverse at a = 1/2, 1/3, 1/4, 1/6: r^2 from the nome q = exp(-2y)."""
+
+    def test_the_four_signatures_take_the_nome_path(self):
+        assert sorted(E._NOME_ROOTS) == sorted(_NOME_SIGNATURES)
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_mu_residual_next_to_the_symmetry_value(self, a):
+        # y = c (1 +- 10^-k): the direct path next to r = 1/sqrt(2), and
+        # the reflected one through r'
+        c_sym = 0.5 * math.pi / E.SignatureParam(a).sin_pi_a
+        am = mp.mpf(a)
+        worst = 0.0
+        with mp.workdps(50):
+            for k in range(1, 16):
+                for y in (c_sym * (1.0 + 10.0 ** -k), c_sym * (1.0 - 10.0 ** -k)):
+                    x = mp.mpf(E.mu_a_inverse(a, y)) ** 2
+                    ref = (mp.pi / (2 * mp.sin(mp.pi * am))
+                           * mp.hyp2f1(am, 1 - am, 1, 1 - x) / mp.hyp2f1(am, 1 - am, 1, x))
+                    worst = max(worst, float(abs(ref / y - 1)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_agrees_with_the_newton_solver(self, a):
+        # from c_sym to the underflow edge: the Newton solver stops within
+        # 1e-13 of y in mu, about 1e-13 relative in r
+        sig = E.SignatureParam(a)
+        c_sym = 0.5 * math.pi / sig.sin_pi_a
+        edge = 0.5 * sig.r_a - math.log(sys.float_info.min)
+        rng = random.Random(1300)
+        ys = ([c_sym * (1.0 + 10.0 ** -rng.uniform(0.0, 16.0)) for _ in range(1000)]
+              + [rng.uniform(c_sym, edge - 0.01) for _ in range(1000)])
+        for y in ys:
+            r = E.mu_a_inverse(sig, y)
+            assert abs(r / E._mu_inverse_lower(sig, y) - 1.0) <= 1e-13, y
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_bracket_errors_match_the_newton_path(self, a, monkeypatch):
+        ys = (800.0, math.inf, 1e-300)
+        nome = [_outcome(E.mu_a_inverse, a, y) for y in ys]
+        monkeypatch.setattr(E, "_NOME_ROOTS", {})
+        assert nome == [_outcome(E.mu_a_inverse, a, y) for y in ys]
+        assert nome == [("BracketError", 0.0), ("BracketError", 0.0), ("BracketError", 1.0)]
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_phi_next_to_one_matches_the_newton_path(self, a, monkeypatch):
+        # K = p > 1 moves the root still closer to 1, to the saturation
+        # edge (K = 1/p moves it away, where the Newton solver's stop at
+        # 1e-13 in mu shows as a few ulp of r)
+        rng = random.Random(1301)
+        calls = [(a, p, 1.0 - 10.0 ** -rng.uniform(6.0, 16.0))
+                 for p in (2.0, 3.0, 5.0, 7.0, 11.0, 23.0) for _ in range(40)]
+        nome = [_outcome(E.phi_k_a, *c) for c in calls]
+        monkeypatch.setattr(E, "_NOME_ROOTS", {})
+        newton = [_outcome(E.phi_k_a, *c) for c in calls]
+        # a raise counts as its saturating endpoint 1.0: the reflection
+        # sqrt((1 - r)(1 + r)) of roots r under 1e-8 may round either way
+        # to the float next to 1.0
+        for c, s, t in zip(calls, nome, newton):
+            s, t = (v[1] if isinstance(v, tuple) else v for v in (s, t))
+            assert abs(s - t) <= math.ulp(max(s, t)), c
+        raised = sum(isinstance(v, tuple) for v in nome)
+        assert 0 < raised < len(calls)  # both outcomes occur
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_no_solver_at_the_nome_signatures(self, a, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kernel, "invert_monotone", counted(kernel.invert_monotone))
+        monkeypatch.setattr(E, "_mu_and_slope", counted(E._mu_and_slope))
+        for i in range(-3000, 3001):  # y from 1e-300 to 1e300, both sides of c_sym
+            _outcome(E.mu_a_inverse, a, 10.0 ** (i / 10.0))
+        assert calls[0] == 0
 
 
 class TestModularFunctionPhi:
