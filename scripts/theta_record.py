@@ -39,9 +39,7 @@ def scan_window(n):
 
 def scaled_gap_observation(n_max):
     # ((n+1)/n)^2 H(n): reported as a computer experiment, not asserted
-    vals = []
-    for rec in gamma.detemple_range(n_max):
-        vals.append(((rec.n + 1.0) / rec.n) ** 2 * rec.big_h)
+    vals = [((n + 1.0) / n) ** 2 * (n * n * g) for n, g in enumerate(gamma.detemple_gaps(n_max), 1)]
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
     second = [vals[i + 1] - 2.0 * vals[i] + vals[i - 1] for i in range(1, len(vals) - 1)]
     convex = all(d > 0.0 for d in second)

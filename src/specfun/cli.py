@@ -75,13 +75,10 @@ def _parse_args_for(kinds, raw):
     out = []
     for kind, token in zip(kinds, raw):
         v = float(token)
-        if kind == "i":
-            # int() of inf raises OverflowError, not ValueError
-            if not math.isfinite(v) or v != int(v):
-                raise ValueError(f"expected an integer, got {token}")
-            out.append(int(v))
-        else:
-            out.append(v)
+        # int() of inf raises OverflowError, not ValueError
+        if kind == "i" and (not math.isfinite(v) or v != int(v)):
+            raise ValueError(f"expected an integer, got {token}")
+        out.append(int(v) if kind == "i" else v)
     return out
 
 

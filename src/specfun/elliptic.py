@@ -484,7 +484,9 @@ def mu_a_inverse(a, y: float) -> float:
     lower = _NOME_ROOTS.get(sig.a, _mu_inverse_lower)
     if y < c_sym:
         rc = lower(sig, c_sym * c_sym / y)
-        root = math.sqrt((1.0 - rc) * (1.0 + rc))
+        # sqrt(1 - rc^2) as 1 minus a small term: the nearest float next to 1
+        rc2 = rc * rc
+        root = 1.0 - rc2 / (1.0 + math.sqrt(1.0 - rc2))
         if root >= 1.0:
             raise BracketError(
                 f"mu_a^-1({y}) is closer to 1 than binary64 resolves",

@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import DomainError, PoleError, RangeError
 
@@ -42,7 +41,7 @@ __all__ = [
     "ramanujan_gamma",
     "theta",
     "detemple",
-    "detemple_range",
+    "detemple_gaps",
     "karatsuba_euler_gamma",
     "mono_f",
     "lemma_g",
@@ -448,9 +447,8 @@ def detemple(n: int) -> DeTempleValues:
     O(1) in n.  From n = 32 on, with the gap R_n - gamma = psi(n+1) -
     log(n+1/2) from its asymptotic series, H_n = gamma + log(n+1/2) + gap
     gives R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap.  Below
-    32 the harmonic number is the math.fsum of its n terms, and the
-    gap is H_n - log(n+1/2) - gamma in 40-digit decimal arithmetic, which
-    its cancellation leaves over 30 digits of.
+    32 the harmonic number is the math.fsum of its n terms, and the gap is
+    ``detemple_gaps``'s.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"detemple needs integer n >= 1, got {n}")
@@ -463,18 +461,25 @@ def detemple(n: int) -> DeTempleValues:
         harmonic = math.fsum([1.0 / k for k in range(1, n + 1)])
         d_n = harmonic - math.log(n)
         r_n = harmonic - math.log(n + 0.5)
-        with localcontext(Context(prec=40)):
-            exact = sum(Decimal(1) / k for k in range(1, n + 1))
-            exact -= (Decimal(2 * n + 1) / 2).ln() + Decimal(_EULER_GAMMA_DIGITS)
-            gap = float(exact)
+        gap = detemple_gaps(n)[-1]
     return DeTempleValues(n=n, d_n=d_n, r_n=r_n, big_h=n * n * gap, r_minus_gamma=gap)
 
 
-def detemple_range(n_max: int) -> Iterator[DeTempleValues]:
-    """Yield the DeTemple records for n = 1..n_max, each ``detemple(n)``."""
+def detemple_gaps(n_max: int) -> list:
+    """[R_n - gamma for n = 1..n_max], element n-1 ``detemple(n).r_minus_gamma``:
+    below n = 32 H_n - log(n+1/2) - gamma in 40-digit decimal, which its
+    cancellation leaves over 30 digits of; from 32 on the asymptotic series."""
     if n_max < 1:
-        raise DomainError(f"detemple_range needs n_max >= 1, got {n_max}")
-    return (detemple(n) for n in range(1, int(n_max) + 1))
+        raise DomainError(f"detemple_gaps needs n_max >= 1, got {n_max}")
+    n_max = int(n_max)
+    with localcontext(Context(prec=40)):
+        harmonic, gaps = Decimal(0), []
+        for n in range(1, min(n_max, _DETEMPLE_SERIES_MIN - 1) + 1):
+            harmonic += Decimal(1) / n
+            log_term = (Decimal(2 * n + 1) / 2).ln() + Decimal(_EULER_GAMMA_DIGITS)
+            gaps.append(float(harmonic - log_term))
+    gaps.extend(_detemple_gap_series(n) for n in range(_DETEMPLE_SERIES_MIN, n_max + 1))
+    return gaps
 
 
 def karatsuba_euler_gamma(k: int) -> GammaEstimate:

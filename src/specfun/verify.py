@@ -11,6 +11,7 @@ Check kinds:
 * monotonicity — evaluator returns the sequence value; adjacent
                  differences may not fall below -tol relative.
 * convexity    — same with second differences (uniform grids only).
+A NaN or infinite value fails any kind, with residual inf at its point.
 
 Evaluators are pure and draws are generated from fixed seeds, so rerunning
 a suite is deterministic; results are sorted by check id.
@@ -95,27 +96,30 @@ def _points_for(spec: CheckSpec, grid_n: Optional[int]):
 def run_check(spec: CheckSpec, grid_n: Optional[int] = None, tol_scale: float = 1.0) -> CheckResult:
     pts = _points_for(spec, grid_n)
     tol = spec.tolerance * tol_scale
+    ev, kind, isfinite = spec.evaluator, spec.kind, math.isfinite
+    identity = kind == "identity"
+    pointwise = identity or kind in ("inequality", "bracket")
     t0 = time.perf_counter()
-    if spec.kind in ("identity", "inequality", "bracket"):
-        max_res = -1.0
-        argmax = pts[0]
-        for p in pts:
-            v = spec.evaluator(p)
-            res = abs(v) if spec.kind == "identity" else max(0.0, -v)
+    max_res, argmax, vals = 0.0, pts[0], []
+    for p in pts:
+        v = ev(p)
+        if not isfinite(v):  # NaN fails every test below and +inf meets every margin
+            max_res, argmax = math.inf, p
+            break
+        if pointwise:
+            res = abs(v) if identity else -v
             if res > max_res:
                 max_res, argmax = res, p
-        max_res = max(max_res, 0.0)
+        else:
+            vals.append(v)
     else:
-        vals = [spec.evaluator(p) for p in pts]
-        max_res = 0.0
-        argmax = pts[0]
-        if spec.kind == "monotonicity":
+        if kind == "monotonicity":
             for i in range(1, len(vals)):
                 scale = max(1.0, abs(vals[i]), abs(vals[i - 1]))
                 res = (vals[i - 1] - vals[i]) / scale
                 if res > max_res:
                     max_res, argmax = res, pts[i]
-        else:
+        elif kind == "convexity":
             for i in range(1, len(vals) - 1):
                 scale = max(1.0, abs(vals[i]))
                 res = -(vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / scale
@@ -219,19 +223,13 @@ def _build_gamma():
         "monotonicity", Grid(1.0, 500.0, 500), 1e-12, gamma.theta,
     ))
 
-    cache = {}
-
-    def _detemple_cached(n):
-        if not cache:
-            for rec in gamma.detemple_range(10_000):
-                cache[rec.n] = rec
-        return cache[n]
+    gaps = gamma.detemple_gaps(10_000)  # R_n - g, n = 1..10^4: one table per build
 
     def detemple_bracket(n):
-        rec = _detemple_cached(n)
+        g = gaps[n - 1]
         hi = 1.0 / (24.0 * n * n)
         lo = 1.0 / (24.0 * (n + 1.0) ** 2)
-        return min(rec.r_minus_gamma - lo, hi - rec.r_minus_gamma) / hi
+        return min(g - lo, hi - g) / hi
 
     checks.append(CheckSpec(
         "gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4",
@@ -239,11 +237,11 @@ def _build_gamma():
     ))
     checks.append(CheckSpec(
         "gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4",
-        "monotonicity", range(1, 10_001), 1e-12, lambda n: _detemple_cached(n).big_h,
+        "monotonicity", range(1, 10_001), 1e-12, lambda n: n * n * gaps[n - 1],
     ))
     checks.append(CheckSpec(
         "gamma.bigh_below_cap", "n^2 (R_n - g) < 1/24",
-        "inequality", range(1, 10_001), 1e-12, lambda n: 1.0 / 24.0 - _detemple_cached(n).big_h,
+        "inequality", range(1, 10_001), 1e-12, lambda n: 1.0 / 24.0 - n * n * gaps[n - 1],
     ))
 
     def karatsuba_margin(k):
@@ -485,9 +483,12 @@ def _build_hyper():
     wr_params = (_HP(0.5, 0.5, 1.0), _HP(0.4, 0.8, 1.1))
 
     def wronskian_decay(p, z):
-        # w1 = F(z), w2 = F(1-z), so w2' = -F'(1-z)
-        w1, d1, _ = hyper.hyp2f1_derivatives(p.a, p.b, p.c, z)
-        w2, d2, _ = hyper.hyp2f1_derivatives(p.a, p.b, p.c, 1.0 - z, one_minus_x=z)
+        # w1 = F(z), w2 = F(1-z), so w2' = -F'(1-z); F' = (ab/c) F(a+1, b+1; c+1)
+        k = p.a * p.b / p.c
+        w1 = hyper.hyp2f1(p.a, p.b, p.c, z)
+        d1 = k * hyper.hyp2f1(p.a + 1.0, p.b + 1.0, p.c + 1.0, z)
+        w2 = hyper.hyp2f1(p.a, p.b, p.c, 1.0 - z, one_minus_x=z)
+        d2 = k * hyper.hyp2f1(p.a + 1.0, p.b + 1.0, p.c + 1.0, 1.0 - z, one_minus_x=z)
         wr = -w1 * d2 - w2 * d1
         scaled = wr * z ** p.c * (1.0 - z) ** (p.a + p.b - p.c + 1.0)
         ref = -math.exp(2.0 * gamma.log_gamma(p.c) - gamma.log_gamma(p.a) - gamma.log_gamma(p.b))
@@ -638,11 +639,7 @@ def _elliott_draws(count, seed=20259):
         c = rng.uniform(0.0, 0.45)
         x = rng.uniform(0.08, 0.92)
         # keep the near-one exponents of all four factors off the integers
-        ok = True
-        for expo in (a + b, b + c):
-            if abs(expo - round(expo)) < 0.05:
-                ok = False
-        if ok:
+        if all(abs(expo - round(expo)) >= 0.05 for expo in (a + b, b + c)):
             draws.append((a, b, c, x))
     return draws
 

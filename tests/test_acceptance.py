@@ -65,16 +65,17 @@ def test_criterion_02_theta_growth():
 
 
 def test_criterion_03_detemple():
-    records = list(gamma.detemple_range(10_000))
+    gaps = gamma.detemple_gaps(10_000)
     bracket = all(
-        1.0 / (24.0 * (r.n + 1.0) ** 2) < r.r_minus_gamma < 1.0 / (24.0 * r.n ** 2)
-        for r in records
+        1.0 / (24.0 * (n + 1.0) ** 2) < gap < 1.0 / (24.0 * n ** 2)
+        for n, gap in enumerate(gaps, 1)
     )
-    increasing = all(a.big_h < b.big_h for a, b in zip(records, records[1:]))
+    big_h = [n * n * gap for n, gap in enumerate(gaps, 1)]
+    increasing = all(a < b for a, b in zip(big_h, big_h[1:]))
     h1_expected = 1.0 - EG - math.log(1.5)
-    h1_ok = abs(records[0].big_h - h1_expected) <= 1e-6
-    _criterion(3, bracket and increasing and h1_ok,
-               f"bracket + monotone for n <= 1e4; H(1) = {records[0].big_h:.10f}")
+    h1_ok = abs(big_h[0] - h1_expected) <= 1e-6
+    _criterion(3, len(gaps) == 10_000 and bracket and increasing and h1_ok,
+               f"bracket + monotone for n <= 1e4; H(1) = {big_h[0]:.10f}")
 
 
 @pytest.mark.xfail(strict=True, reason="H(1) = 1 - g - log(3/2) = 0.0173192..., "

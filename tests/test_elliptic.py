@@ -513,14 +513,37 @@ class TestNomeInverse:
         nome = [_outcome(E.phi_k_a, *c) for c in calls]
         monkeypatch.setattr(E, "_NOME_ROOTS", {})
         newton = [_outcome(E.phi_k_a, *c) for c in calls]
-        # a raise counts as its saturating endpoint 1.0: the reflection
-        # sqrt((1 - r)(1 + r)) of roots r under 1e-8 may round either way
-        # to the float next to 1.0
+        # a raise counts as its saturating endpoint 1.0: the two paths'
+        # reflected roots rc differ by a few ulp, which may round r either
+        # way next to 1.0
         for c, s, t in zip(calls, nome, newton):
             s, t = (v[1] if isinstance(v, tuple) else v for v in (s, t))
             assert abs(s - t) <= math.ulp(max(s, t)), c
         raised = sum(isinstance(v, tuple) for v in nome)
         assert 0 < raised < len(calls)  # both outcomes occur
+
+    def test_reflected_root_next_to_one_is_the_nearest_float(self):
+        # a = 1/2 below c_sym = pi/2: r' = theta_2(q)^2 / theta_3(q)^2 at
+        # q = exp(-pi^2/(2y)) and r = sqrt(1 - r'^2) at 50 digits, for
+        # roots within 1e-4 of 1; where r rounds to 1.0 the call raises
+        rng = random.Random(1400)
+        raised = nearest = 0
+        with mp.workdps(50):
+            for _ in range(2000):
+                rc = mp.mpf(10.0 ** -rng.uniform(2.0, 11.5))
+                y = float(mp.pi * mp.ellipk(rc * rc) / (2 * mp.ellipk(1 - rc * rc)))
+                q = mp.exp(-mp.pi ** 2 / (2 * y))
+                rp = (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2
+                ref = float(mp.sqrt(1 - rp * rp))
+                got = _outcome(E.mu_a_inverse, 0.5, y)
+                if ref == 1.0:
+                    assert got == ("BracketError", 1.0), y
+                    raised += 1
+                else:
+                    assert abs(got - ref) <= math.ulp(ref), y
+                    nearest += got == ref
+        assert 0 < raised < 2000
+        assert nearest >= 0.999 * (2000 - raised)
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_no_solver_at_the_nome_signatures(self, a, monkeypatch):

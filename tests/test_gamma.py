@@ -253,11 +253,23 @@ class TestDeTemple:
         assert 1.0 / 2904.0 < rec.r_minus_gamma < 1.0 / 2400.0
 
     def test_range_consistent_with_single(self):
-        seq = list(G.detemple_range(80))
-        for n in (1, 31, 32, 50, 80):
-            one = G.detemple(n)
-            assert abs(seq[n - 1].big_h - one.big_h) < 1e-13
-            assert abs(seq[n - 1].r_n - one.r_n) < 1e-13
+        # element n-1 is the record's gap bit for bit, and n * n * gap its H(n)
+        gaps = G.detemple_gaps(10_000)
+        assert len(gaps) == 10_000
+        assert [n for n in range(1, 10_001) if gaps[n - 1] != G.detemple(n).r_minus_gamma] == []
+        for n in (1, 31, 32, 50, 80, 10_000):
+            assert n * n * gaps[n - 1] == G.detemple(n).big_h
+
+    @pytest.mark.parametrize("n_max", [1, 31, 32])
+    def test_gaps_either_side_of_the_series_switch(self, n_max):
+        gaps = G.detemple_gaps(n_max)
+        assert gaps == [G.detemple(n).r_minus_gamma for n in range(1, n_max + 1)]
+        assert gaps == G.detemple_gaps(40)[:n_max]
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_gaps_domain(self, n_max):
+        with pytest.raises(DomainError):
+            G.detemple_gaps(n_max)
 
     def test_dn_converges_slower(self):
         for n in (2, 10, 100, 1000):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -63,6 +64,24 @@ class TestRunner:
                          lambda x: 1e-2)
         assert not verify.run_check(spec).passed
         assert verify.run_check(spec, tol_scale=100.0).passed
+
+    @pytest.mark.parametrize("kind", ["identity", "inequality", "bracket",
+                                      "monotonicity", "convexity"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_fails(self, kind, bad):
+        # a passing evaluator up to x = 0.3, and bad from there on: NaN
+        # fails no comparison and +inf meets every margin, so only the
+        # non-finite rule fails them
+        good = {"identity": 0.0, "inequality": 1.0, "bracket": 1.0}
+        spec = CheckSpec("t.bad", "values", kind, Grid(0.0, 1.0, 11), 1e-3,
+                         lambda x: bad if x >= 0.3 - 1e-12 else good.get(kind, x * x))
+        assert verify.run_check(CheckSpec("t.good", "values", kind, Grid(0.0, 0.2, 3), 1e-3,
+                                          spec.evaluator)).passed
+        res = verify.run_check(spec)
+        assert not res.passed
+        assert res.max_residual == math.inf
+        assert res.argmax == pytest.approx(0.3)
+        assert res.points == 11
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
