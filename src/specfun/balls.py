@@ -9,17 +9,14 @@ Omega_0 = 1 by the same formula; the ratio inequalities need it at n = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import RangeError
 from .gamma import log_gamma
 
 __all__ = [
-    "BallGeometry",
     "ball_volume",
     "log_ball_volume",
     "sphere_area",
-    "ball_geometry",
     "power_ratio",
     "sqrt_shift",
     "quotient_exponent",
@@ -37,9 +34,9 @@ __all__ = [
 _N_MAX = 10_000
 
 
-def _check_range(n: int, lo: int = 0) -> int:
-    if n != int(n) or not lo <= n <= _N_MAX:
-        raise RangeError(f"dimension must be an integer in [{lo}, {_N_MAX}], got {n}")
+def _check_range(n: int, hi: int = _N_MAX) -> int:
+    if n != int(n) or not 0 <= n <= hi:
+        raise RangeError(f"dimension must be an integer in [0, {hi}], got {n}")
     return int(n)
 
 
@@ -57,23 +54,10 @@ def ball_volume(n: int) -> float:
 
 
 def sphere_area(n_minus_1: int) -> float:
-    """Surface area omega_(n-1) of the unit sphere S^(n-1) = n Omega_n."""
-    m = _check_range(n_minus_1)
-    n = m + 1
+    """Surface area omega_(n-1) of the unit sphere S^(n-1) = n Omega_n, for
+    n - 1 in [0, 9999] (Omega_n needs n <= 10^4)."""
+    n = _check_range(n_minus_1, hi=_N_MAX - 1) + 1
     return n * ball_volume(n)
-
-
-@dataclass(frozen=True)
-class BallGeometry:
-    n: int
-    volume: float
-    surface: float
-
-
-def ball_geometry(n: int) -> BallGeometry:
-    n = _check_range(n, lo=1)
-    v = ball_volume(n)
-    return BallGeometry(n=n, volume=v, surface=n * v)
 
 
 # sharp lower / upper constants of the four ratio families

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import balls, elliptic, gamma, hyper, verify
-from .errors import BracketError, IterationCapError
+from .errors import BracketError, DomainError, IterationCapError
 from .gamma import DeTempleValues, GammaEstimate
 from .hyper import EvalResult, HyperParams
 
@@ -115,7 +115,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, grid_n=args.grid, tol_scale=args.tol_scale)
+    try:
+        report = verify.run_suite(args.suite, grid_n=args.grid, tol_scale=args.tol_scale)
+    except DomainError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     if args.json_path:
         payload = verify.serialize(report, "json")
         target = args.json_path

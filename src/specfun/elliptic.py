@@ -57,7 +57,6 @@ from . import kernel
 
 __all__ = [
     "SignatureParam",
-    "ModulusPoint",
     "check_signature",
     "agm",
     "ellip_k",
@@ -120,18 +119,6 @@ class SignatureParam:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r_a", -2.0 * EULER_GAMMA - psi_a - psi_b)
         object.__setattr__(self, "sin_pi_a", sinpi(a))
-
-
-@dataclass(frozen=True)
-class ModulusPoint:
-    r: float
-    r_prime: float
-
-    @staticmethod
-    def from_r(r: float) -> "ModulusPoint":
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got {r}")
-        return ModulusPoint(r=r, r_prime=math.sqrt((1.0 - r) * (1.0 + r)))
 
 
 def check_signature(a) -> float:

@@ -8,9 +8,10 @@ Gamma(x+1) with its seven printed rational tail coefficients, the theta
 correction term it defines and its 14-entry record, the DeTemple sequence
 R_n with its n^-2 bracket, an exponentially convergent series estimate of
 the Euler-Mascheroni constant, and the auxiliary monotone functions used
-by the gamma inequality battery.  DeTemple's D_n and R_n (from n = 32)
-and lemma_g, the sum of (n-x)/(n+x)^3 over n >= 1, are O(1) closed forms
-built on the polygamma asymptotic series (DLMF 5.15), not O(n) sums.
+by the gamma inequality battery.  DeTemple's D_n and R_n are gamma plus
+the gap R_n - gamma, which from n = 32 on, like lemma_g, the sum of
+(n-x)/(n+x)^3 over n >= 1, is an O(1) closed form built on the polygamma
+asymptotic series (DLMF 5.15), not an O(n) sum.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
     "EULER_GAMMA",
-    "CONSTANTS",
-    "GammaConstants",
     "GammaEstimate",
     "DeTempleValues",
     "RAMANUJAN_TAIL_COEFFS",
@@ -52,16 +51,6 @@ __all__ = [
 # EULER_GAMMA is its nearest binary64
 _EULER_GAMMA_DIGITS = "0.5772156649015328606065120900824024310422"
 EULER_GAMMA = float(_EULER_GAMMA_DIGITS)
-
-
-@dataclass(frozen=True)
-class GammaConstants:
-    euler_gamma: float
-    pi: float
-    log2: float
-
-
-CONSTANTS = GammaConstants(euler_gamma=EULER_GAMMA, pi=math.pi, log2=math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -444,25 +433,20 @@ def _detemple_gap_series(n: int) -> float:
 def detemple(n: int) -> DeTempleValues:
     """DeTemple record at n: D_n, R_n, and H(n) = n^2 (R_n - gamma).
 
-    O(1) in n.  From n = 32 on, with the gap R_n - gamma = psi(n+1) -
-    log(n+1/2) from its asymptotic series, H_n = gamma + log(n+1/2) + gap
-    gives R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap.  Below
-    32 the harmonic number is the math.fsum of its n terms, and the gap is
-    ``detemple_gaps``'s.
+    O(1) in n.  With the gap R_n - gamma = H_n - log(n+1/2) - gamma,
+    R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap at every n, so
+    the harmonic number is never formed in binary64.  The gap is
+    ``detemple_gaps``'s below n = 32 and the asymptotic series of
+    psi(n+1) - log(n+1/2) from 32 on.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"detemple needs integer n >= 1, got {n}")
     n = int(n)
-    if n >= _DETEMPLE_SERIES_MIN:
-        gap = _detemple_gap_series(n)
-        d_n = EULER_GAMMA + math.log1p(0.5 / n) + gap
-        r_n = EULER_GAMMA + gap
-    else:
-        harmonic = math.fsum([1.0 / k for k in range(1, n + 1)])
-        d_n = harmonic - math.log(n)
-        r_n = harmonic - math.log(n + 0.5)
-        gap = detemple_gaps(n)[-1]
-    return DeTempleValues(n=n, d_n=d_n, r_n=r_n, big_h=n * n * gap, r_minus_gamma=gap)
+    gap = _detemple_gap_series(n) if n >= _DETEMPLE_SERIES_MIN else detemple_gaps(n)[-1]
+    return DeTempleValues(
+        n=n, d_n=EULER_GAMMA + math.log1p(0.5 / n) + gap, r_n=EULER_GAMMA + gap,
+        big_h=n * n * gap, r_minus_gamma=gap,
+    )
 
 
 def detemple_gaps(n_max: int) -> list:

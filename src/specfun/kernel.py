@@ -5,11 +5,11 @@ generation.  Everything here is a pure function of its inputs and safe
 to call from any number of threads.  Exact summation is not wrapped
 here: the library calls math.fsum directly.
 
-The root finder takes Newton steps when the function also returns its
-slope, and secant steps when it does not.  From a good start point, plain
-Newton finds the root without evaluating the bracket ends; otherwise each
-step is accepted only while it stays inside the current bracket and
-shrinks fast enough, and bisection takes over when it does not.
+The root finder takes Newton steps from the slope the function returns
+with its value.  From a good start point, plain Newton finds the root
+without evaluating the bracket ends; otherwise each step is accepted only
+while it stays inside the current bracket and shrinks fast enough, and
+bisection takes over when it does not.
 """
 
 from __future__ import annotations
@@ -87,15 +87,12 @@ class BracketRoot:
 
 
 def _residual(f, x: float, target: float):
-    # f returns a value, or a (value, slope) pair; slope is None for the former
-    v = f(x)
-    if isinstance(v, tuple):
-        return v[0] - target, v[1]
-    return v - target, None
+    v, slope = f(x)
+    return v - target, slope
 
 
 def invert_monotone(
-    f: Callable[[float], object],
+    f: Callable[[float], tuple],
     target: float,
     bracket_lo: float,
     bracket_hi: float,
@@ -105,20 +102,18 @@ def invert_monotone(
 ) -> BracketRoot:
     """Solve f(x) = target for strictly monotone f on [bracket_lo, bracket_hi].
 
-    ``f`` returns f(x), or the pair (f(x), f'(x)).  Given a slope and a
-    start point ``x0`` strictly inside the bracket, plain Newton steps run
-    from x0 while each lands strictly inside the bracket and at least
-    halves the residual, so a good start finds the root without evaluating
-    the bracket ends.  Otherwise both ends are evaluated (BracketError if
-    they do not enclose the target) and the safeguarded iteration goes on
-    from the best point so far.  Its candidate is the Newton step when f
-    gives a slope, accepted while no longer than half the previous step,
-    and else the secant step through the latest two points, accepted while
-    no longer than 3/4 of the bracket width; a candidate outside the
-    current bracket, or too long, is replaced by bisection.  A slope that
-    is wrong, even in sign, therefore still converges.  Tolerance is
-    measured in function space; ``iterations`` counts the evaluations
-    other than the two bracket ends.
+    ``f`` returns the pair (f(x), f'(x)).  Given a start point ``x0``
+    strictly inside the bracket, plain Newton steps run from x0 while each
+    lands strictly inside the bracket and at least halves the residual, so
+    a good start finds the root without evaluating the bracket ends.
+    Otherwise both ends are evaluated (BracketError if they do not enclose
+    the target) and safeguarded Newton goes on from the best point so far:
+    a step is accepted while it lands strictly inside the current bracket
+    and is no longer than half the previous step, and bisection takes its
+    place when it does not.  A slope that is wrong, even in sign, zero or
+    NaN, therefore still converges.  Tolerance is measured in function
+    space; ``iterations`` counts the evaluations other than the two
+    bracket ends.
     """
     a, b = float(bracket_lo), float(bracket_hi)
     if not a < b:
@@ -146,10 +141,6 @@ def invert_monotone(
 
     fa, _ = _residual(f, a, target)
     fb, db = _residual(f, b, target)
-    if fa == 0.0:
-        return BracketRoot(a, 0.0, it)
-    if fb == 0.0:
-        return BracketRoot(b, 0.0, it)
     if fa * fb > 0.0:
         endpoint = a if abs(fa) < abs(fb) else b
         raise BracketError(
@@ -161,30 +152,19 @@ def invert_monotone(
     if abs(fb) <= tol:
         return BracketRoot(b, fb, it)
 
-    x_prev, f_prev = a, fa
     x_cur, f_cur, d_cur = b, fb, db
     if seed is not None:
-        x, fx, dx = seed
-        if fa * fx < 0.0:
-            b, fb, db = x, fx, dx
+        x_cur, f_cur, d_cur = seed
+        if fa * f_cur < 0.0:
+            b = x_cur
         else:
-            a, fa = x, fx
-        x_cur, f_cur, d_cur = x, fx, dx
+            a, fa = x_cur, f_cur
     step = b - a
     for it in range(it + 1, max_iter + 1):
-        width = b - a
-        if d_cur is not None:
-            cand = x_cur - f_cur / d_cur if d_cur else math.nan
-            # each Newton step at most half the last, so a too-steep slope
-            # cannot crawl
-            reach = 0.5 * abs(step)
-        else:
-            cand = math.nan
-            if f_cur != f_prev:
-                cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            reach = 0.75 * width
-        # require the step to land strictly inside the bracket
-        if a < cand < b and abs(cand - x_cur) <= reach:
+        cand = x_cur - f_cur / d_cur if d_cur else math.nan
+        # land strictly inside the bracket, at most half the last step, so a
+        # too-steep slope cannot crawl
+        if a < cand < b and abs(cand - x_cur) <= 0.5 * abs(step):
             x_new = cand
         else:
             x_new = 0.5 * (a + b)
@@ -193,14 +173,10 @@ def invert_monotone(
         if abs(fx) <= tol:
             return BracketRoot(x_new, fx, it)
         if fa * fx < 0.0:
-            b, fb, db = x_new, fx, dx
+            b = x_new
         else:
             a, fa = x_new, fx
-        x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur, d_cur = x_new, fx, dx
-        if b - a >= width:  # no progress; restart from the bracket ends
-            x_prev, f_prev = a, fa
-            x_cur, f_cur, d_cur = b, fb, db
     raise IterationCapError(
         f"no convergence to tol={tol} after {max_iter} iterations; last residual {f_cur}"
     )

@@ -88,12 +88,16 @@ class Report:
 def _points_for(spec: CheckSpec, grid_n: Optional[int]):
     # only continuous grids resize; tuples and integer ranges keep their points
     if isinstance(spec.grid, Grid):
-        g = spec.grid if grid_n is None else spec.grid.with_n(max(2, int(grid_n)))
+        g = spec.grid if grid_n is None else spec.grid.with_n(int(grid_n))
         return g.points()
     return list(spec.grid)
 
 
 def run_check(spec: CheckSpec, grid_n: Optional[int] = None, tol_scale: float = 1.0) -> CheckResult:
+    if not 0.0 < tol_scale < math.inf:  # inf would pass every check, nan or <= 0 fail all
+        raise DomainError(f"tol_scale must be positive and finite, got {tol_scale}")
+    if grid_n is not None and not grid_n >= 2:
+        raise DomainError(f"grid_n must be at least 2, got {grid_n}")
     pts = _points_for(spec, grid_n)
     tol = spec.tolerance * tol_scale
     ev, kind, isfinite = spec.evaluator, spec.kind, math.isfinite

@@ -47,13 +47,19 @@ class TestSurface:
         assert abs(balls.sphere_area(1) - 2.0 * PI) < 1e-13
         assert abs(balls.sphere_area(2) - 4.0 * PI) < 1e-13
         assert abs(balls.sphere_area(9) - 10.0 * balls.ball_volume(10)) < 1e-13
+        assert balls.sphere_area(9999) == 10_000 * balls.ball_volume(10_000)
 
     @given(st.integers(1, 250))
     @settings(max_examples=60)
     def test_surface_is_n_volume(self, n):
-        geo = balls.ball_geometry(n)
-        assert geo.surface == n * geo.volume
-        assert geo.volume > 0.0
+        assert balls.sphere_area(n - 1) == n * balls.ball_volume(n)
+        assert balls.ball_volume(n) > 0.0
+
+    @pytest.mark.parametrize("n_minus_1", [-1, 10_000, 2.5])
+    def test_range_names_the_argument(self, n_minus_1):
+        # omega_(n-1) needs Omega_n, so its own range stops at 10^4 - 1
+        with pytest.raises(RangeError, match=rf"\[0, 9999\], got {n_minus_1}$"):
+            balls.sphere_area(n_minus_1)
 
 
 A_POW = 2.0 / math.sqrt(PI)

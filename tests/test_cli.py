@@ -121,6 +121,17 @@ class TestVerify:
                              "--tol-scale", "1e-9")
         assert code == 1
 
+    @pytest.mark.parametrize("option,value", [
+        ("--tol-scale", "nan"), ("--tol-scale", "inf"), ("--tol-scale", "-1"),
+        ("--tol-scale", "0"), ("--grid", "1"), ("--grid", "0"), ("--grid", "-5"),
+    ])
+    def test_bad_tol_scale_or_grid_is_a_usage_error(self, capsys, option, value):
+        # inf would pass every check and nan fail every one; no grid is clamped
+        code, out, err = run_cli(capsys, "verify", "--suite", "balls", option, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("verify: ")
+
 
 class TestTable:
     def test_theta_table(self, capsys):

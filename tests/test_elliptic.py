@@ -104,19 +104,6 @@ class TestGeneralizedIntegrals:
             E.e_a(0.0, 0.5)
 
 
-class TestModulusPoint:
-    def test_complement_invariant(self):
-        for r in (1e-8, 0.3, 0.9999999):
-            pt = E.ModulusPoint.from_r(r)
-            assert 0.0 < pt.r < 1.0 and 0.0 < pt.r_prime < 1.0
-            s = pt.r * pt.r + pt.r_prime * pt.r_prime
-            assert abs(s - 1.0) <= math.ulp(1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            E.ModulusPoint.from_r(1.0)
-
-
 class TestSignatureParam:
     @staticmethod
     def _signatures():

@@ -296,6 +296,18 @@ class TestDeTemple:
                 off.append(n)
         assert off == []
 
+    def test_dn_rn_against_mpmath(self):
+        # D_n and R_n are gamma plus the gap at every n: below 32 too, where
+        # a binary64 harmonic number minus a log lost up to 6.9e-16
+        off = []
+        for n in range(1, 41):
+            rec = G.detemple(n)
+            h = mp.harmonic(n)
+            d_ref, r_ref = h - mp.log(n), h - mp.log(mp.mpf(n) + 0.5)
+            if abs(rec.d_n - d_ref) > 2e-16 * d_ref or abs(rec.r_n - r_ref) > 2e-16 * r_ref:
+                off.append(n)
+        assert off == []
+
     def test_domain(self):
         with pytest.raises(DomainError):
             G.detemple(0)
@@ -468,8 +480,5 @@ def test_sixthroot_tail_coefficients_are_exact_rationals():
 
 
 def test_constants_table():
-    assert abs(G.CONSTANTS.euler_gamma - 0.5772156649) < 5e-11
-    assert G.CONSTANTS.pi == math.pi
-    assert abs(G.CONSTANTS.log2 - math.log(2.0)) == 0.0
     digits = "0.5772156649015328606065"
     assert abs(G.EULER_GAMMA - float(digits)) == 0.0

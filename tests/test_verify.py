@@ -65,6 +65,24 @@ class TestRunner:
         assert not verify.run_check(spec).passed
         assert verify.run_check(spec, tol_scale=100.0).passed
 
+    @pytest.mark.parametrize("tol_scale", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_tol_scale_must_be_positive_and_finite(self, tol_scale):
+        # nan, 0 or a negative scale would fail every check and inf pass every one
+        spec = CheckSpec("t.tol", "identity", "identity", range(3), 1e-3, lambda n: 0.0)
+        with pytest.raises(DomainError, match="tol_scale"):
+            verify.run_check(spec, tol_scale=tol_scale)
+        with pytest.raises(DomainError, match="tol_scale"):
+            verify.run_suite("balls", tol_scale=tol_scale)
+
+    @pytest.mark.parametrize("grid_n", [1, 0, -5, math.nan])
+    def test_grid_n_below_two_is_refused(self, grid_n):
+        # not clamped to 2 points, for continuous and integer grids alike
+        for grid, points_at_two in ((Grid(0.0, 1.0, 100), 2), (range(3), 3)):
+            spec = CheckSpec("t.grid", "identity", "identity", grid, 1.0, lambda x: 0.0)
+            with pytest.raises(DomainError, match="grid_n"):
+                verify.run_check(spec, grid_n=grid_n)
+            assert verify.run_check(spec, grid_n=2).points == points_at_two
+
     @pytest.mark.parametrize("kind", ["identity", "inequality", "bracket",
                                       "monotonicity", "convexity"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
