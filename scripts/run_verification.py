@@ -4,6 +4,10 @@
 Usage:
     python scripts/run_verification.py [--suite all] [--grid N]
         [--tol-scale S] [--outdir reports]
+
+Exit codes: 0 every check passed, 1 a check failed, 2 usage error (an
+unknown option, or a grid below 2 points or a tolerance scale that is not
+positive and finite).
 """
 
 import argparse
@@ -12,6 +16,7 @@ import sys
 import time
 
 from specfun import verify
+from specfun.errors import DomainError
 
 
 def main():
@@ -23,7 +28,10 @@ def main():
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    report = verify.run_suite(args.suite, grid_n=args.grid, tol_scale=args.tol_scale)
+    try:
+        report = verify.run_suite(args.suite, grid_n=args.grid, tol_scale=args.tol_scale)
+    except DomainError as exc:  # a bad --grid or --tol-scale: usage error, exit 2
+        ap.error(str(exc))
     elapsed = time.perf_counter() - t0
 
     outdir = pathlib.Path(args.outdir)

@@ -34,9 +34,9 @@ __all__ = [
 _N_MAX = 10_000
 
 
-def _check_range(n: int, hi: int = _N_MAX) -> int:
-    if n != int(n) or not 0 <= n <= hi:
-        raise RangeError(f"dimension must be an integer in [0, {hi}], got {n}")
+def _check_range(n: int, lo: int = 0, hi: int = _N_MAX) -> int:
+    if n != int(n) or not lo <= n <= hi:
+        raise RangeError(f"dimension must be an integer in [{lo}, {hi}], got {n}")
     return int(n)
 
 
@@ -72,25 +72,31 @@ DIFFERENCE_B = math.sqrt(2.0 * math.pi) / 2.0
 
 
 def power_ratio(n: int) -> float:
-    """Om_n / Om_(n+1)^(n/(n+1)), in [POWER_A, POWER_B] for n >= 1; POWER_A at n = 1."""
+    """Om_n / Om_(n+1)^(n/(n+1)) for n in [1, 9999], in [POWER_A, POWER_B];
+    POWER_A at n = 1."""
+    n = _check_range(n, 1, _N_MAX - 1)
     return math.exp(log_ball_volume(n) - n / (n + 1.0) * log_ball_volume(n + 1))
 
 
 def sqrt_shift(n: int) -> float:
-    """2 pi (Om_(n-1)/Om_n)^2 - n, in [SQRT_A, SQRT_B] for n >= 1; SQRT_B at n = 1."""
+    """2 pi (Om_(n-1)/Om_n)^2 - n for n in [1, 10^4], in [SQRT_A, SQRT_B];
+    SQRT_B at n = 1."""
+    n = _check_range(n, 1, _N_MAX)
     return 2.0 * math.pi * math.exp(2.0 * (log_ball_volume(n - 1) - log_ball_volume(n))) - n
 
 
 def quotient_exponent(n: int) -> float:
-    """log(Om_n^2/(Om_(n-1) Om_(n+1))) / log(1+1/n), in [QUOTIENT_ALPHA,
-    QUOTIENT_BETA] for n >= 1; QUOTIENT_ALPHA at n = 1."""
+    """log(Om_n^2/(Om_(n-1) Om_(n+1))) / log(1+1/n) for n in [1, 9999], in
+    [QUOTIENT_ALPHA, QUOTIENT_BETA]; QUOTIENT_ALPHA at n = 1."""
+    n = _check_range(n, 1, _N_MAX - 1)
     num = 2.0 * log_ball_volume(n) - log_ball_volume(n - 1) - log_ball_volume(n + 1)
     return num / math.log1p(1.0 / n)
 
 
 def difference_scaled(n: int) -> float:
-    """sqrt(n) ((n+1) Om_(n+1)/Om_n - n Om_n/Om_(n-1)), in [DIFFERENCE_A,
-    DIFFERENCE_B) for n >= 2; DIFFERENCE_A at n = 2."""
+    """sqrt(n) ((n+1) Om_(n+1)/Om_n - n Om_n/Om_(n-1)) for n in [1, 9999], in
+    [DIFFERENCE_A, DIFFERENCE_B) for n >= 2; DIFFERENCE_A at n = 2."""
+    n = _check_range(n, 1, _N_MAX - 1)
     r1 = math.exp(log_ball_volume(n + 1) - log_ball_volume(n))
     r2 = math.exp(log_ball_volume(n) - log_ball_volume(n - 1))
     return ((n + 1) * r1 - n * r2) * math.sqrt(n)

@@ -16,6 +16,7 @@ asymptotic series (DLMF 5.15), not an O(n) sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -430,19 +431,34 @@ def _detemple_gap_series(n: int) -> float:
     return s
 
 
+@functools.lru_cache(maxsize=1)
+def _detemple_small_gaps() -> tuple:
+    # R_n - gamma = H_n - log(n+1/2) - gamma for n = 1..31 in 40-digit
+    # decimal, which the cancellation leaves over 30 digits of; built once
+    # per process, on first use
+    with localcontext(Context(prec=40)):
+        harmonic, gaps = Decimal(0), []
+        for n in range(1, _DETEMPLE_SERIES_MIN):
+            harmonic += Decimal(1) / n
+            log_term = (Decimal(2 * n + 1) / 2).ln() + Decimal(_EULER_GAMMA_DIGITS)
+            gaps.append(float(harmonic - log_term))
+    return tuple(gaps)
+
+
 def detemple(n: int) -> DeTempleValues:
     """DeTemple record at n: D_n, R_n, and H(n) = n^2 (R_n - gamma).
 
     O(1) in n.  With the gap R_n - gamma = H_n - log(n+1/2) - gamma,
     R_n = gamma + gap and D_n = gamma + log1p(1/(2n)) + gap at every n, so
-    the harmonic number is never formed in binary64.  The gap is
-    ``detemple_gaps``'s below n = 32 and the asymptotic series of
-    psi(n+1) - log(n+1/2) from 32 on.
+    the harmonic number is never formed in binary64.  Below n = 32 the gap
+    is read from a table of the 31 decimal gaps, built once per process on
+    first use (about 2 ms); from 32 on it is the asymptotic series of
+    psi(n+1) - log(n+1/2).
     """
     if n < 1 or n != int(n):
         raise DomainError(f"detemple needs integer n >= 1, got {n}")
     n = int(n)
-    gap = _detemple_gap_series(n) if n >= _DETEMPLE_SERIES_MIN else detemple_gaps(n)[-1]
+    gap = _detemple_gap_series(n) if n >= _DETEMPLE_SERIES_MIN else _detemple_small_gaps()[n - 1]
     return DeTempleValues(
         n=n, d_n=EULER_GAMMA + math.log1p(0.5 / n) + gap, r_n=EULER_GAMMA + gap,
         big_h=n * n * gap, r_minus_gamma=gap,
@@ -451,17 +467,12 @@ def detemple(n: int) -> DeTempleValues:
 
 def detemple_gaps(n_max: int) -> list:
     """[R_n - gamma for n = 1..n_max], element n-1 ``detemple(n).r_minus_gamma``:
-    below n = 32 H_n - log(n+1/2) - gamma in 40-digit decimal, which its
-    cancellation leaves over 30 digits of; from 32 on the asymptotic series."""
+    below n = 32 a slice of the 31 decimal gaps that ``detemple`` reads (built
+    once per process), from 32 on the asymptotic series."""
     if n_max < 1:
         raise DomainError(f"detemple_gaps needs n_max >= 1, got {n_max}")
     n_max = int(n_max)
-    with localcontext(Context(prec=40)):
-        harmonic, gaps = Decimal(0), []
-        for n in range(1, min(n_max, _DETEMPLE_SERIES_MIN - 1) + 1):
-            harmonic += Decimal(1) / n
-            log_term = (Decimal(2 * n + 1) / 2).ln() + Decimal(_EULER_GAMMA_DIGITS)
-            gaps.append(float(harmonic - log_term))
+    gaps = list(_detemple_small_gaps()[:n_max])
     gaps.extend(_detemple_gap_series(n) for n in range(_DETEMPLE_SERIES_MIN, n_max + 1))
     return gaps
 

@@ -119,6 +119,27 @@ class TestSharpInequalities:
         assert any(balls.difference_scaled(n) > B_DIFF * (1.0 - bump) for n in range(2, 201))
 
 
+# each ratio's own range: Omega_(n+1) caps n at 10^4 - 1 where n + 1 enters
+RATIO_RANGES = [
+    (balls.power_ratio, 9999),
+    (balls.sqrt_shift, 10_000),
+    (balls.quotient_exponent, 9999),
+    (balls.difference_scaled, 9999),
+]
+
+
+class TestRatioRanges:
+    @pytest.mark.parametrize("fn, hi", RATIO_RANGES)
+    def test_ends_of_the_range_are_finite(self, fn, hi):
+        assert math.isfinite(fn(1)) and math.isfinite(fn(hi))
+
+    @pytest.mark.parametrize("fn, hi", RATIO_RANGES)
+    def test_outside_the_range_names_the_argument(self, fn, hi):
+        for n in (0, hi + 1):
+            with pytest.raises(RangeError, match=rf"\[1, {hi}\], got {n}$"):
+                fn(n)
+
+
 class TestAsymptoticShape:
     def test_root_power_decreasing_to_limit(self):
         prev = None

@@ -164,3 +164,19 @@ def test_module_entry_point_runs_cli_once():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert float(proc.stdout.split()[0]) == gamma.gamma(0.5)
+
+
+@pytest.mark.parametrize("option,value", [("--tol-scale", "inf"), ("--grid", "1")])
+def test_run_verification_script_usage_error(tmp_path, option, value):
+    # exit 1 means a check failed; an option verify refuses is exit 2, as in
+    # ``specfun verify``, and no report is written
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
+    outdir = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, script, "--suite", "balls", option, value, "--outdir", str(outdir)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+    assert not outdir.exists()

@@ -312,6 +312,15 @@ class TestDeTemple:
         with pytest.raises(DomainError):
             G.detemple(0)
 
+    def test_small_gaps_built_once(self):
+        # the 31 decimal gaps below n = 32 are one table per process, which
+        # every record and every gap list reads
+        G._detemple_small_gaps.cache_clear()
+        for n in range(1, 32):
+            G.detemple(n)
+        G.detemple_gaps(40)
+        assert G._detemple_small_gaps.cache_info().misses == 1
+
 
 class TestKaratsubaEulerGamma:
     def test_bound_k1(self):
@@ -346,6 +355,7 @@ class TestKaratsubaEulerGamma:
             ctx.prec = 3
             ctx.traps[decimal.Inexact] = True
             before = repr(decimal.getcontext())
+            G._detemple_small_gaps.cache_clear()  # rebuild the gap table in this context
             assert (G.karatsuba_euler_gamma(30), G.detemple(24)) == ref
             assert repr(decimal.getcontext()) == before
 
