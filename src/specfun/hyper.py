@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError, DomainError, ParameterError, RangeError
 from .gamma import EULER_GAMMA, digamma, gamma, log_gamma
-from . import kernel
 
 __all__ = [
     "HyperParams",
@@ -98,10 +97,12 @@ def pochhammer(a: float, n: int) -> float:
 
     Stops as soon as the product is 0 or overflows, which for every
     finite a happens within 308 factors (a = 5e-324 is the worst), so
-    any n costs O(1).  Raises DomainError at NaN a and OverflowError past
-    binary64.
+    any n costs O(1).  Raises DomainError at NaN a or an n that is not a
+    finite integer >= 0, and OverflowError past binary64.
     """
-    if n < 0 or n != int(n):
+    # the range test comes first: int() of an infinite or NaN n raises a
+    # bare OverflowError or ValueError
+    if not 0 <= n < math.inf or n != int(n):
         raise DomainError(f"pochhammer needs integer n >= 0, got {n}")
     if math.isnan(a):
         raise DomainError("pochhammer needs a number a, got nan")
@@ -364,10 +365,16 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
                    = (1-a-b)[(1-z) u v1 - z u1 v - (1-2z) v v1]
     * b_shift:   z(1-z) v' = (c-b) F(a,b-1;c;z) + (b-c+az) v
 
-    Derivatives come from central stencils, so those residuals carry the
-    stencil's truncation noise (~1e-6 scale); shift_c is fully algebraic.
-    u and b_shift lower a or b by 1, so a or b below 1 needs c >= 1
-    (hyp2f1's negative-parameter window; else ParameterError).
+    Derivatives are exact contiguous values, chosen so that no relation
+    becomes a tautology or another's formula: u' = ((a-1)b/c)
+    F(a,b+1;c+1;z) and v' = (ab/c) F(a+1,b+1;c+1;z) (DLMF 15.5.1), except
+    in d_v, where z v' = a(F(a+1,b;c;z) - v) (15.5.3, n = 1) makes it
+    Gauss's three-term relation in a.  So d_u is c(v - u) = bz
+    F(a,b+1;c+1;z), and b_shift is shift_c with a and b swapped.  The
+    residuals are at roundoff; sym_combo takes its 1-z values with the
+    complement z.  u and b_shift lower a or b by 1, so a or b below 1
+    needs c >= 1 (hyp2f1's negative-parameter window; else
+    ParameterError).
     """
     if which not in CONTIGUOUS_IDS:
         raise DomainError(f"unknown relation {which!r}; use one of {CONTIGUOUS_IDS}")
@@ -377,34 +384,37 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
     if not 0.0 < z < 1.0:
         raise DomainError(f"z must be interior to (0, 1), got {z}")
 
-    def u(t):
-        return hyp2f1(a - 1.0, b, c, t)
+    def u(t, w=None):
+        return hyp2f1(a - 1.0, b, c, t, w)
 
-    def v(t):
-        return hyp2f1(a, b, c, t)
+    def v(t, w=None):
+        return hyp2f1(a, b, c, t, w)
+
+    def du(t, w=None):
+        return (a - 1.0) * b / c * hyp2f1(a, b + 1.0, c + 1.0, t, w)
+
+    def dv(t, w=None):
+        return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, t, w)
 
     if which == "d_u":
-        du = kernel.derivative(u, z, order=1, domain=(0.0, 1.0))
-        return z * du - (a - 1.0) * (v(z) - u(z))
+        return z * du(z) - (a - 1.0) * (v(z) - u(z))
     if which == "d_v":
-        dv = kernel.derivative(v, z, order=1, domain=(0.0, 1.0))
-        return z * (1.0 - z) * dv - ((c - a) * u(z) + (a - c + b * z) * v(z))
+        vz = v(z)
+        return (1.0 - z) * a * (hyp2f1(a + 1.0, b, c, z) - vz) - (
+            (c - a) * u(z) + (a - c + b * z) * vz
+        )
     if which == "shift_c":
         lhs = a * b / c * z * (1.0 - z) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
         return lhs - ((c - a) * u(z) + (a - c + b * z) * v(z))
     if which == "sym_combo":
-        def q(t):
-            vt, v1 = v(t), v(1.0 - t)
-            return u(t) * v1 + u(1.0 - t) * vt - vt * v1
-
-        dq = kernel.derivative(q, z, order=1, domain=(0.0, 1.0))
-        uz, u1, vz, v1 = u(z), u(1.0 - z), v(z), v(1.0 - z)
-        rhs = (1.0 - a - b) * (
-            (1.0 - z) * uz * v1 - z * u1 * vz - (1.0 - 2.0 * z) * vz * v1
-        )
+        y = 1.0 - z
+        uz, u1, vz, v1 = u(z), u(y, z), v(z), v(y, z)
+        duz, du1, dvz, dv1 = du(z), du(y, z), dv(z), dv(y, z)
+        # d/dz of a value at 1-z is minus the derivative there
+        dq = duz * v1 - uz * dv1 - du1 * vz + u1 * dvz - dvz * v1 + vz * dv1
+        rhs = (1.0 - a - b) * ((1.0 - z) * uz * v1 - z * u1 * vz - (1.0 - 2.0 * z) * vz * v1)
         return z * (1.0 - z) * dq - rhs
-    dv = kernel.derivative(v, z, order=1, domain=(0.0, 1.0))
-    return z * (1.0 - z) * dv - (
+    return z * (1.0 - z) * dv(z) - (
         (c - b) * hyp2f1(a, b - 1.0, c, z) + (b - c + a * z) * v(z)
     )
 
@@ -501,10 +511,11 @@ def kummer_residual(a: float, b: float, c: float, x: float) -> float:
 
 def f32_terminating(n: int, a: float, b: float, eps: float) -> float:
     """Terminating 3F2(-n, a, b; 1+a+b, 1+eps-n; 1); positive inside the
-    window ab/(1+a+b) < eps < 1.  The n + 1 terms cost O(n), so n above
-    10^6 raises RangeError.  A term or sum past binary64 raises
+    window ab/(1+a+b) < eps < 1.  An n that is not a finite integer >= 1
+    raises DomainError; the n + 1 terms cost O(n), so n above 10^6 raises
+    RangeError.  A term or sum past binary64 raises
     OverflowError, as the 2F1 series do, not NaN."""
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):  # as in pochhammer
         raise DomainError(f"needs integer n >= 1, got {n}")
     if n > _F32_MAX_N:
         raise RangeError(f"needs n <= {_F32_MAX_N}, got {n}")

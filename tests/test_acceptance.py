@@ -192,14 +192,14 @@ def test_criterion_09_identity_residuals():
 
 def test_criterion_10_derivative_relations():
     trip = (HyperParams(1.3, 0.7, 1.5), HyperParams(0.5, 0.5, 1.0))
-    worst_stencil = 0.0
+    worst_derivative = 0.0
     worst_algebraic = 0.0
     for z in Grid(0.1, 0.9, 9).points():
         for p in trip:
             for which in ("d_u", "d_v", "sym_combo", "b_shift"):
-                worst_stencil = max(worst_stencil, abs(hyper.contiguous_residual(which, p, z)))
+                worst_derivative = max(worst_derivative, abs(hyper.contiguous_residual(which, p, z)))
             worst_algebraic = max(worst_algebraic, abs(hyper.contiguous_residual("shift_c", p, z)))
-    ok = worst_stencil < 1e-6 and worst_algebraic < 1e-8
+    ok = worst_derivative < 5e-14 and worst_algebraic < 5e-14
 
     worst_ode = 0.0
     for z in Grid(0.1, 0.9, 9).points():
@@ -222,7 +222,7 @@ def test_criterion_10_derivative_relations():
         abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0))
     ok = ok and worst_schwarz < 1e-3 and decay >= 3.0
 
-    _criterion(10, ok, f"contiguous {worst_stencil:.1e}/{worst_algebraic:.1e}, "
+    _criterion(10, ok, f"contiguous {worst_derivative:.1e}/{worst_algebraic:.1e}, "
                        f"ODEs {worst_ode:.1e}, Schwarzian {worst_schwarz:.1e} "
                        f"(step-halving gain {decay:.1f}x)")
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specfun import elliptic, gamma, hyper
+from specfun import elliptic, gamma, hyper, kernel
 from specfun.errors import ConstraintError, DomainError, ParameterError, RangeError
 from specfun.hyper import HyperParams
 
@@ -36,6 +36,12 @@ class TestPochhammer:
                 hyper.pochhammer(a, 10**9)
         with pytest.raises(DomainError):
             hyper.pochhammer(math.nan, 10**9)
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_non_finite_n(self, n):
+        # int(n) alone raises a bare OverflowError or ValueError
+        with pytest.raises(DomainError):
+            hyper.pochhammer(1.0, n)
 
 
 # branch coverage: direct series, zero-balanced, integer-offset log series
@@ -290,8 +296,26 @@ class TestContiguous:
         ((1.3, 0.7, 1.5), 0.4), ((0.5, 0.5, 1.0), 0.3), ((0.3, 0.7, 1.2), 0.5),
     ])
     def test_residuals(self, which, tol, params, z):
+        # tol, in the test ids, is the bound a stencil derivative needs;
+        # every relation must also meet the registry's 5e-14
         res = hyper.contiguous_residual(which, HyperParams(*params), z)
-        assert abs(res) < tol
+        assert abs(res) < min(tol, 5e-14)
+
+    @pytest.mark.parametrize("which", hyper.CONTIGUOUS_IDS)
+    @pytest.mark.parametrize("z", [1e-4, 0.01, 0.99, 0.999, 0.9999])
+    def test_residuals_near_the_ends(self, which, z):
+        # where a stencil's truncation error grows: F grows like
+        # (1-z)^(-1/2) here, and the exact residuals stay below 1.3e-13
+        res = hyper.contiguous_residual(which, HyperParams(1.3, 0.7, 1.5), z)
+        assert abs(res) < 1e-12
+
+    def test_no_stencil(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("contiguous_residual took a stencil")
+
+        monkeypatch.setattr(kernel, "derivative", refuse)
+        for which in hyper.CONTIGUOUS_IDS:
+            assert abs(hyper.contiguous_residual(which, HyperParams(1.3, 0.7, 1.5), 0.4)) < 5e-14
 
     def test_unknown_relation(self):
         with pytest.raises(DomainError):
@@ -418,6 +442,11 @@ class TestTerminating3F2:
     def test_cost_cap(self, n):
         with pytest.raises(RangeError):
             hyper.f32_terminating(n, 0.5, 0.5, 0.2)
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_non_finite_n(self, n):
+        with pytest.raises(DomainError):
+            hyper.f32_terminating(n, 1.0, 1.0, 0.9)
 
     def test_window(self):
         with pytest.raises(ConstraintError):

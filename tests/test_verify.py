@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from specfun import verify
+from specfun import hyper, verify
 from specfun.errors import DomainError
 from specfun.kernel import Grid
 from specfun.verify import CheckResult, CheckSpec, Report
@@ -148,6 +148,20 @@ class TestSuites:
     def test_tol_scale_can_fail_a_suite(self):
         rep = verify.run_suite("modular", grid_n=4, tol_scale=1e-9)
         assert rep.summary["failed"] > 0
+
+    def test_contiguous_checks_see_a_1e12_error(self, monkeypatch):
+        # every 2F1 value off by 1e-12 c x relative moves the residuals to
+        # 1.7e-13...6.0e-12, above the 5e-14 tolerance
+        dispatch = hyper._dispatch
+
+        def skewed(a, b, c, x, w):
+            v, e, n, method = dispatch(a, b, c, x, w)
+            return v * (1.0 + 1e-12 * c * x), e, n, method
+
+        monkeypatch.setattr(hyper, "_dispatch", skewed)
+        specs = {spec.id: spec for spec in verify.build_checks("hyper")}
+        for which in hyper.CONTIGUOUS_IDS:
+            assert not verify.run_check(specs[f"hyper.contiguous_{which}"]).passed, which
 
 
 class TestSerialization:
