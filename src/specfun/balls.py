@@ -35,7 +35,8 @@ _N_MAX = 10_000
 
 
 def _check_range(n: int, lo: int = 0, hi: int = _N_MAX) -> int:
-    if n != int(n) or not lo <= n <= hi:
+    # the range test comes first: int() of an infinite or NaN n raises
+    if not lo <= n <= hi or n != int(n):
         raise RangeError(f"dimension must be an integer in [{lo}, {hi}], got {n}")
     return int(n)
 

@@ -455,7 +455,7 @@ def detemple(n: int) -> DeTempleValues:
     first use (about 2 ms); from 32 on it is the asymptotic series of
     psi(n+1) - log(n+1/2).
     """
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise DomainError(f"detemple needs integer n >= 1, got {n}")
     n = int(n)
     gap = _detemple_gap_series(n) if n >= _DETEMPLE_SERIES_MIN else _detemple_small_gaps()[n - 1]
@@ -469,7 +469,7 @@ def detemple_gaps(n_max: int) -> list:
     """[R_n - gamma for n = 1..n_max], element n-1 ``detemple(n).r_minus_gamma``:
     below n = 32 a slice of the 31 decimal gaps that ``detemple`` reads (built
     once per process), from 32 on the asymptotic series."""
-    if n_max < 1:
+    if not 1 <= n_max < math.inf:
         raise DomainError(f"detemple_gaps needs n_max >= 1, got {n_max}")
     n_max = int(n_max)
     gaps = list(_detemple_small_gaps()[:n_max])
@@ -493,7 +493,7 @@ def karatsuba_euler_gamma(k: int) -> GammaEstimate:
     drops below one ulp, from k = 43 on, value is the binary64 nearest
     gamma.
     """
-    if k != int(k) or not 1 <= k <= 200:
+    if not 1 <= k <= 200 or k != int(k):
         raise RangeError(f"k must be an integer in [1, 200], got {k}")
     k = int(k)
     with localcontext(Context(prec=int(0.4343 * k) + 30)):

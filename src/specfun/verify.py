@@ -674,8 +674,7 @@ _ALZER_KLOG = math.pi / (4.0 * math.log(2.0)) - 1.0
 
 
 def _klog_ratio(r):
-    rp = math.sqrt((1.0 - r) * (1.0 + r))
-    return elliptic.ellip_k(r) / math.log(4.0 / rp), rp
+    return elliptic.ellip_k(r) / math.log(4.0 / math.sqrt((1.0 - r) * (1.0 + r)))
 
 
 def _build_elliptic():
@@ -743,33 +742,32 @@ def _build_elliptic():
     checks.append(CheckSpec(
         "elliptic.klog_kuhnau_qiu", "9/(8+r^2) < K(r)/log(4/r')",
         "inequality", _BATTERY_GRID, 1e-12,
-        lambda r: _klog_ratio(r)[0] - 9.0 / (8.0 + r * r),
+        lambda r: _klog_ratio(r) - 9.0 / (8.0 + r * r),
     ))
     checks.append(CheckSpec(
         "elliptic.klog_qiu_vamanamurthy", "K(r)/log(4/r') < 1 + (r')^2/4",
         "inequality", _BATTERY_GRID, 1e-12,
-        lambda r: 1.0 + 0.25 * (1.0 - r) * (1.0 + r) - _klog_ratio(r)[0],
+        lambda r: 1.0 + 0.25 * (1.0 - r) * (1.0 + r) - _klog_ratio(r),
     ))
     checks.append(CheckSpec(
         "elliptic.klog_alzer", "1 + (pi/(4 log 2) - 1)(r')^2 < K(r)/log(4/r')",
         "inequality", _BATTERY_GRID, 1e-12,
-        lambda r: _klog_ratio(r)[0] - 1.0 - _ALZER_KLOG * (1.0 - r) * (1.0 + r),
+        lambda r: _klog_ratio(r) - 1.0 - _ALZER_KLOG * (1.0 - r) * (1.0 + r),
     ))
 
-    def ellipse_lower(r):
-        rp = math.sqrt((1.0 - r) * (1.0 + r))
-        return 2.0 / math.pi * elliptic.ellip_e(r) - ((1.0 + rp ** 1.5) / 2.0) ** (2.0 / 3.0)
+    # over the semiaxis b = r': perimeter(b) = 4 E(r), margins scaled by 2 pi
+    def ellipse_lower(b):
+        return (elliptic.ellipse_perimeter(b) - elliptic.muir_approx(b)) / (2.0 * math.pi)
 
-    def ellipse_upper(r):
-        rp2 = (1.0 - r) * (1.0 + r)
-        return math.sqrt((1.0 + rp2) / 2.0) - 2.0 / math.pi * elliptic.ellip_e(r)
+    def ellipse_upper(b):
+        return (elliptic.upper_approx(b) - elliptic.ellipse_perimeter(b)) / (2.0 * math.pi)
 
     checks.append(CheckSpec(
-        "elliptic.ellipse_lower", "(2/pi)E(r) >= ((1+(r')^(3/2))/2)^(2/3) on [0,1]",
+        "elliptic.ellipse_lower", "perimeter(b) >= 2 pi ((1+b^(3/2))/2)^(2/3) on [0,1]",
         "inequality", Grid(0.0, 1.0, 101), 1e-12, ellipse_lower,
     ))
     checks.append(CheckSpec(
-        "elliptic.ellipse_upper", "(2/pi)E(r) <= ((1+(r')^2)/2)^(1/2) on [0,1]",
+        "elliptic.ellipse_upper", "perimeter(b) <= 2 pi ((1+b^2)/2)^(1/2) on [0,1]",
         "inequality", Grid(0.0, 1.0, 101), 1e-12, ellipse_upper,
     ))
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specfun import gamma as G
+from specfun import balls, gamma as G
 from specfun.errors import DomainError, PoleError, RangeError
 
 mp.mp.dps = 40
@@ -477,6 +477,21 @@ def test_non_finite_argument(fn, x):
         assert fn is G.gamma and x == math.inf
         return
     assert isinstance(value, float) and not math.isnan(value)
+
+
+@pytest.mark.parametrize("n", [-math.inf, math.nan, math.inf], ids=["-inf", "nan", "inf"])
+@pytest.mark.parametrize("fn, error", [
+    (balls.ball_volume, RangeError), (balls.log_ball_volume, RangeError),
+    (balls.sphere_area, RangeError), (balls.power_ratio, RangeError),
+    (balls.sqrt_shift, RangeError), (balls.quotient_exponent, RangeError),
+    (balls.difference_scaled, RangeError), (G.karatsuba_euler_gamma, RangeError),
+    (G.detemple, DomainError), (G.detemple_gaps, DomainError),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_non_finite_integer_argument(fn, error, n):
+    # the range test runs before int(), which would raise a bare
+    # OverflowError at +-inf and ValueError at NaN
+    with pytest.raises(error):
+        fn(n)
 
 
 def test_sixthroot_tail_coefficients_are_exact_rationals():

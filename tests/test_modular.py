@@ -5,10 +5,12 @@ import pytest
 from specfun import elliptic, gamma, modular
 from specfun.elliptic import mu_a, phi_k_a
 from specfun.errors import DomainError, UnknownIdentityError
-from specfun.modular import ModularSpec, ModuliPair, solve_modular
 
 
 class TestSolveModular:
+    """The degree-p modular equation mu_a(s) = p mu_a(r) is solved by
+    s = phi_k_a(a, 1/p, r), the one path ``identity_residual`` takes."""
+
     def test_one_r_a_per_solve(self, monkeypatch):
         # solves read the memo of records, so the first solve at an a
         # builds its record, whose R_a is the only digamma call, and the
@@ -25,38 +27,27 @@ class TestSolveModular:
         for a in (0.5, 1.0 / 3.0, 0.2):
             calls[0] = 0
             for r in (0.1, 0.5, 0.9):
-                solve_modular(ModularSpec(a, 3.0), r)
+                phi_k_a(a, 1.0 / 3.0, r)
             assert calls[0] == 1
 
     def test_degree_one_is_identity(self):
-        pair = solve_modular(ModularSpec(0.5, 1.0), 0.4)
-        assert abs(pair.beta - pair.alpha) < 1e-12
+        assert abs(phi_k_a(0.5, 1.0, 0.4) - 0.4) < 1e-12
 
     def test_forward_relation(self):
-        pair = solve_modular(ModularSpec(0.5, 2.0), 0.8)
-        s = math.sqrt(pair.beta)
+        s = phi_k_a(0.5, 0.5, 0.8)
         assert abs(mu_a(0.5, s) - 2.0 * mu_a(0.5, 0.8)) <= 1e-10
 
     def test_third_degree_legendre_form(self):
         for r in (0.2, 0.5, 0.8):
-            pair = solve_modular(ModularSpec(0.5, 3.0), r)
-            lhs = (pair.alpha * pair.beta) ** 0.25
-            lhs += ((1.0 - pair.alpha) * (1.0 - pair.beta)) ** 0.25
-            assert abs(lhs - 1.0) < 1e-7
+            assert modular.identity_residual("classical_deg3", r) < 1e-7
 
     def test_beta_below_alpha(self):
         for p in (2.0, 3.0, 5.0):
-            pair = solve_modular(ModularSpec(1.0 / 3.0, p), 0.6)
-            assert 0.0 < pair.beta < pair.alpha < 1.0
+            assert 0.0 < phi_k_a(1.0 / 3.0, 1.0 / p, 0.6) < 0.6
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ModularSpec(0.5, 0.5)
-        # the rule 0 < a < 1 and its message belong to elliptic
-        with pytest.raises(DomainError, match=r"signature parameter must lie in \(0, 1\)"):
-            ModularSpec(1.5, 2.0)
-        with pytest.raises(DomainError):
-            solve_modular(ModularSpec(0.5, 2.0), 1.0)
+            modular.identity_residual("classical_deg3", 1.0)
 
 
 class TestIdentityRegistry:
@@ -103,8 +94,8 @@ class TestIdentityResiduals:
         be7 = phi_k_a(0.5, 1.0 / 7.0, r) ** 2
         al3 = phi_k_a(0.5, 1.0 / 3.0, r) ** 2
         be5 = phi_k_a(0.5, 1.0 / 5.0, r) ** 2
-        assert abs(identity.residual_fn(ModuliPair(al, be7))) < 1e-7
-        assert abs(identity.residual_fn(ModuliPair(al3, be5))) < 1e-7
+        assert abs(identity.residual_fn(al, be7)) < 1e-7
+        assert abs(identity.residual_fn(al3, be5)) < 1e-7
 
     def test_square_root_variant_of_sig3_deg2_fails(self):
         # the cube-root form is registered; the square-root first term that
