@@ -30,17 +30,16 @@ itself the root, the terms it drops below e^(-72), and from R_a/2 + 25
 on the one-term exp(R_a/2 - y).
 
 The two constants of a that mu_a and its inverse need, R_a and
-sin(pi a), live on the SignatureParam record, and so do the series
-coefficients c_n and c_n h_n, which depend on a alone: the record grows
-that table lazily as far as an evaluation needs it (at most 50 entries,
-since x <= 1/2), so at a repeated a a mu_a evaluation sums stored
-coefficients instead of running their recurrence.  The table is published
-whole by one attribute store and never mutated, so threads may share a
-record without a lock.  mu_a, mu_a_inverse and phi_k_a take the
-caller's record or look a float a up in a bounded memo of records (64
+sin(pi a), are computed once per a on a private record, and so are the
+series coefficients c_n and c_n h_n, which depend on a alone: the record
+grows that table lazily as far as an evaluation needs it (at most 50
+entries, since x <= 1/2), so at a repeated a a mu_a evaluation sums
+stored coefficients instead of running their recurrence.  The table is
+published whole by one attribute store and never mutated, so threads may
+share a record without a lock.  Every function here takes a as a float;
+mu_a, mu_a_inverse and phi_k_a look its record up in a bounded memo (64
 entries), so a process builds the record of a given a once, not once per
-call or per mu_a evaluation.  k_a, e_a and the ODE residuals
-need none of this and take the plain float.
+call or per mu_a evaluation.
 """
 
 from __future__ import annotations
@@ -48,16 +47,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .errors import BracketError, DomainError
-from .gamma import EULER_GAMMA, digamma_reflected, sinpi
-from .hyper import hyp2f1, hyp2f1_derivatives
+from .gamma import sinpi
+from .hyper import hyp2f1, hyp2f1_derivatives, ramanujan_R
 from . import kernel
 
 __all__ = [
-    "SignatureParam",
-    "check_signature",
     "agm",
     "ellip_k",
     "ellip_e",
@@ -82,68 +78,35 @@ __all__ = [
     "ODE_IDS",
 ]
 
-@dataclass(frozen=True)
-class SignatureParam:
-    """Signature parameter a in (0, 1) with the two constants of a that the
-    ring modulus needs, each computed once, here:
-
-    * r_a: Ramanujan's R(a, 1-a) = -2 gamma - psi(a) - psi(1-a), the h_0
-      of mu_a's series and the asymptote mu_a(r) ~ r_a/2 - log r; from
-      one digamma, bit-identical to hyper.ramanujan_R(a, 1.0 - a);
-    * sin_pi_a: gamma.sinpi(a), of the symmetry value pi/(2 sin(pi a)).
-
-    It also carries the coefficients of mu_a's series (see _mu_series),
-    grown lazily by the evaluations that need them, at most 50 terms,
-    and replaced whole, never mutated, so a record is safe to share
-    between threads.  Building a record does none of that work.
-
-    Every function taking a signature parameter accepts this record in
-    place of the float.  mu_a, mu_a_inverse and phi_k_a turn a float a
-    into its record through a memo of the last 64 a, so a process builds
-    the record of one a once; a record built here directly is not
-    memoized.  R_a overflows for a below about 5.6e-309, which
-    raises RangeError (on every call: errors are not memoized).
-    """
-
-    a: float
-    r_a: float = field(init=False, repr=False, compare=False)
-    sin_pi_a: float = field(init=False, repr=False, compare=False)
-    # ([c_n], [c_n h_n], h_N) for n = 1..N of mu_a's series, grown by
-    # _mu_series; a class-level default, not a field, so building a record
-    # costs nothing more and equality, hash and repr stay by a
-    _mu_table = None
-
-    def __post_init__(self):
-        a = check_signature(self.a)
-        psi_a, psi_b = digamma_reflected(a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r_a", -2.0 * EULER_GAMMA - psi_a - psi_b)
-        object.__setattr__(self, "sin_pi_a", sinpi(a))
-
-
-def check_signature(a) -> float:
-    """The float signature parameter of a float or a SignatureParam; the
-    one owner of the rule 0 < a < 1 (DomainError outside, NaN too)."""
-    if isinstance(a, SignatureParam):
-        return a.a
+def _check_signature(a) -> float:
+    # the one owner of the rule 0 < a < 1 (DomainError outside, NaN too)
     a = float(a)
     if not 0.0 < a < 1.0:
         raise DomainError(f"signature parameter must lie in (0, 1), got {a}")
     return a
 
 
-_RECORD_MEMO_SIZE = 64  # a registry pass uses 20 distinct a, inverse solves 4
+class _Signature:
+    """The constants of one signature parameter a that mu_a and its
+    inverse need: r_a, Ramanujan's R(a, 1-a), the h_0 of mu_a's series and
+    the asymptote mu_a(r) ~ r_a/2 - log r; sin_pi_a, of the symmetry value
+    pi/(2 sin(pi a)); and mu_table, the series coefficients (see
+    _mu_series).  Built only by _memo_record.  R_a overflows for a below
+    about 5.6e-309, which raises RangeError."""
+
+    __slots__ = ("a", "r_a", "sin_pi_a", "mu_table")
+
+    def __init__(self, a):
+        self.a = a = _check_signature(a)
+        self.r_a = ramanujan_R(a, 1.0 - a)
+        self.sin_pi_a = sinpi(a)
+        self.mu_table = None
 
 
-@functools.lru_cache(maxsize=_RECORD_MEMO_SIZE)
-def _memo_record(a: float) -> SignatureParam:
-    # records are frozen and compare by a, so a hit is the record a fresh
-    # build would give; lru_cache caches no exception
-    return SignatureParam(a)
-
-
-def _record(a) -> SignatureParam:
-    return a if isinstance(a, SignatureParam) else _memo_record(float(a))
+@functools.lru_cache(maxsize=64)  # a registry pass uses 20 distinct a, inverse solves 4
+def _memo_record(a: float) -> _Signature:
+    # lru_cache caches no exception, so a bad a raises on every call
+    return _Signature(a)
 
 
 def _complement(r: float) -> float:
@@ -219,7 +182,7 @@ def ellip_e_prime(r: float) -> float:
 
 def k_a(a, r: float) -> float:
     """First-kind generalized integral (pi/2) F(a, 1-a; 1; r^2)."""
-    a = check_signature(a)
+    a = _check_signature(a)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"k_a needs r in [0, 1), got {r}")
     return 0.5 * math.pi * hyp2f1(a, 1.0 - a, 1.0, r * r, one_minus_x=_complement(r))
@@ -227,7 +190,7 @@ def k_a(a, r: float) -> float:
 
 def k_a_prime(a, r: float) -> float:
     """k_a at the complementary modulus."""
-    a = check_signature(a)
+    a = _check_signature(a)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"k_a_prime needs r in (0, 1], got {r}")
     return 0.5 * math.pi * hyp2f1(a, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
@@ -236,7 +199,7 @@ def k_a_prime(a, r: float) -> float:
 def e_a(a, r: float) -> float:
     """Second-kind generalized integral (pi/2) F(a-1, 1-a; 1; r^2);
     e_a(1) = sin(pi a) / (2(1-a)) in closed form."""
-    a = check_signature(a)
+    a = _check_signature(a)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"e_a needs r in [0, 1], got {r}")
     if r == 1.0:
@@ -246,7 +209,7 @@ def e_a(a, r: float) -> float:
 
 def e_a_prime(a, r: float) -> float:
     """e_a at the complementary modulus."""
-    a = check_signature(a)
+    a = _check_signature(a)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"e_a_prime needs r in [0, 1], got {r}")
     if r == 0.0:
@@ -254,7 +217,7 @@ def e_a_prime(a, r: float) -> float:
     return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
 
 
-def _mu_series(sig: SignatureParam, x: float):
+def _mu_series(sig: _Signature, x: float):
     """(F, E) = (sum c_n x^n, sum c_n h_n x^n) for 0 <= x <= 1/2.
 
     c_n = (a)_n (1-a)_n / n!^2 are the coefficients of F(a,1-a;1;x) and
@@ -277,7 +240,7 @@ def _mu_series(sig: SignatureParam, x: float):
     had grown.  At x = 1/2 the sums stop after at most 49 terms over
     a in [1e-6, 1 - 1e-6] (measured), so a table stays under 50 entries.
     """
-    cs, ds, h = sig._mu_table or ((), (), sig.r_a)
+    cs, ds, h = sig.mu_table or ((), (), sig.r_a)
     f, e, p = 1.0, sig.r_a, 1.0
     for c, d in zip(cs, ds):
         p *= x
@@ -307,11 +270,11 @@ def _mu_series(sig: SignatureParam, x: float):
         if u <= 1e-17 * f and v <= 1e-17 * e:
             # publish copies, never grow a published table in place: other
             # threads may be reading it
-            object.__setattr__(sig, "_mu_table", (cs, ds, h))
+            sig.mu_table = cs, ds, h
             return f, e
 
 
-def _mu_and_slope(sig: SignatureParam, r: float):
+def _mu_and_slope(sig: _Signature, r: float):
     """(mu_a(r), d mu_a / d(log r)) for r in (0, 1), unchecked.
 
     Away from a = 1/2 (where the AGM is cheaper) one series in
@@ -344,11 +307,11 @@ def mu(r: float) -> float:
 
 def mu_a(a, r: float) -> float:
     """Generalized ring modulus; decreasing homeomorphism of (0,1) onto
-    (0, infinity); a is a float or a SignatureParam.  Takes every r in
-    (0, 1), subnormal or next to 1, else DomainError (NaN too), and is
-    within 1e-15 relative of mpmath there (measured: under 6e-16 for r or
-    1 - r in [1e-15.5, 1e-7], and for r from 1e-9 down to 5e-324)."""
-    sig = _record(a)
+    (0, infinity).  Takes every r in (0, 1), subnormal or next to 1, else
+    DomainError (NaN too), and is within 1e-15 relative of mpmath there
+    (measured: under 6e-16 for r or 1 - r in [1e-15.5, 1e-7], and for r
+    from 1e-9 down to 5e-324)."""
+    sig = _memo_record(a)
     if not 0.0 < r < 1.0:
         raise DomainError(f"mu_a needs r in (0, 1), got {r}")
     return _mu_and_slope(sig, r)[0]
@@ -381,7 +344,7 @@ def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
     return t
 
 
-def _mu_inverse_lower(sig: SignatureParam, y: float) -> float:
+def _mu_inverse_lower(sig: _Signature, y: float) -> float:
     # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on underflow
     r_half = 0.5 * sig.r_a
     if y >= r_half + _ASYM_MARGIN:
@@ -461,10 +424,9 @@ def mu_a_inverse(a, y: float) -> float:
     closed form in the nome exp(-2y), within a few ulp, with no mu_a
     evaluation.  Any other a runs Newton to within max(1e-13, ulp(y)) of
     y, but from y = R_a/2 + 12 on returns the three-term asymptote's root
-    and from R_a/2 + 25 on exp(R_a/2 - y).  A float a reads its
-    SignatureParam from the memo of records, built once per a.
+    and from R_a/2 + 25 on exp(R_a/2 - y).
     """
-    sig = _record(a)
+    sig = _memo_record(a)
     if not y > 0.0:
         raise DomainError(f"mu_a_inverse needs y > 0, got {y}")
     c_sym = 0.5 * math.pi / sig.sin_pi_a
@@ -491,12 +453,12 @@ def mu_a_inverse(a, y: float) -> float:
 def phi_k_a(a, big_k: float, r: float) -> float:
     """Modular function: the s with mu_a(s) = mu_a(r) / K, from one mu_a
     evaluation and mu_a_inverse (closed form at a = 1/2, 1/4, 1/3, 1/6)."""
-    sig = _record(a)
+    sig = _memo_record(a)
     if not big_k > 0.0:
         raise DomainError(f"phi_k_a needs K > 0, got {big_k}")
     if not 0.0 < r < 1.0:
         raise DomainError(f"phi_k_a needs r interior to (0, 1), got {r}")
-    return mu_a_inverse(sig, _mu_and_slope(sig, r)[0] / big_k)
+    return mu_a_inverse(sig.a, _mu_and_slope(sig, r)[0] / big_k)
 
 
 def phi_k(big_k: float, r: float) -> float:
@@ -515,7 +477,7 @@ def legendre_residual(r: float) -> float:
 
 def generalized_legendre_residual(a, r: float) -> float:
     """e_a k_a' + e_a' k_a - k_a k_a' - pi sin(pi a) / (4(1-a))."""
-    a = check_signature(a)
+    a = _check_signature(a)
     if not 0.0 < r < 1.0:
         raise DomainError(f"needs r in (0, 1), got {r}")
     ka = k_a(a, r)
@@ -561,7 +523,7 @@ def ode_residual(which: str, a, r: float) -> float:
     """
     if which not in ODE_IDS:
         raise DomainError(f"unknown ode {which!r}; use one of {ODE_IDS}")
-    a = check_signature(a)
+    a = _check_signature(a)
     if not _GUARD < r < 1.0 - _GUARD:
         raise DomainError(f"guard band violation: r must lie in ({_GUARD}, {1 - _GUARD})")
     x, xc = r * r, _complement(r)
@@ -596,8 +558,7 @@ def schwarzian_residual(a, r: float, step: float = None) -> float:
     central stencils of mu_a with that step; their third derivative is
     noisy, and the residual shrinks superquadratically with the step.
     """
-    sig = _record(a)
-    a = sig.a
+    a = _check_signature(a)
     if not 0.1 < r < 0.9:
         raise DomainError(f"schwarzian guard band is (0.1, 0.9), got r = {r}")
     x, rp2 = r * r, _complement(r)
@@ -609,7 +570,7 @@ def schwarzian_residual(a, r: float, step: float = None) -> float:
         s_val = g2 - 0.5 * g1 * g1
     else:
         h = float(step)
-        f = lambda t: _mu_and_slope(sig, t)[0]
+        f = lambda t: mu_a(a, t)
         w1 = kernel.derivative(f, r, order=1, step=h, domain=(0.0, 1.0))
         w2 = kernel.derivative(f, r, order=2, step=h, domain=(0.0, 1.0))
         w3 = kernel.derivative(f, r, order=3, step=h, domain=(0.0, 1.0))

@@ -249,7 +249,9 @@ def _dispatch(a, b, c, x, w):
     if x == 0.0 or a == 0.0 or b == 0.0:
         # empty argument or a terminating empty product: F = 1 exactly
         return 1.0, 0.0, 0, "direct_series"
-    if x <= _CROSSOVER:
+    if x <= _CROSSOVER or (a < 0.0 and a == math.floor(a)) or (b < 0.0 and b == math.floor(b)):
+        # a nonpositive-integer a or b (from the reflection below) ends the
+        # series exactly, where the expansions about x = 1 meet Gamma poles
         v, e, n = _series(a, b, c, x)
         return v, e, n, "direct_series"
     if w is None:

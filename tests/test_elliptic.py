@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specfun import elliptic as E
-from specfun import gamma, hyper, kernel
+from specfun import hyper, kernel
 from specfun.errors import BracketError, DomainError, RangeError
 
 mp.mp.dps = 40
@@ -105,81 +105,57 @@ class TestGeneralizedIntegrals:
 
 
 class TestSignatureParam:
-    @staticmethod
-    def _signatures():
-        rng = random.Random(8080)
-        return ([rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(2000)]
-                + [10.0 ** -rng.uniform(0.0, 300.0) for _ in range(2000)]
-                + [1.0 - 10.0 ** -k for k in range(1, 17)] + [0.5])
-
-    def test_r_a_is_bit_identical_to_ramanujan_R(self):
-        for a in self._signatures():
-            sig = E.SignatureParam(a)
-            assert repr(sig.r_a) == repr(hyper.ramanujan_R(a, 1.0 - a)), a
-            assert repr(sig.sin_pi_a) == repr(gamma.sinpi(a)), a
+    """The private per-a record behind mu_a, mu_a_inverse and phi_k_a:
+    built by the memo E._memo_record, or directly as E._Signature where a
+    test needs a record of its own."""
 
     def test_r_a_overflow_is_range_error(self):
         # pi cot(pi a) overflows below about 5.6e-309, as in digamma
         with pytest.raises(RangeError):
             hyper.ramanujan_R(5e-324, 1.0)
         with pytest.raises(RangeError):
-            E.SignatureParam(5e-324)
+            E._memo_record(5e-324)
 
     def test_domain(self):
         for a in (0.0, 1.0, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
-                E.SignatureParam(a)
+                E._memo_record(a)
+            with pytest.raises(DomainError):
+                E.mu_a(a, 0.5)
 
-    def test_record_and_float_agree(self):
-        rng = random.Random(8081)
-        for _ in range(200):
-            a, r = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-            sig = E.SignatureParam(a)
-            assert repr(E.mu_a(sig, r)) == repr(E.mu_a(a, r))
-            assert repr(E.phi_k_a(sig, 0.5, r)) == repr(E.phi_k_a(a, 0.5, r))
-        assert E.SignatureParam(0.3) == E.SignatureParam(0.3)
-        assert hash(E.SignatureParam(0.3)) == hash(E.SignatureParam(0.3))
+    @staticmethod
+    def _count_digamma(monkeypatch):
+        # R_a is hyper.ramanujan_R(a, 1 - a), two digamma calls
+        digamma = hyper.digamma
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return digamma(x)
+
+        monkeypatch.setattr(hyper, "digamma", counted)
+        return calls
 
     @pytest.mark.parametrize("a", [1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 6.0, 0.05, 0.95])
     def test_digamma_calls_per_solve(self, a, monkeypatch):
-        # R_a takes one digamma (the larger of a, 1 - a; the other comes
-        # by reflection), once per solve; none when the record is given
-        digamma = gamma.digamma
-        calls = [0]
-
-        def counted(x):
-            calls[0] += 1
-            return digamma(x)
-
-        monkeypatch.setattr(gamma, "digamma", counted)
-        sig = E.SignatureParam(a)
-        calls[0] = 0
+        # the first solve at an a builds its record, the others build none
+        calls = self._count_digamma(monkeypatch)
+        E._memo_record.cache_clear()
         rs = [0.02 + 0.0096 * i for i in range(100)]
         for p in (2.0, 5.0, 23.0):
             for r in rs:
-                E.phi_k_a(sig, 1.0 / p, r)
-        assert calls[0] == 0
-        for p in (2.0, 5.0, 23.0):
-            for r in rs:
                 E.phi_k_a(a, 1.0 / p, r)
-        assert calls[0] <= 2 * 3 * len(rs)
+        assert calls[0] == 2
 
     def test_float_a_builds_one_record_per_process(self, monkeypatch):
         # the memo of records: 300 solves at one float a, one R_a
-        digamma = gamma.digamma
-        calls = [0]
-
-        def counted(x):
-            calls[0] += 1
-            return digamma(x)
-
-        monkeypatch.setattr(gamma, "digamma", counted)
+        calls = self._count_digamma(monkeypatch)
         E._memo_record.cache_clear()
         for p in (2.0, 5.0, 23.0):
             for i in range(100):
                 E.phi_k_a(0.3, 1.0 / p, 0.02 + 0.0096 * i)
-        assert calls[0] == 1
-        assert E._record(0.3) is E._record(0.3)
+        assert calls[0] == 2
+        assert E._memo_record(0.3) is E._memo_record(0.3)
 
     def test_errors_are_not_memoized(self):
         E._memo_record.cache_clear()
@@ -196,34 +172,36 @@ class TestSignatureParam:
         rng = random.Random(8082)
         for _ in range(3000):
             a, x = rng.uniform(1e-3, 1.0 - 1e-3), rng.uniform(0.0, 0.5)
-            longer, shorter = E.SignatureParam(a), E.SignatureParam(a)
+            longer, shorter = E._Signature(a), E._Signature(a)
             E._mu_series(longer, rng.uniform(x, 0.5))
             E._mu_series(shorter, rng.uniform(0.0, x))
-            want = tuple(map(repr, E._mu_series(E.SignatureParam(a), x)))
+            want = tuple(map(repr, E._mu_series(E._Signature(a), x)))
             assert tuple(map(repr, E._mu_series(longer, x))) == want, (a, x)
             assert tuple(map(repr, E._mu_series(shorter, x))) == want, (a, x)
 
     def test_series_table_is_thread_safe(self):
-        # four threads grow and read one fresh record's table at once, two
-        # of them walking the r values in the opposite order; five rounds,
-        # each on a fresh record, since a race need not show in one
+        # four threads grow and read the table of one memoized record at
+        # once, two of them walking the r values in the opposite order;
+        # five rounds, each on a fresh record, since a race need not show
+        # in one
         rng = random.Random(8083)
         rs = [rng.uniform(0.01, 0.99) for _ in range(500)]
-        want = [E.mu_a(E.SignatureParam(0.3), r) for r in rs]
+        want = [E._mu_and_slope(E._Signature(0.3), r)[0] for r in rs]
         got = [None] * 4
 
-        def run(sig, start, i):
+        def run(start, i):
             order = rs if i % 2 == 0 else rs[::-1]
             start.wait()
-            values = [E.mu_a(sig, r) for r in order]
+            values = [E.mu_a(0.3, r) for r in order]
             got[i] = values if i % 2 == 0 else values[::-1]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                sig, start = E.SignatureParam(0.3), threading.Barrier(4)
-                threads = [threading.Thread(target=run, args=(sig, start, i)) for i in range(4)]
+                E._memo_record.cache_clear()
+                start = threading.Barrier(4)
+                threads = [threading.Thread(target=run, args=(start, i)) for i in range(4)]
                 for t in threads:
                     t.start()
                 for t in threads:
@@ -235,20 +213,20 @@ class TestSignatureParam:
     @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.154, 1.0 / 3.0, 0.5, 1.0 - 1e-6])
     def test_series_table_is_bounded(self, a):
         # x <= 1/2 needs at most 49 terms (measured, at a near 0.154 and 0.846)
-        sig = E.SignatureParam(a)
+        sig = E._Signature(a)
         E._mu_series(sig, 0.5)
-        cs, ds, _ = sig._mu_table
+        cs, ds, _ = sig.mu_table
         assert len(cs) == len(ds) <= 50
 
     def test_series_table_grows_only_past_its_end(self):
-        sig = E.SignatureParam(0.3)
+        sig = E._Signature(0.3)
         E._mu_series(sig, 0.25)
-        table = sig._mu_table
+        table = sig.mu_table
         E._mu_series(sig, 0.25)
         E._mu_series(sig, 0.1)
-        assert sig._mu_table is table
+        assert sig.mu_table is table
         E._mu_series(sig, 0.5)
-        assert len(sig._mu_table[0]) > len(table[0])
+        assert len(sig.mu_table[0]) > len(table[0])
 
 
 class TestRingModulus:
@@ -362,7 +340,7 @@ class TestInverseNewton:
     @pytest.mark.parametrize("r", [1e-6, 0.1, 0.5, 0.707, 0.9, 0.999])
     def test_slope_identity(self, a, r):
         # d mu_a / d(log r) = -1 / (r'^2 F(a,1-a;1;r^2)^2) against a stencil
-        _, slope = E._mu_and_slope(E.SignatureParam(a), r)
+        _, slope = E._mu_and_slope(E._memo_record(a), r)
         stencil = kernel.derivative(lambda t: E.mu_a(a, math.exp(t)), math.log(r))
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
@@ -389,7 +367,7 @@ class TestInverseNewton:
             calls[0] = 0
             r = E.mu_a_inverse(a, y)
             counts.append(calls[0])
-            assert abs(mu_and_slope(E.SignatureParam(a), r)[0] - y) <= 1e-13
+            assert abs(mu_and_slope(E._memo_record(a), r)[0] - y) <= 1e-13
         assert max(counts) <= (0 if a in E._NOME_ROOTS else 6)
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
@@ -404,7 +382,7 @@ class TestInverseNewton:
             return invert(*args, **kwargs)
 
         monkeypatch.setattr(kernel, "invert_monotone", counted)
-        r_half = 0.5 * E.SignatureParam(a).r_a
+        r_half = 0.5 * E._memo_record(a).r_a
         for i in range(200):
             E.mu_a_inverse(a, r_half + E._START_MARGIN + (E._ASYM_MARGIN - E._START_MARGIN) * i / 200)
         assert calls[0] == 0
@@ -416,9 +394,9 @@ class TestInverseNewton:
         # start is returned unconfirmed; it must still meet the stop rule
         rng = random.Random(91200)
         for _ in range(40000):
-            sig = E.SignatureParam(rng.uniform(1e-8, 1.0 - 1e-8))
+            sig = E._memo_record(rng.uniform(1e-8, 1.0 - 1e-8))
             y = 0.5 * sig.r_a + rng.uniform(12.0, 25.5)
-            r = E.mu_a_inverse(sig, y)
+            r = E.mu_a_inverse(sig.a, y)
             assert abs(E._mu_and_slope(sig, r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y)), (sig.a, y)
 
     def test_tolerance_floor_at_one_ulp_of_target(self):
@@ -431,7 +409,7 @@ class TestInverseNewton:
         rng = random.Random(20260)
         for y in [523.0400660893072] + [rng.uniform(y_lo, y_hi) for _ in range(500)]:
             r = E.mu_a_inverse(a, y)
-            assert abs(E._mu_and_slope(E.SignatureParam(a), r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
+            assert abs(E._mu_and_slope(E._memo_record(a), r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
 
 
 def _outcome(fn, *args):
@@ -455,7 +433,7 @@ class TestNomeInverse:
     def test_mu_residual_next_to_the_symmetry_value(self, a):
         # y = c (1 +- 10^-k): the direct path next to r = 1/sqrt(2), and
         # the reflected one through r'
-        c_sym = 0.5 * math.pi / E.SignatureParam(a).sin_pi_a
+        c_sym = 0.5 * math.pi / E._memo_record(a).sin_pi_a
         am = mp.mpf(a)
         worst = 0.0
         with mp.workdps(50):
@@ -471,14 +449,14 @@ class TestNomeInverse:
     def test_agrees_with_the_newton_solver(self, a):
         # from c_sym to the underflow edge: the Newton solver stops within
         # 1e-13 of y in mu, about 1e-13 relative in r
-        sig = E.SignatureParam(a)
+        sig = E._memo_record(a)
         c_sym = 0.5 * math.pi / sig.sin_pi_a
         edge = 0.5 * sig.r_a - math.log(sys.float_info.min)
         rng = random.Random(1300)
         ys = ([c_sym * (1.0 + 10.0 ** -rng.uniform(0.0, 16.0)) for _ in range(1000)]
               + [rng.uniform(c_sym, edge - 0.01) for _ in range(1000)])
         for y in ys:
-            r = E.mu_a_inverse(sig, y)
+            r = E.mu_a_inverse(a, y)
             assert abs(r / E._mu_inverse_lower(sig, y) - 1.0) <= 1e-13, y
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)

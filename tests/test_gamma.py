@@ -266,7 +266,7 @@ class TestDeTemple:
         assert gaps == [G.detemple(n).r_minus_gamma for n in range(1, n_max + 1)]
         assert gaps == G.detemple_gaps(40)[:n_max]
 
-    @pytest.mark.parametrize("n_max", [0, -3])
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5])
     def test_gaps_domain(self, n_max):
         with pytest.raises(DomainError):
             G.detemple_gaps(n_max)

@@ -4,7 +4,7 @@ import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specfun import elliptic, gamma, hyper, kernel
 from specfun.errors import ConstraintError, DomainError, ParameterError, RangeError
@@ -75,6 +75,16 @@ class TestF21:
         ref = float(mp.hyp2f1(a, b, c, x))
         got = hyper.hyp2f1(a, b, c, x)
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("a,b,c,x", [
+        (0.3, 3.0, 1.0, 0.9), (2.0, 1.5, 0.5, 0.9), (0.7, 2.5, 0.5, 0.8)])
+    def test_reflection_onto_a_terminating_series(self, a, b, c, x):
+        # c - a - b < 0 and x > 0.75: Euler's reflection leaves
+        # F(c-a, c-b; c; x) with c - b a negative integer, a polynomial
+        ref = float(mp.hyp2f1(a, b, c, x))
+        res = hyper.f21(HyperParams(a, b, c), x)
+        assert res.value == hyper.hyp2f1(a, b, c, x)
+        assert abs(res.value - ref) <= min(1e-14 * abs(ref), res.abs_err_estimate)
 
     def test_at_zero(self):
         assert hyper.f21(HyperParams(2.2, 0.3, 1.7), 0.0).value == 1.0
@@ -172,6 +182,8 @@ class TestF21:
     @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.3, 3.0),
            st.floats(0.0, 0.9), st.floats(0.001, 0.05))
     @settings(max_examples=150, deadline=None)
+    # d = c - a - b = -2: the reflection hands _dispatch c - b = -1 at x > 0.75
+    @example(a=1.0, b=1.9, c=0.8999999999999999, x=0.75, dx=0.03125)
     def test_increasing_in_argument(self, a, b, c, x, dx):
         # all series terms are positive for positive parameters
         assert hyper.hyp2f1(a, b, c, x + dx) >= hyper.hyp2f1(a, b, c, x)
@@ -657,7 +669,7 @@ class TestFloatOnlyLoops:
         worst_got, worst_ref = [0.0, 0.0], [0.0, 0.0]
         for _ in range(600):
             a, x = rng.uniform(0.001, 0.999), rng.uniform(0.0, 0.5)
-            got, ref = elliptic._mu_series(elliptic.SignatureParam(a), x), _ref_mu_series(a, x)
+            got, ref = elliptic._mu_series(elliptic._Signature(a), x), _ref_mu_series(a, x)
             for i in range(2):
                 assert abs(got[i] - ref[i]) <= math.ulp(ref[i]), (a, x, i)
             with mp.workdps(25):
