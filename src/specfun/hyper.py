@@ -27,7 +27,7 @@ positivity lemma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConstraintError, DomainError, ParameterError, RangeError
 from .gamma import EULER_GAMMA, digamma, gamma, log_gamma
@@ -71,25 +71,23 @@ def _check_params(a: float, b: float, c: float) -> None:
         raise ParameterError(f"c = {c} is a nonpositive integer")
 
 
-@dataclass(frozen=True)
-class HyperParams:
-    """(a, b, c) parameter triple: finite, and c must avoid the poles
-    0, -1, -2, ...  Raises DomainError or ParameterError."""
+class HyperParams(namedtuple("HyperParams", "a b c")):
+    """(a, b, c) parameter triple, an immutable namedtuple: finite, and c
+    must avoid the poles 0, -1, -2, ...  Raises DomainError or
+    ParameterError, also from ``_make`` and ``_replace``."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_params(self.a, self.b, self.c)
+    def __new__(cls, a, b, c):
+        _check_params(a, b, c)
+        return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    abs_err_estimate: float
-    terms_used: int
-    method: str
+EvalResult = namedtuple("EvalResult", "value abs_err_estimate terms_used method")
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -152,6 +150,13 @@ def _series(a, b, c, x):
     total = math.fsum(terms)  # s is finite, so is every term
     capped = small < 3
     err = abs(t) if capped else max(2.0 * abs(t), 4.0 * _EPS * abs(total))
+    if a < 0.0 or b < 0.0 or c < 0.0:
+        # terms of both signs: their own rounding, a few eps each, no longer
+        # stays small against the sum.  Signs change only while a + n, b + n
+        # or c + n < 0, so sum |t| <= |total| + 2 sum |t| over those first
+        # terms; all-positive terms skip this
+        head = math.fsum(map(abs, terms[:math.ceil(-min(a, b, c))]))
+        err += 2.0 * _EPS * (abs(total) + 2.0 * head)
     return total, err, int(n1)
 
 
@@ -264,7 +269,10 @@ def _dispatch(a, b, c, x, w):
         inner_v, inner_e, n, _ = _dispatch(c - a, c - b, c, x, w)
         scale = w ** d
         v = scale * inner_v
-        return v, scale * inner_e + 2.0 * _EPS * abs(v), n, "reflection_transform"
+        # d = c - a - b is off by up to eps (|a| + |b| + |c|), which w**d
+        # scales by |log w|
+        rounding = 2.0 + abs(math.log(w)) * (abs(a) + abs(b) + abs(c))
+        return v, scale * inner_e + rounding * _EPS * abs(v), n, "reflection_transform"
     m = round(d)
     if m >= 1 and abs(d - m) < _INT_SNAP:
         v, e, n = _near_one_int(a, b, c, int(m), w)

@@ -15,8 +15,7 @@ bisection takes over when it does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
 
 from .errors import BracketError, DomainError, IterationCapError
 
@@ -41,13 +40,7 @@ def _default_step(x: float, order: int) -> float:
     return 1e-2 * max(1.0, abs(x))
 
 
-def derivative(
-    f: Callable[[float], float],
-    x: float,
-    order: int = 1,
-    step: Optional[float] = None,
-    domain: Optional[tuple] = None,
-) -> float:
+def derivative(f, x: float, order: int = 1, step: float = None, domain: tuple = None) -> float:
     """Central-difference derivative of ``f`` at ``x`` of the given order.
 
     ``domain``, when given as (lo, hi), declares where ``f`` may be
@@ -77,13 +70,8 @@ def derivative(
     ) / (8.0 * h ** 3)
 
 
-@dataclass(frozen=True)
-class BracketRoot:
-    """Result of a bracketed inversion: |f(root) - target| <= tol."""
-
-    root: float
-    residual: float
-    iterations: int
+BracketRoot = namedtuple("BracketRoot", "root residual iterations")
+BracketRoot.__doc__ = """Result of a bracketed inversion, a namedtuple: |f(root) - target| <= tol."""
 
 
 def _residual(f, x: float, target: float):
@@ -92,13 +80,13 @@ def _residual(f, x: float, target: float):
 
 
 def invert_monotone(
-    f: Callable[[float], tuple],
+    f,
     target: float,
     bracket_lo: float,
     bracket_hi: float,
     tol: float = 1e-14,
     max_iter: int = 200,
-    x0: Optional[float] = None,
+    x0: float = None,
 ) -> BracketRoot:
     """Solve f(x) = target for strictly monotone f on [bracket_lo, bracket_hi].
 
@@ -185,31 +173,33 @@ def invert_monotone(
 _SPACINGS = ("linear", "logarithmic", "atanh")
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Evaluation grid on [lo, hi] with n strictly increasing points.
+class Grid(namedtuple("Grid", "lo hi n spacing")):
+    """Evaluation grid on [lo, hi] with n strictly increasing points, an
+    immutable namedtuple; ``_make`` and ``_replace`` validate too.
 
     Spacings: ``linear``, ``logarithmic`` (lo > 0), and ``atanh``
     (lo, hi inside (0,1); points cluster at both endpoints, which is where
     the sharp inequalities live).
     """
 
-    lo: float
-    hi: float
-    n: int
-    spacing: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n < 2:
+    def __new__(cls, lo, hi, n, spacing="linear"):
+        if not lo < hi:
+            raise DomainError(f"grid needs lo < hi, got [{lo}, {hi}]")
+        if n < 2:
             raise DomainError("grid needs n >= 2")
-        if self.spacing not in _SPACINGS:
-            raise DomainError(f"unknown spacing {self.spacing!r}; use one of {_SPACINGS}")
-        if self.spacing == "logarithmic" and self.lo <= 0.0:
+        if spacing not in _SPACINGS:
+            raise DomainError(f"unknown spacing {spacing!r}; use one of {_SPACINGS}")
+        if spacing == "logarithmic" and lo <= 0.0:
             raise DomainError("logarithmic spacing needs lo > 0")
-        if self.spacing == "atanh" and not (0.0 < self.lo < self.hi < 1.0):
+        if spacing == "atanh" and not (0.0 < lo < hi < 1.0):
             raise DomainError("atanh spacing needs 0 < lo < hi < 1")
+        return tuple.__new__(cls, (lo, hi, n, spacing))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def with_n(self, n: int) -> "Grid":
         return Grid(self.lo, self.hi, n, self.spacing)

@@ -20,8 +20,7 @@ transcription error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .errors import DomainError, UnknownIdentityError
 from .elliptic import phi_k_a
@@ -34,13 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModularIdentity:
-    id: str
-    signature_a: float
-    degrees: tuple  # per parameterization, the degrees of its moduli in order
-    residual_fn: Callable[..., float]  # takes those squared moduli positionally
-    anchor: str
+ModularIdentity = namedtuple("ModularIdentity", "id signature_a degrees residual_fn anchor")
+ModularIdentity.__doc__ = """A registered identity, as a namedtuple: ``degrees`` holds, per
+    parameterization, the degrees of its moduli in order, and ``residual_fn``
+    takes those squared moduli positionally."""
 
 
 _THIRD = 1.0 / 3.0

@@ -19,15 +19,11 @@ a suite is deterministic; results are sorted by check id.
 
 from __future__ import annotations
 
-import io
-import csv
 import json
 import math
 import random
 import time
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Callable, Optional, Union
+from collections import namedtuple
 
 from . import balls, elliptic, gamma, hyper, modular
 from .errors import DomainError
@@ -50,50 +46,40 @@ SUITES = ("gamma", "balls", "hyper", "elliptic", "modular")
 _KINDS = ("identity", "inequality", "monotonicity", "convexity", "bracket")
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    id: str
-    anchor: str
-    kind: str
-    grid: Union[Grid, tuple, range]
-    tolerance: float
-    evaluator: Callable[[float], float]
-    note: str = ""
+class CheckSpec(namedtuple("CheckSpec", "id anchor kind grid tolerance evaluator note")):
+    """One registered check, an immutable namedtuple: ``grid`` is a Grid,
+    a tuple or a range of points, ``evaluator`` maps a point to a float.
+    An unknown kind or a tolerance that is not positive raises
+    DomainError, also from ``_make`` and ``_replace``."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown check kind {self.kind!r}")
-        if not self.tolerance > 0.0:
+    __slots__ = ()
+
+    def __new__(cls, id, anchor, kind, grid, tolerance, evaluator, note=""):
+        if kind not in _KINDS:
+            raise DomainError(f"unknown check kind {kind!r}")
+        if not tolerance > 0.0:
             raise DomainError("tolerance must be positive")
+        return tuple.__new__(cls, (id, anchor, kind, grid, tolerance, evaluator, note))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    passed: bool
-    max_residual: float
-    argmax: float
-    points: int
-    elapsed_ms: float
+CheckResult = namedtuple("CheckResult", "id passed max_residual argmax points elapsed_ms")
+Report = namedtuple("Report", "created_at suite results summary")
 
 
-@dataclass(frozen=True)
-class Report:
-    created_at: str
-    suite: str
-    results: tuple
-    summary: dict
-
-
-def _points_for(spec: CheckSpec, grid_n: Optional[int]):
-    # only continuous grids resize; tuples and integer ranges keep their points
+def _points_for(spec: CheckSpec, grid_n):
+    # only continuous grids resize; tuples and integer ranges keep their
+    # points (Grid is a tuple too, so it is tested first)
     if isinstance(spec.grid, Grid):
         g = spec.grid if grid_n is None else spec.grid.with_n(int(grid_n))
         return g.points()
     return list(spec.grid)
 
 
-def run_check(spec: CheckSpec, grid_n: Optional[int] = None, tol_scale: float = 1.0) -> CheckResult:
+def run_check(spec: CheckSpec, grid_n: int = None, tol_scale: float = 1.0) -> CheckResult:
     if not 0.0 < tol_scale < math.inf:  # inf would pass every check, nan or <= 0 fail all
         raise DomainError(f"tol_scale must be positive and finite, got {tol_scale}")
     if grid_n is not None and not grid_n >= 2:
@@ -515,7 +501,7 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.corollary44", "u v1 + u1 v - v v1 equals its gamma quotient",
-        "identity", Grid(0.1, 0.9, 17), 1e-9, _max_over(cor_params, cor44),
+        "identity", Grid(0.1, 0.9, 17), 5e-14, _max_over(cor_params, cor44),
     ))
 
     def cor44_spread(i):
@@ -525,7 +511,7 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.corollary44_spread", "the product combination is z-independent",
-        "identity", range(len(cor_params)), 2e-9, cor44_spread,
+        "identity", range(len(cor_params)), 4e-14, cor44_spread,
     ))
 
     combo_params = ((0.5, 0.5, 1.0), (0.4, 0.8, 1.1), (0.3, 1.9, 1.6))
@@ -533,7 +519,7 @@ def _build_hyper():
     checks.append(CheckSpec(
         "hyper.wronskian_combo",
         "(c-a)(u v1 + u1 v) + (a-1) v v1 = [G(c)^2/(G(a)G(b))] (z(1-z))^(1-c)",
-        "identity", Grid(0.05, 0.95, 19), 1e-9,
+        "identity", Grid(0.05, 0.95, 19), 1e-13,
         _max_over(combo_params, lambda p, z: hyper.wronskian_combo_residual(*p, z)),
     ))
 
@@ -545,14 +531,14 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.elliott", "F1 F2 + F3 F4 - F2 F3 equals its gamma quotient",
-        "identity", range(len(elliott_draws)), 1e-9, elliott,
+        "identity", range(len(elliott_draws)), 1e-13, elliott,
     ))
 
     kummer_params = ((0.5, 0.5, 0.5), (0.4, 0.6, 0.5), (0.9, 0.8, 0.7))
 
     checks.append(CheckSpec(
         "hyper.kummer", "Kummer's two-product closed form",
-        "identity", Grid(0.05, 0.95, 50), 1e-8,
+        "identity", Grid(0.05, 0.95, 50), 1e-11,
         _max_over(kummer_params, lambda p, x: hyper.kummer_residual(*p, x)),
     ))
 
@@ -698,7 +684,7 @@ def _build_elliptic():
     checks.append(CheckSpec(
         "elliptic.legendre_generalized",
         "e_a k_a' + e_a' k_a - k_a k_a' = pi sin(pi a)/(4(1-a))",
-        "identity", Grid(0.02, 0.98, 64, "atanh"), 1e-10,
+        "identity", Grid(0.02, 0.98, 64, "atanh"), 2e-13,
         lambda r: max(abs(elliptic.generalized_legendre_residual(a, r)) for a in gen_as),
     ))
 
@@ -890,7 +876,9 @@ def build_checks(suite: str = "all"):
     return _BUILDERS[suite]()
 
 
-def run_suite(suite: str = "all", grid_n: Optional[int] = None, tol_scale: float = 1.0) -> Report:
+def run_suite(suite: str = "all", grid_n: int = None, tol_scale: float = 1.0) -> Report:
+    from datetime import datetime, timezone  # kept off the package's import
+
     specs = build_checks(suite)
     results = sorted(
         (run_check(s, grid_n=grid_n, tol_scale=tol_scale) for s in specs),
@@ -925,6 +913,9 @@ def serialize(report: Report, fmt: str = "json") -> bytes:
         }
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
+        import csv  # kept off the package's import, as datetime is
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(["id", "passed", "max_residual", "argmax", "points", "elapsed_ms"])

@@ -454,6 +454,22 @@ class TestLemmas:
         # decreasing branch on (-1, 0]
         assert G.lemma_h(-0.5) > G.lemma_h(-0.25) > G.lemma_h(0.0)
 
+    def test_lemma_h_large_x_against_mpmath(self):
+        # the x log x parts of the three terms cancel; above the switch at
+        # x = 20 they cancel on paper, so no digits are lost up to 1e300 and
+        # beyond (the direct sum returned 0.0 at 1e20 and inf at 1e300)
+        rng = random.Random(2020)
+        xs = ([10.0 ** rng.uniform(math.log10(20.0), 300.0) for _ in range(200)]
+              + [20.0, math.nextafter(20.0, 30.0), 21.0, 1e3, 1e6, 1e10, 1e15, 1e20, 1e300,
+                 1.7976931348623157e308])
+        worst = 0.0
+        for x in xs:
+            with mp.workdps(int(2 * math.log10(x)) + 40):
+                xm = mp.mpf(x)
+                ref = xm * xm * mp.psi(1, 1 + xm) - xm * mp.digamma(1 + xm) + mp.loggamma(1 + xm)
+                worst = max(worst, float(abs(G.lemma_h(x) / ref - 1)))
+        assert worst <= 1e-14
+
     def test_domains(self):
         with pytest.raises(DomainError):
             G.lemma_g(-1.0)

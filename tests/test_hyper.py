@@ -86,6 +86,21 @@ class TestF21:
         assert res.value == hyper.hyp2f1(a, b, c, x)
         assert abs(res.value - ref) <= min(1e-14 * abs(ref), res.abs_err_estimate)
 
+    def test_reflection_estimate_bounds_the_error(self):
+        # b = c + k reflects onto F(c-a, c-b; c; x) with c - b = -k, a
+        # terminating series with terms of both signs whose rounding the
+        # estimate must count; where c - (c + k) rounds off -k the series
+        # runs on, and the rounding of d = c - a - b, scaled by |log w|,
+        # dominates instead
+        rng = random.Random(6006)
+        for _ in range(600):
+            k = rng.randint(1, 4)
+            a, c = rng.uniform(0.05, 3.0), rng.uniform(0.1, 3.0)
+            b, x = c + k, rng.uniform(0.76, 0.999)
+            res = hyper.f21(HyperParams(a, b, c), x)
+            actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
+            assert actual <= res.abs_err_estimate, (a, b, c, x)
+
     def test_at_zero(self):
         assert hyper.f21(HyperParams(2.2, 0.3, 1.7), 0.0).value == 1.0
 
@@ -520,8 +535,10 @@ def _ref_series(a, b, c, x):
     comp = 0.0
     small = 0
     n = 0
+    sizes = [1.0]
     for n in range(hyper._MAX_TERMS):
         t *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        sizes.append(abs(t))
         y = t
         hi = s + y
         if abs(s) >= abs(y):
@@ -538,6 +555,8 @@ def _ref_series(a, b, c, x):
     total = s + comp
     capped = small < 3
     err = abs(t) if capped else max(2.0 * abs(t), 4.0 * _EPS * abs(total))
+    if min(a, b, c) < 0.0:  # terms of both signs add their own rounding
+        err += 2.0 * _EPS * (abs(total) + 2.0 * math.fsum(sizes[:math.ceil(-min(a, b, c))]))
     return total, err, n + 1
 
 
