@@ -819,7 +819,7 @@ def _build_elliptic():
     ))
 
     def schwarzian_decay(_):
-        h = 1e-2 * 0.25
+        h = 5e-3  # at 2.5e-3 the half step's stencil reads mu's last bits
         r1 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h))
         r2 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0))
         return r1 / r2 - 3.0

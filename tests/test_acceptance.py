@@ -217,7 +217,7 @@ def test_criterion_10_derivative_relations():
 
     worst_schwarz = max(abs(elliptic.schwarzian_residual(a, r))
                         for a in (0.5, 0.25) for r in (0.2, 0.5, 0.8))
-    h = 1e-2 * 0.25
+    h = 5e-3
     decay = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h)) / \
         abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0))
     ok = ok and worst_schwarz < 1e-3 and decay >= 3.0

@@ -636,10 +636,13 @@ class TestSchwarzian:
         assert abs(E.schwarzian_residual(0.5, 0.5)) < 5e-13
         assert abs(E.schwarzian_residual(0.25, 0.3)) < 5e-13
 
-    def test_step_halving_decay(self):
-        h = 1e-2 * 0.25
-        r1 = abs(E.schwarzian_residual(0.5, 0.5, step=h))
-        r2 = abs(E.schwarzian_residual(0.5, 0.5, step=h / 2.0))
+    @pytest.mark.parametrize("r", [0.3, 0.4, 0.5, 0.6, 0.7])
+    def test_step_halving_decay(self, r):
+        # at h = 2.5e-3 the half step's third difference reads mu's last
+        # bits, and the ratio falls below 3 at half the r in [0.3, 0.7]
+        h = 5e-3
+        r1 = abs(E.schwarzian_residual(0.5, r, step=h))
+        r2 = abs(E.schwarzian_residual(0.5, r, step=h / 2.0))
         assert 3.0 <= r1 / r2 <= 40.0
 
     def test_guard(self):
