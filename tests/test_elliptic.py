@@ -284,6 +284,48 @@ class TestRingModulus:
         for r in (1e-20, 1e-100, 1e-300, 5e-324):
             assert abs(E.mu_a(a, r) / (half_r_a - mp.log(r)) - 1) <= 1e-15, r
 
+    @pytest.mark.parametrize("a", [0.5, 0.25])
+    def test_nome_signatures_against_mpmath(self, a):
+        # Jacobi's nome series at a = 1/2 and 1/4 over the bulk, r from
+        # 1e-3 down to 1e-300 and 5e-324, and 1 - r down to 10^-15.5; below
+        # r = 1e-9 the reference is the asymptote, its O(r^2) under 1e-18
+        rng = random.Random(2121)
+        rs = ([rng.uniform(0.001, 0.999) for _ in range(500)]
+              + [10.0 ** -rng.uniform(3.0, 300.0) for _ in range(250)]
+              + [1.0 - 10.0 ** -rng.uniform(3.0, 15.5) for _ in range(250)]
+              + [5e-324, 0.7828])
+        am = mp.mpf(a)
+        worst = 0.0
+        with mp.workdps(50):
+            half_r_a = (-2 * mp.euler - mp.digamma(am) - mp.digamma(1 - am)) / 2
+            for r in rs:
+                if r < 1e-9:
+                    ref = half_r_a - mp.log(r)
+                else:
+                    x = mp.mpf(r) ** 2
+                    ref = (mp.pi / (2 * mp.sin(mp.pi * am))
+                           * mp.hyp2f1(am, 1 - am, 1, 1 - x) / mp.hyp2f1(am, 1 - am, 1, x))
+                worst = max(worst, float(abs(E.mu_a(a, r) / ref - 1)))
+        assert worst <= 5e-16
+
+    @pytest.mark.parametrize("a", [0.5, 0.25])
+    def test_nome_signatures_run_no_series(self, a, monkeypatch):
+        # mu_a and phi_k_a at a = 1/2 and 1/4 are closed forms in the nome,
+        # both ways: no 2F1, no table series and no AGM
+        E._memo_record(a)
+        calls = []
+        for name in ("hyp2f1", "_mu_series", "agm"):
+            def counted(*args, _name=name, _fn=getattr(E, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(E, name, counted)
+        for r in (5e-324, 1e-9, 0.3, math.sqrt(0.5), 0.9, 1.0 - 1e-15):
+            E.mu_a(a, r)
+        for r in (1e-6, 0.3, math.sqrt(0.5), 0.9, 0.999):
+            for big_k in (0.5, 2.0):
+                E.phi_k_a(a, big_k, r)
+        assert calls == []
+
     @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0])
     def test_roundtrip_through_the_inverse(self, a):
         # targets up to 700, so most roots lie below 1e-7
