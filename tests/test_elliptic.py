@@ -312,7 +312,6 @@ class TestRingModulus:
     def test_nome_signatures_run_no_series(self, a, monkeypatch):
         # mu_a and phi_k_a at a = 1/2 and 1/4 are closed forms in the nome,
         # both ways: no 2F1, no table series and no AGM
-        E._memo_record(a)
         calls = []
         for name in ("hyp2f1", "_mu_series", "agm"):
             def counted(*args, _name=name, _fn=getattr(E, name), **kwargs):
