@@ -4,12 +4,11 @@ Evaluation strategy (d = c - a - b):
 
 * x <= 0.75 — the defining series, terms by ratio recurrence, summed
   exactly rounded by ``math.fsum``.
-* x > 0.75, |d| ~ 0 — the zero-balanced logarithmic expansion in powers of
-  1 - x (the digamma series behind the R(a,b) asymptotic at x = 1).
+* x > 0.75, d ~ an integer m >= 0 — the logarithmic expansion in 1 - x,
+  a finite part of m terms plus a log(1-x) series; at m = 0 (zero-balanced)
+  the digamma series behind the R(a,b) asymptotic at x = 1.
 * x > 0.75, d a negative value — Euler reflection
   F = (1-x)^d F(c-a, c-b; c; x), then recurse (d flips sign).
-* x > 0.75, d ~ positive integer m — the logarithmic connection series
-  with the finite (1-m)_n part plus a log(1-x) series.
 * x > 0.75, otherwise — the two-sided linear connection formula in 1 - x
   with gamma-function coefficients.
 
@@ -160,68 +159,46 @@ def _series(a, b, c, x):
     return total, err, int(n1)
 
 
-def _zero_balanced(a, b, w):
-    """F(a, b; a+b; 1-w) by the logarithmic expansion in powers of w."""
-    pref = gamma(a + b) / (gamma(a) * gamma(b))
-    log_w = math.log(w)
-    pa, pb, pn = digamma(a), digamma(b), -EULER_GAMMA
-    coef = 1.0
-    s = 0.0
-    n = 0.0
-    for _ in _BLOCKS:  # blocks as in _series
-        for _ in _BLOCK_TERMS:
-            n1 = n + 1.0
-            term = coef * (2.0 * pn - pa - pb - log_w)
-            s += term
-            lim = _TERM_STOP * (s if s > 0.0 else -s)
-            if n > 2.0 and -lim < term < lim:
-                break
-            coef *= (a + n) * (b + n) / (n1 * n1) * w
-            pn += 1.0 / n1
-            pa += 1.0 / (a + n)
-            pb += 1.0 / (b + n)
-            n = n1
-        else:
-            if math.isfinite(s):
-                continue
-        break
-    if not math.isfinite(s):
-        raise OverflowError(f"zero-balanced 2F1 series at ({a}, {b}, 1 - {w}) leaves binary64")
-    value = pref * s
-    err = abs(pref) * abs(term) * 2.0 + 4.0 * _EPS * abs(value)
-    return value, err, int(n1)
-
-
-def _near_one_int(a, b, c, m, w):
-    """F(a, b; a+b+m; 1-w), m >= 1 integer: finite part plus log series."""
-    s1 = 0.0
+def _log_series(a, b, c, m, w):
+    """F(a, b; a+b+m; 1-w) for an integer m >= 0 (DLMF 15.8.10): a finite
+    part of m terms, none at m = 0, plus a series in w with log w in its
+    bracket.  The estimate is a bound, audited against mpmath: twice the
+    last term, 2 eps of each bracket (sum |coef| times |log w| plus the
+    largest digamma sum, read at the first and last terms: the sums rise
+    after their first step, and the coefficients after the first share one
+    sign), 16 eps of the gamma prefactors, and the drift of c - a - b off
+    m times the bracket size."""
+    s1 = s1_abs = 0.0
     coef = 1.0
     for n in range(m):
         if n > 0:
             coef *= (a + n - 1.0) * (b + n - 1.0) / (n * (n - m)) * w
         s1 += coef
-    p1 = math.factorial(m - 1) * gamma(c) / (gamma(a + m) * gamma(b + m)) * s1
+        s1_abs += abs(coef)
+    p1 = math.factorial(m - 1) * gamma(c) / (gamma(a + m) * gamma(b + m)) if m else 0.0
 
     log_w = math.log(w)
     pn = -EULER_GAMMA
-    pnm = digamma(m + 1.0)
-    pam = digamma(a + m)
-    pbm = digamma(b + m)
-    coef = 1.0 / math.factorial(m)
-    s2 = 0.0
-    am, bm, mf = a + m, b + m, float(m)
+    pnm = digamma(m + 1.0) if m else pn
+    am, bm, mf = a + m, b + m, m + 0.0
+    pam0 = pam = digamma(am)
+    pbm0 = pbm = digamma(bm)
+    coef0 = coef = 1.0 / math.factorial(m)
+    s2 = sc = 0.0
     n = 0.0
     for _ in _BLOCKS:  # blocks as in _series
         for _ in _BLOCK_TERMS:
             n1 = n + 1.0
-            term = coef * (log_w - pn - pnm + pam + pbm)
+            term = coef * (pn + pnm - pam - pbm - log_w)
             s2 += term
+            sc += coef
             lim = _TERM_STOP * (s2 if s2 > 0.0 else -s2)
             if n > 2.0 and -lim < term < lim:
                 break
-            coef *= (am + n) * (bm + n) / (n1 * (n1 + mf)) * w
+            nm = n1 + mf
+            coef *= (am + n) * (bm + n) / (n1 * nm) * w
             pn += 1.0 / n1
-            pnm += 1.0 / (n1 + mf)
+            pnm += 1.0 / nm
             pam += 1.0 / (am + n)
             pbm += 1.0 / (bm + n)
             n = n1
@@ -231,9 +208,14 @@ def _near_one_int(a, b, c, m, w):
         break
     if not math.isfinite(s2):
         raise OverflowError(f"2F1 log series at ({a}, {b}, {c}, 1 - {w}) leaves binary64")
-    pref2 = -((-1.0) ** m) * gamma(c) / (gamma(a) * gamma(b)) * w ** m
-    value = p1 + pref2 * s2
-    err = abs(pref2) * abs(term) * 2.0 + 4.0 * _EPS * (abs(p1) + abs(pref2 * s2))
+    pref = (-1.0) ** m * gamma(c) / (gamma(a) * gamma(b)) * w ** m
+    value = p1 * s1 + pref * s2
+    # the last pam, pbm lie 3 or more steps on, where psi > 0; c - a - b
+    # drifts off m by its rounding, or by the snap onto m
+    big = max(pnm, pam, pbm, abs(pam0), abs(pbm0)) - log_w
+    drift = abs(c - a - b - m) + _EPS * (abs(a) + abs(b) + abs(c))
+    err = abs(pref) * (2.0 * abs(term) + 2.0 * _EPS * (coef0 + abs(sc - coef0)) * big)
+    err += (16.0 * _EPS + drift * big) * (abs(p1) * s1_abs + abs(pref * s2))
     return value, err, int(n1) + m
 
 
@@ -262,8 +244,9 @@ def _dispatch(a, b, c, x, w):
     if w is None:
         w = 1.0 - x
     d = c - a - b
-    if abs(d) < _INT_SNAP:
-        v, e, n = _zero_balanced(a, b, w)
+    m = round(d)
+    if m >= 0 and abs(d - m) < _INT_SNAP:
+        v, e, n = _log_series(a, b, c, m, w)
         return v, e, n, "near_one_expansion"
     if d < 0.0:
         inner_v, inner_e, n, _ = _dispatch(c - a, c - b, c, x, w)
@@ -273,11 +256,7 @@ def _dispatch(a, b, c, x, w):
         # scales by |log w|
         rounding = 2.0 + abs(math.log(w)) * (abs(a) + abs(b) + abs(c))
         return v, scale * inner_e + rounding * _EPS * abs(v), n, "reflection_transform"
-    m = round(d)
-    if m >= 1 and abs(d - m) < _INT_SNAP:
-        v, e, n = _near_one_int(a, b, c, int(m), w)
-    else:
-        v, e, n = _connection(a, b, c, x, w)
+    v, e, n = _connection(a, b, c, x, w)
     return v, e, n, "near_one_expansion"
 
 
@@ -336,7 +315,8 @@ def hyp2f1_derivatives(a: float, b: float, c: float, x: float, one_minus_x: floa
 
 def f21(params: HyperParams, x: float, one_minus_x: float = None) -> EvalResult:
     """F(a, b; c; x) with an absolute error estimate, the branch taken and
-    the terms used; accepts, refuses and raises as ``hyp2f1`` does."""
+    the terms used; accepts, refuses and raises as ``hyp2f1`` does.  On the
+    log series (x > 0.75, integer c - a - b >= 0) it is an audited bound."""
     a, b, c = params.a, params.b, params.c
     x = _check_argument(a, b, c, x, one_minus_x)
     v, e, n, method = _dispatch(a, b, c, x, one_minus_x)
@@ -358,6 +338,13 @@ def ramanujan_R(a: float, b: float) -> float:
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"ramanujan_R needs a, b > 0, got ({a}, {b})")
     return -2.0 * EULER_GAMMA - digamma(a) - digamma(b)
+
+
+def _pair_values(a, b, c, z):
+    """u(z), u(1-z), v(z), v(1-z) for u = F(a-1,b;c;.), v = F(a,b;c;.)."""
+    y = 1.0 - z
+    return (hyp2f1(a - 1.0, b, c, z), hyp2f1(a - 1.0, b, c, y, z),
+            hyp2f1(a, b, c, z), hyp2f1(a, b, c, y, z))
 
 
 CONTIGUOUS_IDS = ("d_u", "d_v", "shift_c", "sym_combo", "b_shift")
@@ -394,11 +381,11 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
     if not 0.0 < z < 1.0:
         raise DomainError(f"z must be interior to (0, 1), got {z}")
 
-    def u(t, w=None):
-        return hyp2f1(a - 1.0, b, c, t, w)
+    def u(t):
+        return hyp2f1(a - 1.0, b, c, t)
 
-    def v(t, w=None):
-        return hyp2f1(a, b, c, t, w)
+    def v(t):
+        return hyp2f1(a, b, c, t)
 
     def du(t, w=None):
         return (a - 1.0) * b / c * hyp2f1(a, b + 1.0, c + 1.0, t, w)
@@ -418,7 +405,7 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
         return lhs - ((c - a) * u(z) + (a - c + b * z) * v(z))
     if which == "sym_combo":
         y = 1.0 - z
-        uz, u1, vz, v1 = u(z), u(y, z), v(z), v(y, z)
+        uz, u1, vz, v1 = _pair_values(a, b, c, z)
         duz, du1, dvz, dv1 = du(z), du(y, z), dv(z), dv(y, z)
         # d/dz of a value at 1-z is minus the derivative there
         dq = duz * v1 - uz * dv1 - du1 * vz + u1 * dvz - dvz * v1 + vz * dv1
@@ -439,11 +426,7 @@ def corollary44_value(a: float, c: float, z: float) -> float:
         raise DomainError(f"needs c >= 1, got {c}")
     if not 0.0 < z < 1.0:
         raise DomainError(f"z must be interior to (0, 1), got {z}")
-    b = 1.0 - a
-    uz = hyp2f1(a - 1.0, b, c, z)
-    u1 = hyp2f1(a - 1.0, b, c, 1.0 - z, one_minus_x=z)
-    vz = hyp2f1(a, b, c, z)
-    v1 = hyp2f1(a, b, c, 1.0 - z, one_minus_x=z)
+    uz, u1, vz, v1 = _pair_values(a, 1.0 - a, c, z)
     return uz * v1 + u1 * vz - vz * v1
 
 
@@ -461,10 +444,7 @@ def wronskian_combo_residual(a: float, b: float, c: float, z: float) -> float:
         raise DomainError("needs a, b > 0 and c >= 1")
     if not 0.0 < z < 1.0:
         raise DomainError(f"z must be interior to (0, 1), got {z}")
-    uz = hyp2f1(a - 1.0, b, c, z)
-    u1 = hyp2f1(a - 1.0, b, c, 1.0 - z, one_minus_x=z)
-    vz = hyp2f1(a, b, c, z)
-    v1 = hyp2f1(a, b, c, 1.0 - z, one_minus_x=z)
+    uz, u1, vz, v1 = _pair_values(a, b, c, z)
     big_a = gamma(c) ** 2 / (gamma(a) * gamma(b))
     lhs = (c - a) * (uz * v1 + u1 * vz) + (a - 1.0) * vz * v1
     return lhs - big_a * z ** (1.0 - c) * (1.0 - z) ** (1.0 - c)

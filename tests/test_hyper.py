@@ -101,6 +101,25 @@ class TestF21:
             actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
             assert actual <= res.abs_err_estimate, (a, b, c, x)
 
+    @pytest.mark.parametrize("family", ["zero_balanced", "integer_offset", "negative_a"])
+    def test_log_series_estimate_bounds_the_error(self, family):
+        # c - a - b an integer m >= 0 and x > 0.75 takes the log series;
+        # its estimate must cover the actual error and stay small
+        rng = random.Random(2026)
+        for _ in range(300):
+            if family == "negative_a":
+                m, a = rng.choice((0, 1, 2)), rng.uniform(-0.95, -0.05)
+                b = rng.uniform(max(0.05, 1.0 - a - m), 5.0)  # c >= 1
+            else:
+                m = 0 if family == "zero_balanced" else rng.choice((1, 2, 3))
+                a, b = rng.uniform(0.01, 5.0), rng.uniform(0.01, 5.0)
+            c, x = a + b + m, rng.uniform(0.76, 0.999)
+            res = hyper.f21(HyperParams(a, b, c), x)
+            assert res.method == "near_one_expansion"
+            actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
+            assert actual <= res.abs_err_estimate, (a, b, c, x)
+            assert res.abs_err_estimate <= 1e-10 * abs(res.value), (a, b, c, x)
+
     def test_at_zero(self):
         assert hyper.f21(HyperParams(2.2, 0.3, 1.7), 0.0).value == 1.0
 
@@ -520,11 +539,12 @@ class TestGrowthTransforms:
 
 # --- float-only term loops against the int-counter loops they replaced ---
 #
-# The references below are the earlier loops, kept as written: an int
-# counter, a Fast2Sum-compensated running sum in _series, and abs() in
-# the stop tests.  The float-only loops must use the same number of terms
-# and, apart from fsum rounding the exact sum where Fast2Sum falls short
-# of it, give the same bits.
+# The references below are the earlier loops: an int counter, a
+# Fast2Sum-compensated running sum in _series, and abs() in the stop
+# tests; the log-series reference sums its bracket in the library's order
+# and forms the same estimate.  The float-only loops must use the same
+# number of terms and, apart from fsum rounding the exact sum where
+# Fast2Sum falls short of it, give the same bits.
 
 _EPS = 2.220446049250313e-16
 
@@ -560,46 +580,27 @@ def _ref_series(a, b, c, x):
     return total, err, n + 1
 
 
-def _ref_zero_balanced(a, b, w):
-    pref = gamma.gamma(a + b) / (gamma.gamma(a) * gamma.gamma(b))
-    log_w = math.log(w)
-    pa, pb, pn = gamma.digamma(a), gamma.digamma(b), -gamma.EULER_GAMMA
-    coef = 1.0
-    s = 0.0
-    n = 0
-    for n in range(hyper._MAX_TERMS):
-        term = coef * (2.0 * pn - pa - pb - log_w)
-        s += term
-        if n > 2 and abs(term) < hyper._TERM_STOP * abs(s):
-            break
-        coef *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
-        pn += 1.0 / (n + 1)
-        pa += 1.0 / (a + n)
-        pb += 1.0 / (b + n)
-    value = pref * s
-    err = abs(pref) * abs(term) * 2.0 + 4.0 * _EPS * abs(value)
-    return value, err, n + 1
-
-
-def _ref_near_one_int(a, b, c, m, w):
-    s1 = 0.0
+def _ref_log_series(a, b, c, m, w):
+    s1 = s1_abs = 0.0
     coef = 1.0
     for n in range(m):
         if n > 0:
             coef *= (a + n - 1.0) * (b + n - 1.0) / (n * (n - m)) * w
         s1 += coef
-    p1 = math.factorial(m - 1) * gamma.gamma(c) / (gamma.gamma(a + m) * gamma.gamma(b + m)) * s1
+        s1_abs += abs(coef)
+    p1 = math.factorial(m - 1) * gamma.gamma(c) / (gamma.gamma(a + m) * gamma.gamma(b + m)) if m else 0.0
     log_w = math.log(w)
     pn = -gamma.EULER_GAMMA
-    pnm = gamma.digamma(m + 1.0)
-    pam = gamma.digamma(a + m)
-    pbm = gamma.digamma(b + m)
-    coef = 1.0 / math.factorial(m)
-    s2 = 0.0
+    pnm = gamma.digamma(m + 1.0) if m else pn
+    pam0 = pam = gamma.digamma(a + m)
+    pbm0 = pbm = gamma.digamma(b + m)
+    coef0 = coef = 1.0 / math.factorial(m)
+    s2 = sc = 0.0
     n = 0
     for n in range(hyper._MAX_TERMS):
-        term = coef * (log_w - pn - pnm + pam + pbm)
+        term = coef * (pn + pnm - pam - pbm - log_w)
         s2 += term
+        sc += coef
         if n > 2 and abs(term) < hyper._TERM_STOP * abs(s2):
             break
         coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
@@ -607,9 +608,12 @@ def _ref_near_one_int(a, b, c, m, w):
         pnm += 1.0 / (n + m + 1)
         pam += 1.0 / (a + m + n)
         pbm += 1.0 / (b + m + n)
-    pref2 = -((-1.0) ** m) * gamma.gamma(c) / (gamma.gamma(a) * gamma.gamma(b)) * w ** m
-    value = p1 + pref2 * s2
-    err = abs(pref2) * abs(term) * 2.0 + 4.0 * _EPS * (abs(p1) + abs(pref2 * s2))
+    pref = (-1.0) ** m * gamma.gamma(c) / (gamma.gamma(a) * gamma.gamma(b)) * w ** m
+    value = p1 * s1 + pref * s2
+    big = max(pnm, abs(pam0), abs(pam), abs(pbm0), abs(pbm)) - log_w
+    err = abs(pref) * (2.0 * abs(term) + 2.0 * _EPS * (coef0 + abs(sc - coef0)) * big)
+    drift = abs(c - a - b - m) + _EPS * (abs(a) + abs(b) + abs(c))
+    err += (16.0 * _EPS + drift * big) * (abs(p1) * s1_abs + abs(pref * s2))
     return value, err, n + m + 1
 
 
@@ -669,7 +673,8 @@ class TestFloatOnlyLoops:
             else:
                 a, b = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
             w = rng.uniform(0.001, 0.25)
-            assert _bits(hyper._zero_balanced(a, b, w)) == _bits(_ref_zero_balanced(a, b, w))
+            got = hyper._log_series(a, b, a + b, 0, w)
+            assert _bits(got) == _bits(_ref_log_series(a, b, a + b, 0, w))
 
     def test_near_one_int_is_bit_identical(self):
         rng = random.Random(11)
@@ -677,8 +682,25 @@ class TestFloatOnlyLoops:
             a, b = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
             m = rng.choice((1, 2, 3, 5))
             w = rng.uniform(0.001, 0.25)
-            got = hyper._near_one_int(a, b, a + b + m, m, w)
-            assert _bits(got) == _bits(_ref_near_one_int(a, b, a + b + m, m, w))
+            got = hyper._log_series(a, b, a + b + m, m, w)
+            assert _bits(got) == _bits(_ref_log_series(a, b, a + b + m, m, w))
+
+    @pytest.mark.parametrize("a,b,w,value,terms", [
+        (0.5, 0.5, 0.01, 2.352715816779743, 9),
+        (1.0 / 3.0, 2.0 / 3.0, 1e-06, 4.716991032291169, 4),
+        (0.25, 0.25, 0.2, 1.206640449366499, 20),
+        (4.9, 4.8, 0.21, 22.89554801905934, 44),
+        (0.01, 0.02, 0.24, 1.0095151535420621, 16),
+        (2.0, 3.0, 0.001, 53.295718788451865, 8),
+        (-0.5, 2.0, 0.1, -0.06464462035092955, 18),
+        (-0.95, 4.0, 0.0005, -0.418917076722434, 6),
+    ])
+    def test_zero_balanced_keeps_its_values(self, a, b, w, value, terms):
+        # the log series at m = 0 sums what the zero-balanced expansion
+        # summed before it, in the same order: values and term counts
+        # recorded from that expansion, bit for bit
+        res = hyper.f21(HyperParams(a, b, a + b), 1.0 - w, w)
+        assert (res.value, res.terms_used, res.method) == (value, terms, "near_one_expansion")
 
     def test_mu_series_within_one_ulp_of_the_recurrence(self):
         # the record's coefficients c_n are free of x, where the recurrence
@@ -733,10 +755,10 @@ def test_series_leaving_binary64_raises(a, b, c, x):
     lambda: hyper.hyp2f1(300.0, 300.0, 0.5, 0.7),
     lambda: hyper.hyp2f1(1e200, 1e200, 1.0, 0.5),
     lambda: hyper.hyp2f1(2.0, 3.0, 1e-310, 0.3),
-    # the two logarithmic series, driven past binary64 by an argument
-    # far outside their range
-    lambda: hyper._zero_balanced(2.0, 3.0, 1e300),
-    lambda: hyper._near_one_int(2.0, 3.0, 6.0, 1, 1e300),
+    # the logarithmic series at m = 0 and 1, driven past binary64 by an
+    # argument far outside its range
+    lambda: hyper._log_series(2.0, 3.0, 5.0, 0, 1e300),
+    lambda: hyper._log_series(2.0, 3.0, 6.0, 1, 1e300),
 ], ids=["series_a_b_300", "series_a_b_1e200", "series_c_1e-310", "zero_balanced", "near_one_int"])
 def test_overflow_raises_within_one_block(call):
     # finiteness is checked once per block of terms, not after the
