@@ -162,12 +162,13 @@ def _series(a, b, c, x):
 def _log_series(a, b, c, m, w):
     """F(a, b; a+b+m; 1-w) for an integer m >= 0 (DLMF 15.8.10): a finite
     part of m terms, none at m = 0, plus a series in w with log w in its
-    bracket.  The estimate is a bound, audited against mpmath: twice the
-    last term, 2 eps of each bracket (sum |coef| times |log w| plus the
-    largest digamma sum, read at the first and last terms: the sums rise
-    after their first step, and the coefficients after the first share one
-    sign), 16 eps of the gamma prefactors, and the drift of c - a - b off
-    m times the bracket size."""
+    bracket.  psi(n+1) + psi(n+m+1) is one running sum pp, which at m = 0
+    is 2 psi(n+1) bit for bit.  The estimate is audited against mpmath as
+    a bound: twice the last term, 2 eps of each bracket (sum |coef| times
+    |log w| plus the largest digamma sum, read at the first two and the
+    last terms: a + m and b + m exceed -1, so the sums fall at most over
+    their first step and then rise), 16 eps of the gamma prefactors, and
+    the drift of c - a - b off m times the bracket size."""
     s1 = s1_abs = 0.0
     coef = 1.0
     for n in range(m):
@@ -178,8 +179,7 @@ def _log_series(a, b, c, m, w):
     p1 = math.factorial(m - 1) * gamma(c) / (gamma(a + m) * gamma(b + m)) if m else 0.0
 
     log_w = math.log(w)
-    pn = -EULER_GAMMA
-    pnm = digamma(m + 1.0) if m else pn
+    pp = digamma(m + 1.0) - EULER_GAMMA if m else -2.0 * EULER_GAMMA
     am, bm, mf = a + m, b + m, m + 0.0
     pam0 = pam = digamma(am)
     pbm0 = pbm = digamma(bm)
@@ -189,16 +189,16 @@ def _log_series(a, b, c, m, w):
     for _ in _BLOCKS:  # blocks as in _series
         for _ in _BLOCK_TERMS:
             n1 = n + 1.0
-            term = coef * (pn + pnm - pam - pbm - log_w)
+            term = coef * (pp - pam - pbm - log_w)
             s2 += term
             sc += coef
             lim = _TERM_STOP * (s2 if s2 > 0.0 else -s2)
             if n > 2.0 and -lim < term < lim:
                 break
             nm = n1 + mf
-            coef *= (am + n) * (bm + n) / (n1 * nm) * w
-            pn += 1.0 / n1
-            pnm += 1.0 / nm
+            q = n1 * nm
+            coef *= (am + n) * (bm + n) / q * w
+            pp += (n1 + nm) / q
             pam += 1.0 / (am + n)
             pbm += 1.0 / (bm + n)
             n = n1
@@ -210,9 +210,9 @@ def _log_series(a, b, c, m, w):
         raise OverflowError(f"2F1 log series at ({a}, {b}, {c}, 1 - {w}) leaves binary64")
     pref = (-1.0) ** m * gamma(c) / (gamma(a) * gamma(b)) * w ** m
     value = p1 * s1 + pref * s2
-    # the last pam, pbm lie 3 or more steps on, where psi > 0; c - a - b
-    # drifts off m by its rounding, or by the snap onto m
-    big = max(pnm, pam, pbm, abs(pam0), abs(pbm0)) - log_w
+    # c - a - b drifts off m by its rounding, or by the snap onto m
+    dig = max(pp, pam, pbm, abs(pam0), abs(pbm0), abs(pam0 + 1.0 / am), abs(pbm0 + 1.0 / bm))
+    big = dig - log_w
     drift = abs(c - a - b - m) + _EPS * (abs(a) + abs(b) + abs(c))
     err = abs(pref) * (2.0 * abs(term) + 2.0 * _EPS * (coef0 + abs(sc - coef0)) * big)
     err += (16.0 * _EPS + drift * big) * (abs(p1) * s1_abs + abs(pref * s2))
