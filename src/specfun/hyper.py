@@ -196,9 +196,8 @@ def _log_series(a, b, c, m, w):
             if n > 2.0 and -lim < term < lim:
                 break
             nm = n1 + mf
-            q = n1 * nm
-            coef *= (am + n) * (bm + n) / q * w
-            pp += (n1 + nm) / q
+            coef *= (am + n) * (bm + n) / (n1 * nm) * w
+            pp += 1.0 / n1 + 1.0 / nm
             pam += 1.0 / (am + n)
             pbm += 1.0 / (bm + n)
             n = n1
@@ -208,7 +207,7 @@ def _log_series(a, b, c, m, w):
         break
     if not math.isfinite(s2):
         raise OverflowError(f"2F1 log series at ({a}, {b}, {c}, 1 - {w}) leaves binary64")
-    pref = (-1.0) ** m * gamma(c) / (gamma(a) * gamma(b)) * w ** m
+    pref = gamma(c) / (gamma(a) * gamma(b)) * (-w) ** m
     value = p1 * s1 + pref * s2
     # c - a - b drifts off m by its rounding, or by the snap onto m
     dig = max(pp, pam, pbm, abs(pam0), abs(pbm0), abs(pam0 + 1.0 / am), abs(pbm0 + 1.0 / bm))

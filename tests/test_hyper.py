@@ -607,9 +607,8 @@ def _ref_log_series(a, b, c, m, w):
         sc += coef
         if n > 2 and abs(term) < hyper._TERM_STOP * abs(s2):
             break
-        q = (n + 1.0) * (n + m + 1.0)
-        coef *= (a + m + n) * (b + m + n) / q * w
-        pp += ((n + 1.0) + (n + m + 1.0)) / q
+        coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
+        pp += 1.0 / (n + 1) + 1.0 / (n + m + 1)
         pam += 1.0 / (a + m + n)
         pbm += 1.0 / (b + m + n)
     pref = (-1.0) ** m * gamma.gamma(c) / (gamma.gamma(a) * gamma.gamma(b)) * w ** m
