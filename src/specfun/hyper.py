@@ -209,9 +209,9 @@ def _log_series(a, b, c, m, w):
         raise OverflowError(f"2F1 log series at ({a}, {b}, {c}, 1 - {w}) leaves binary64")
     pref = gamma(c) / (gamma(a) * gamma(b)) * (-w) ** m
     value = p1 * s1 + pref * s2
-    # c - a - b drifts off m by its rounding, or by the snap onto m
     dig = max(pp, pam, pbm, abs(pam0), abs(pbm0), abs(pam0 + 1.0 / am), abs(pbm0 + 1.0 / bm))
     big = dig - log_w
+    # c - a - b drifts off m by its rounding, or by the snap onto m
     drift = abs(c - a - b - m) + _EPS * (abs(a) + abs(b) + abs(c))
     err = abs(pref) * (2.0 * abs(term) + 2.0 * _EPS * (coef0 + abs(sc - coef0)) * big)
     err += (16.0 * _EPS + drift * big) * (abs(p1) * s1_abs + abs(pref * s2))

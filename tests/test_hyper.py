@@ -101,13 +101,14 @@ class TestF21:
             actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
             assert actual <= res.abs_err_estimate, (a, b, c, x)
 
-    @pytest.mark.parametrize("family,cap", [
-        ("zero_balanced", 1e-10), ("integer_offset", 1e-10), ("negative_a", 1e-10), ("snapped", 1e-7)])
-    def test_log_series_estimate_bounds_the_error(self, family, cap):
+    @pytest.mark.parametrize("family", ["zero_balanced", "integer_offset", "negative_a", "snapped"])
+    def test_log_series_estimate_bounds_the_error(self, family):
         # c - a - b within _INT_SNAP of an integer m >= 0 and x > 0.75 takes
         # the log series; its estimate must cover the actual error and stay
         # small.  The snapped family puts c up to 9e-11 off a + b + m, a
-        # drift the series does not correct and the estimate must count
+        # drift the series does not correct (up to 3e-10 |F|) and the
+        # estimate must count
+        cap = 1e-7 if family == "snapped" else 1e-10
         rng = random.Random(2026)
         for _ in range(300):
             if family == "negative_a":
