@@ -2,7 +2,7 @@
 
 Modules
 -------
-kernel    shared numeric substrate (stencils, bracketed inversion,
+kernel    shared numeric substrate (stencils, clamped Newton inversion,
           grids)
 gamma     gamma family, Euler-Mascheroni accelerations, sixth-root expansion
 balls     unit-ball volumes / sphere areas and their sharp inequalities

@@ -9,6 +9,7 @@ Omega_0 = 1 by the same formula; the ratio inequalities need it at n = 1.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import RangeError
 from .gamma import log_gamma
@@ -50,13 +51,19 @@ def log_ball_volume(n: int) -> float:
 
 
 def ball_volume(n: int) -> float:
-    """Volume Omega_n of the unit ball in R^n."""
-    return math.exp(log_ball_volume(n))
+    """Volume Omega_n of the unit ball in R^n.  RangeError where Omega_n
+    falls below the smallest normal float, from n = 436 on: use
+    log_ball_volume there."""
+    v = math.exp(log_ball_volume(n))
+    if v < sys.float_info.min:
+        raise RangeError(f"Omega_{n} is below the smallest normal float; use log_ball_volume")
+    return v
 
 
 def sphere_area(n_minus_1: int) -> float:
     """Surface area omega_(n-1) of the unit sphere S^(n-1) = n Omega_n, for
-    n - 1 in [0, 9999] (Omega_n needs n <= 10^4)."""
+    n - 1 in [0, 9999] (Omega_n needs n <= 10^4); RangeError from
+    n - 1 = 435 on, where ball_volume raises."""
     n = _check_range(n_minus_1, hi=_N_MAX - 1) + 1
     return n * ball_volume(n)
 

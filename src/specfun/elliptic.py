@@ -27,6 +27,9 @@ log r from mu_a(r) ~ R_a/2 - log r (taken to three terms), with the slope
 
 (Anderson-Qiu-Vamanamurthy-Vuorinen), whose F is the denominator of mu_a,
 so each step costs one mu_a evaluation; most solves take one or two.
+r'^2 F^2 decreases (Anderson-Vamanamurthy-Vuorinen 1997), so mu_a is
+concave decreasing in log r and Newton clamped to r <= 1/sqrt(2) needs
+no bracket.
 From y = R_a/2 + 12 on (roots below about e^-12) the three-term start is
 itself the root, the terms it drops below e^(-72), and from R_a/2 + 25
 on the one-term exp(R_a/2 - y).
@@ -362,7 +365,6 @@ _ASYM_MARGIN = 25.0  # use the log asymptote once -log(root) exceeds this
 _START_MARGIN = 12.0  # the three-term start is the root once -log(root) exceeds this
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_HALF = math.log(_SQRT_HALF)
-_LOG_BRACKET = (math.log(1e-15), math.log(_SQRT_HALF + 0.01))
 
 
 def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
@@ -391,16 +393,16 @@ def _mu_inverse_lower(sig: _Signature, y: float) -> float:
         # mu_a(r) = R_a/2 - log r + O(r^2); the dropped term is below
         # e^(-2*margin) here, far under roundoff
         return math.exp(r_half - y)
-    # the root lies at or below 1/sqrt(2); the start may overshoot it there
-    t0 = min(_mu_inverse_start(sig.a, y, r_half), _LOG_SQRT_HALF)
+    t0 = _mu_inverse_start(sig.a, y, r_half)
     if y >= r_half + _START_MARGIN:
         # the start drops terms of order r^6 < e^(-72), with a coefficient
         # bounded in a: its residual is within max(1e-13, ulp(y)) already
         return math.exp(t0)
     # from y = 512 on one ulp of y exceeds _INVERT_TOL, so no r could meet it
     tol = max(_INVERT_TOL, math.ulp(y))
+    # the start may overshoot the root, which lies at or below 1/sqrt(2)
     res = kernel.invert_monotone(
-        lambda t: _mu_and_slope(sig, math.exp(t)), y, *_LOG_BRACKET, tol=tol, x0=t0
+        lambda t: _mu_and_slope(sig, math.exp(t)), y, t0, _LOG_SQRT_HALF, tol=tol
     )
     return math.exp(res.root)
 
@@ -464,7 +466,8 @@ def mu_a_inverse(a, y: float) -> float:
     closed form in the nome exp(-2y), within a few ulp, with no mu_a
     evaluation.  Any other a runs Newton to within max(1e-13, ulp(y)) of
     y, but from y = R_a/2 + 12 on returns the three-term asymptote's root
-    and from R_a/2 + 25 on exp(R_a/2 - y).
+    and from R_a/2 + 25 on exp(R_a/2 - y); IterationCapError if Newton
+    has not converged after 200 mu_a evaluations.
     """
     sig = _memo_record(a)
     if not y > 0.0:
@@ -492,7 +495,8 @@ def mu_a_inverse(a, y: float) -> float:
 
 def phi_k_a(a, big_k: float, r: float) -> float:
     """Modular function: the s with mu_a(s) = mu_a(r) / K, from one mu_a
-    evaluation and mu_a_inverse (closed form at a = 1/2, 1/4, 1/3, 1/6)."""
+    evaluation and mu_a_inverse (closed form at a = 1/2, 1/4, 1/3, 1/6),
+    whose BracketError and IterationCapError it passes on."""
     sig = _memo_record(a)
     if not big_k > 0.0:
         raise DomainError(f"phi_k_a needs K > 0, got {big_k}")

@@ -1,15 +1,13 @@
 """Shared numeric substrate.
 
-Central-difference stencils, a bracketed monotone root finder, and grid
-generation.  Everything here is a pure function of its inputs and safe
-to call from any number of threads.  Exact summation is not wrapped
-here: the library calls math.fsum directly.
+Central-difference stencils, a Newton root finder for monotone functions
+of one sign of curvature, and grid generation.  Everything here is a pure
+function of its inputs and safe to call from any number of threads.
+Exact summation is not wrapped here: the library calls math.fsum directly.
 
 The root finder takes Newton steps from the slope the function returns
-with its value.  From a good start point, plain Newton finds the root
-without evaluating the bracket ends; otherwise each step is accepted only
-while it stays inside the current bracket and shrinks fast enough, and
-bisection takes over when it does not.
+with its value, each clamped to x <= x_max.  It needs no bracket: the
+curvature keeps every iterate after the first on one side of the root.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import BracketError, DomainError, IterationCapError
+from .errors import DomainError, IterationCapError
 
 __all__ = [
     "BracketRoot",
@@ -71,103 +69,47 @@ def derivative(f, x: float, order: int = 1, step: float = None, domain: tuple = 
 
 
 BracketRoot = namedtuple("BracketRoot", "root residual iterations")
-BracketRoot.__doc__ = """Result of a bracketed inversion, a namedtuple: |f(root) - target| <= tol."""
-
-
-def _residual(f, x: float, target: float):
-    v, slope = f(x)
-    return v - target, slope
+BracketRoot.__doc__ = """Result of invert_monotone, a namedtuple: |f(root) - target| <= tol."""
 
 
 def invert_monotone(
     f,
     target: float,
-    bracket_lo: float,
-    bracket_hi: float,
+    x0: float,
+    x_max: float,
     tol: float = 1e-14,
     max_iter: int = 200,
-    x0: float = None,
 ) -> BracketRoot:
-    """Solve f(x) = target for strictly monotone f on [bracket_lo, bracket_hi].
+    """Solve f(x) = target by Newton from x0, each iterate clamped to x <= x_max.
 
-    ``f`` returns the pair (f(x), f'(x)).  Given a start point ``x0``
-    strictly inside the bracket, plain Newton steps run from x0 while each
-    lands strictly inside the bracket and at least halves the residual, so
-    a good start finds the root without evaluating the bracket ends.
-    Otherwise both ends are evaluated (BracketError if they do not enclose
-    the target) and safeguarded Newton goes on from the best point so far:
-    a step is accepted while it lands strictly inside the current bracket
-    and is no longer than half the previous step, and bisection takes its
-    place when it does not.  A slope that is wrong, even in sign, zero or
-    NaN, therefore still converges.  Tolerance is measured in function
-    space; ``iterations`` counts the evaluations other than the two
-    bracket ends.
+    ``f`` returns the pair (f(x), f'(x)) and is concave decreasing or
+    convex increasing on x <= x_max, with the root there.  A Newton step
+    from any point then lands at or right of the root, or is clamped to
+    x_max, and from there the iterates fall monotonically onto it, so
+    only the first step may cross the target.  A later step that crosses
+    it without shrinking the residual was sent there by rounding in f;
+    from then on the last two points, one on each side of the target,
+    are bisected.  Tolerance is measured in function space;
+    ``iterations`` counts the evaluations of f.  Raises IterationCapError
+    after max_iter evaluations.
     """
-    a, b = float(bracket_lo), float(bracket_hi)
-    if not a < b:
-        raise BracketError(f"empty bracket [{a}, {b}]")
-    it = 0
-    seed = None
-    if x0 is not None and a < x0 < b:
-        x = float(x0)
-        fx, dx = _residual(f, x, target)
-        it = 1
-        while abs(fx) > tol and it < max_iter:
-            cand = x - fx / dx if dx else math.nan
-            if not a < cand < b:
-                break
-            fc, dc = _residual(f, cand, target)
-            it += 1
-            stalled = not abs(fc) <= 0.5 * abs(fx)
-            if abs(fc) < abs(fx):
-                x, fx, dx = cand, fc, dc
-            if stalled:
-                break
-        if abs(fx) <= tol:
-            return BracketRoot(x, fx, it)
-        seed = (x, fx, dx)
-
-    fa, _ = _residual(f, a, target)
-    fb, db = _residual(f, b, target)
-    if fa * fb > 0.0:
-        endpoint = a if abs(fa) < abs(fb) else b
-        raise BracketError(
-            f"target {target} not enclosed: f({a})-t={fa}, f({b})-t={fb}",
-            saturating_endpoint=endpoint,
-        )
-    if abs(fa) <= tol:
-        return BracketRoot(a, fa, it)
-    if abs(fb) <= tol:
-        return BracketRoot(b, fb, it)
-
-    x_cur, f_cur, d_cur = b, fb, db
-    if seed is not None:
-        x_cur, f_cur, d_cur = seed
-        if fa * f_cur < 0.0:
-            b = x_cur
-        else:
-            a, fa = x_cur, f_cur
-    step = b - a
-    for it in range(it + 1, max_iter + 1):
-        cand = x_cur - f_cur / d_cur if d_cur else math.nan
-        # land strictly inside the bracket, at most half the last step, so a
-        # too-steep slope cannot crawl
-        if a < cand < b and abs(cand - x_cur) <= 0.5 * abs(step):
-            x_new = cand
-        else:
-            x_new = 0.5 * (a + b)
-        step = x_new - x_cur
-        fx, dx = _residual(f, x_new, target)
-        if abs(fx) <= tol:
-            return BracketRoot(x_new, fx, it)
-        if fa * fx < 0.0:
-            b = x_new
-        else:
-            a, fa = x_new, fx
-        x_cur, f_cur, d_cur = x_new, fx, dx
-    raise IterationCapError(
-        f"no convergence to tol={tol} after {max_iter} iterations; last residual {f_cur}"
-    )
+    x = min(x0, x_max)
+    fx, dx = f(x)
+    fx -= target
+    it, other = 1, None
+    while not abs(fx) <= tol:
+        if it >= max_iter:
+            raise IterationCapError(
+                f"no convergence to tol={tol} after {max_iter} iterations; last residual {fx}"
+            )
+        cand = min(x - fx / dx, x_max) if other is None else 0.5 * (x + other)
+        fc, dc = f(cand)
+        fc -= target
+        it += 1
+        if fc * fx < 0.0 and (other is not None or it > 2 and not abs(fc) < abs(fx)):
+            other = x
+        x, fx, dx = cand, fc, dc
+    return BracketRoot(x, fx, it)
 
 
 _SPACINGS = ("linear", "logarithmic", "atanh")

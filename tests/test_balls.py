@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,12 @@ class TestVolumes:
         assert abs(balls.ball_volume(20) - ref) <= 1e-12 * ref
 
     def test_high_dimension_no_overflow(self):
-        # the volume itself underflows binary64 near n ~ 260; the log-space
-        # value stays finite and exact all the way up
-        assert balls.ball_volume(250) > 0.0
-        assert balls.ball_volume(10_000) == 0.0
+        # the volume itself leaves the normal range of binary64 at n = 436,
+        # where it raises; the log-space value stays finite all the way up
+        assert balls.ball_volume(435) >= sys.float_info.min
+        for n in (436, 452, 453, 10_000):
+            with pytest.raises(RangeError, match=rf"Omega_{n} is below the smallest normal float"):
+                balls.ball_volume(n)
         lv = balls.log_ball_volume(10_000)
         assert math.isfinite(lv) and lv < -30_000.0
 
@@ -47,7 +50,10 @@ class TestSurface:
         assert abs(balls.sphere_area(1) - 2.0 * PI) < 1e-13
         assert abs(balls.sphere_area(2) - 4.0 * PI) < 1e-13
         assert abs(balls.sphere_area(9) - 10.0 * balls.ball_volume(10)) < 1e-13
-        assert balls.sphere_area(9999) == 10_000 * balls.ball_volume(10_000)
+        assert balls.sphere_area(434) == 435 * balls.ball_volume(435)
+        for n_minus_1 in (435, 9999):
+            with pytest.raises(RangeError):
+                balls.sphere_area(n_minus_1)
 
     @given(st.integers(1, 250))
     @settings(max_examples=60)

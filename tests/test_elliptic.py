@@ -452,6 +452,47 @@ class TestInverseNewton:
             r = E.mu_a_inverse(a, y)
             assert abs(E._mu_and_slope(E._memo_record(a), r)[0] - y) <= max(E._INVERT_TOL, math.ulp(y))
 
+    @pytest.mark.parametrize("seed", [2026, 7, 11])
+    def test_general_a_audit(self, seed, monkeypatch):
+        # a across (0, 1), a quarter of the targets at a = 0.001 or 0.999,
+        # where y reaches 512 and mu's rounding, about 2 ulp of y, exceeds
+        # the tolerance: there Newton steps stall across the target and
+        # the solver bisects.  (0.001, 500.4074428411587) is one of those
+        mu_and_slope = E._mu_and_slope
+        calls = [0]
+
+        def counted(sig, r):
+            calls[0] += 1
+            return mu_and_slope(sig, r)
+
+        monkeypatch.setattr(E, "_mu_and_slope", counted)
+        rng = random.Random(seed)
+        targets = []
+        for _ in range(4000):
+            u = rng.random()
+            a = 0.001 if u < 0.125 else 0.999 if u < 0.25 else rng.uniform(0.001, 0.999)
+            sig = E._memo_record(a)
+            c_sym = 0.5 * math.pi / sig.sin_pi_a
+            targets.append((a, rng.uniform(c_sym, 0.5 * sig.r_a + E._START_MARGIN)))
+        counts = []
+        for a, y in targets + [(0.001, 500.4074428411587)]:
+            calls[0] = 0
+            r = E.mu_a_inverse(a, y)
+            counts.append(calls[0])
+            residual = abs(mu_and_slope(E._memo_record(a), r)[0] - y)
+            assert residual <= max(E._INVERT_TOL, math.ulp(y)), (a, y)
+        assert sum(counts) / len(counts) <= 1.7
+        assert max(counts) <= 12
+
+    @pytest.mark.parametrize("a", [0.001, 0.999] + [i / 40 for i in range(1, 40)])
+    def test_newton_slope_factor_decreases(self, a):
+        # d mu_a / d(log r) = -1 / (r'^2 F^2): r'^2 F(a,1-a;1;r^2)^2 strictly
+        # decreasing makes mu_a concave decreasing in log r, which lets the
+        # Newton solve run with no bracket
+        sig = E._memo_record(a)
+        g = [-1.0 / E._mu_and_slope(sig, k / 400 * math.sqrt(0.5))[1] for k in range(1, 401)]
+        assert all(g1 < g0 for g0, g1 in zip(g, g[1:]))
+
 
 def _outcome(fn, *args):
     # the value of a call, or the endpoint of the BracketError it raises
