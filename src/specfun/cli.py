@@ -5,7 +5,9 @@
     specfun table (theta | gamma-const)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-Numbers print in shortest round-trip decimal.
+verify names each failed check on stderr as
+``FAIL <id> max_residual=<r> argmax=<x>``.  Numbers print in shortest
+round-trip decimal.
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ def _cmd_verify(args) -> int:
     except DomainError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
+    for r in report.results:
+        if not r.passed:
+            print(f"FAIL {r.id} max_residual={r.max_residual!r} argmax={r.argmax!r}",
+                  file=sys.stderr)
     if args.json_path:
         payload = verify.serialize(report, "json")
         target = args.json_path

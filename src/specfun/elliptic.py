@@ -31,8 +31,8 @@ r'^2 F^2 decreases (Anderson-Vamanamurthy-Vuorinen 1997), so mu_a is
 concave decreasing in log r and Newton clamped to r <= 1/sqrt(2) needs
 no bracket.
 From y = R_a/2 + 12 on (roots below about e^-12) the three-term start is
-itself the root, the terms it drops below e^(-72), and from R_a/2 + 25
-on the one-term exp(R_a/2 - y).
+itself the root, the terms it drops below e^(-72); from R_a/2 + 25 on it
+is exp(R_a/2 - y) bit for bit, its correction below half an ulp of log r.
 
 The two constants of a that mu_a and its inverse need, R_a and
 sin(pi a), are computed once per a on a private record, and so are the
@@ -361,7 +361,6 @@ def mu_a(a, r: float) -> float:
 
 
 _INVERT_TOL = 1e-13
-_ASYM_MARGIN = 25.0  # use the log asymptote once -log(root) exceeds this
 _START_MARGIN = 12.0  # the three-term start is the root once -log(root) exceeds this
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_HALF = math.log(_SQRT_HALF)
@@ -389,10 +388,6 @@ def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
 def _mu_inverse_lower(sig: _Signature, y: float) -> float:
     # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on underflow
     r_half = 0.5 * sig.r_a
-    if y >= r_half + _ASYM_MARGIN:
-        # mu_a(r) = R_a/2 - log r + O(r^2); the dropped term is below
-        # e^(-2*margin) here, far under roundoff
-        return math.exp(r_half - y)
     t0 = _mu_inverse_start(sig.a, y, r_half)
     if y >= r_half + _START_MARGIN:
         # the start drops terms of order r^6 < e^(-72), with a coefficient
@@ -465,9 +460,10 @@ def mu_a_inverse(a, y: float) -> float:
     At a = 0.5, 0.25, 1/3 and 1/6 (these floats exactly) the root is a
     closed form in the nome exp(-2y), within a few ulp, with no mu_a
     evaluation.  Any other a runs Newton to within max(1e-13, ulp(y)) of
-    y, but from y = R_a/2 + 12 on returns the three-term asymptote's root
-    and from R_a/2 + 25 on exp(R_a/2 - y); IterationCapError if Newton
-    has not converged after 200 mu_a evaluations.
+    y, but from y = R_a/2 + 12 on returns the three-term asymptote's root,
+    which from R_a/2 + 25 on is exp(R_a/2 - y) bit for bit;
+    IterationCapError if Newton has not converged after 200 mu_a
+    evaluations.
     """
     sig = _memo_record(a)
     if not y > 0.0:
@@ -486,7 +482,7 @@ def mu_a_inverse(a, y: float) -> float:
             )
         return root
     root = lower(sig, y)
-    if root < sys.float_info.min:
+    if not root >= sys.float_info.min:  # NaN too: y = inf starts Newton at inf - inf
         raise BracketError(
             f"mu_a^-1({y}) underflows binary64", saturating_endpoint=0.0
         )

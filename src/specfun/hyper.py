@@ -219,7 +219,9 @@ def _log_series(a, b, c, m, w):
 
 
 def _connection(a, b, c, x, w):
-    """Linear connection in 1-x; needs d = c-a-b away from the integers."""
+    """Linear connection in 1-x; needs d = c-a-b away from the integers.
+    The estimate adds the series' own, 4 eps of the two products and the
+    rounding of d, audited against mpmath as a bound."""
     d = c - a - b
     f1, e1, n1 = _series(a, b, 1.0 - d, w)
     f2, e2, n2 = _series(c - a, c - b, 1.0 + d, w)
@@ -227,7 +229,10 @@ def _connection(a, b, c, x, w):
     g1 = gc * gamma(d) / (gamma(c - a) * gamma(c - b))
     g2 = gc * gamma(-d) / (gamma(a) * gamma(b)) * w ** d
     value = g1 * f1 + g2 * f2
-    err = abs(g1) * e1 + abs(g2) * e2 + 4.0 * _EPS * (abs(g1 * f1) + abs(g2 * f2))
+    # d is off by up to eps (|a| + |b| + |c|), which Gamma(d) and Gamma(-d)
+    # amplify by about 1/dist(d, Z), w^d by |log w| and each series by ~1
+    drift = (abs(a) + abs(b) + abs(c)) * (1.0 / abs(d - round(d)) + abs(math.log(w)) + 2.0)
+    err = abs(g1) * e1 + abs(g2) * e2 + (4.0 + drift) * _EPS * (abs(g1 * f1) + abs(g2 * f2))
     return value, err, n1 + n2
 
 

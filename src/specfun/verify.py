@@ -366,8 +366,8 @@ def _build_balls():
         "perturbing each sharp constant by 1e-3 in the favorable direction breaks it",
         "identity", range(5), 0.5, sharpness_probe,
         note="the sqrt(e), A = 1/2 and beta = 1/2 constants are approached too "
-             "slowly to violate within n <= 200; their perturbations are "
-             "reported by the sharpness script as warnings instead",
+             "slowly to violate within n <= 200: perturbed by 1e-3 they still "
+             "hold there, so no probe on this range shows their sharpness",
     ))
     return checks
 
@@ -722,7 +722,9 @@ def _build_elliptic():
         "exponent 3/4 + 1e-3 already fails on a refined grid (near r -> 0)",
         "identity", (0.0,), 0.5, arth_exponent_sharp,
         note="the bound degrades at the origin, not at r -> 1: both sides expand "
-             "as 1 + q r^2/3 versus 1 + r^2/4 there",
+             "as 1 + q r^2/3 versus 1 + r^2/4 there; the upper exponent 1, "
+             "lowered by 1e-3, fails only where log(4/r') exceeds (pi/2)^1000: "
+             "no binary64 grid shows its sharpness",
     ))
 
     checks.append(CheckSpec(
@@ -734,6 +736,9 @@ def _build_elliptic():
         "elliptic.klog_qiu_vamanamurthy", "K(r)/log(4/r') < 1 + (r')^2/4",
         "inequality", _BATTERY_GRID, 1e-12,
         lambda r: 1.0 + 0.25 * (1.0 - r) * (1.0 + r) - _klog_ratio(r),
+        note="the ratio is 1 + (r')^2 (1 - 1/log(4/r'))/4 + ... as r -> 1, so "
+             "the quarter, lowered by 1e-3, fails only for r' below about "
+             "e^-1000: no grid in binary64 shows its sharpness",
     ))
     checks.append(CheckSpec(
         "elliptic.klog_alzer", "1 + (pi/(4 log 2) - 1)(r')^2 < K(r)/log(4/r')",

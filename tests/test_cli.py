@@ -121,6 +121,21 @@ class TestVerify:
                              "--tol-scale", "1e-9")
         assert code == 1
 
+    def test_each_failed_check_is_named_on_stderr(self, tmp_path, capsys):
+        # a CI log names the failing checks without opening the report
+        target = tmp_path / "rep.json"
+        code, _, err = run_cli(capsys, "verify", "--tol-scale", "1e-9", "--json", str(target))
+        assert code == 1
+        failed = {r["id"]: r for r in json.loads(target.read_text())["results"] if not r["passed"]}
+        lines = err.splitlines()
+        assert failed and len(lines) == len(failed)
+        for line in lines:
+            tag, check_id, residual, argmax = line.split(" ")
+            assert tag == "FAIL"
+            assert residual == f"max_residual={failed[check_id]['max_residual']!r}"
+            assert argmax == f"argmax={failed[check_id]['argmax']!r}"
+        assert {line.split(" ")[1] for line in lines} == set(failed)
+
     @pytest.mark.parametrize("option,value", [
         ("--tol-scale", "nan"), ("--tol-scale", "inf"), ("--tol-scale", "-1"),
         ("--tol-scale", "0"), ("--grid", "1"), ("--grid", "0"), ("--grid", "-5"),
@@ -164,19 +179,3 @@ def test_module_entry_point_runs_cli_once():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert float(proc.stdout.split()[0]) == gamma.gamma(0.5)
-
-
-@pytest.mark.parametrize("option,value", [("--tol-scale", "inf"), ("--grid", "1")])
-def test_run_verification_script_usage_error(tmp_path, option, value):
-    # exit 1 means a check failed; an option verify refuses is exit 2, as in
-    # ``specfun verify``, and no report is written
-    src = os.path.dirname(os.path.dirname(specfun.__file__))
-    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
-    outdir = tmp_path / "reports"
-    proc = subprocess.run(
-        [sys.executable, script, "--suite", "balls", option, value, "--outdir", str(outdir)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
-    assert not outdir.exists()

@@ -400,7 +400,7 @@ class TestInverseNewton:
         # targets from just above the symmetry value, where the start is
         # poorest, up to the asymptote cut-off; denser near the former
         y_lo = 0.5 * math.pi / math.sin(math.pi * a) * (1.0 + 1e-9)
-        y_hi = 0.5 * hyper.ramanujan_R(a, 1.0 - a) + E._ASYM_MARGIN
+        y_hi = 0.5 * hyper.ramanujan_R(a, 1.0 - a) + 25.0
         n = 400
         counts = []
         for i in range(n):
@@ -425,14 +425,24 @@ class TestInverseNewton:
         monkeypatch.setattr(kernel, "invert_monotone", counted)
         r_half = 0.5 * E._memo_record(a).r_a
         for i in range(200):
-            E.mu_a_inverse(a, r_half + E._START_MARGIN + (E._ASYM_MARGIN - E._START_MARGIN) * i / 200)
+            E.mu_a_inverse(a, r_half + E._START_MARGIN + (700.0 - E._START_MARGIN) * i / 200)
         assert calls[0] == 0
         E.mu_a_inverse(a, r_half + E._START_MARGIN - 0.01)
         assert calls[0] == (0 if a in E._NOME_ROOTS else 1)
 
+    def test_deep_roots_are_the_one_term_asymptote(self):
+        # from 25 above R_a/2 on, the three-term start's correction is below
+        # half an ulp of log r: the root is exp(R_a/2 - y) bit for bit
+        rng = random.Random(2025)
+        for i in range(6000):
+            a = (1e-3, 0.999, 1e-8, 1.0 - 1e-8)[i % 4] if i % 3 == 0 else rng.uniform(1e-3, 1.0 - 1e-3)
+            r_half = 0.5 * E._memo_record(a).r_a
+            y = r_half + rng.uniform(25.0, 700.0)
+            assert E.mu_a_inverse(a, y) == math.exp(r_half - y), (a, y)
+
     def test_three_term_root_meets_the_solver_tolerance(self):
-        # from 12 above R_a/2 (_START_MARGIN) to just past _ASYM_MARGIN the
-        # start is returned unconfirmed; it must still meet the stop rule
+        # from 12 above R_a/2 (_START_MARGIN) to just past 25 the start is
+        # returned unconfirmed; it must still meet the stop rule
         rng = random.Random(91200)
         for _ in range(40000):
             sig = E._memo_record(rng.uniform(1e-8, 1.0 - 1e-8))
@@ -446,7 +456,7 @@ class TestInverseNewton:
         # one ulp of y instead of hitting the iteration cap
         a = 0.001
         y_lo = 0.5 * math.pi / math.sin(math.pi * a) * (1.0 + 1e-9)
-        y_hi = 0.5 * hyper.ramanujan_R(a, 1.0 - a) + E._ASYM_MARGIN
+        y_hi = 0.5 * hyper.ramanujan_R(a, 1.0 - a) + 25.0
         rng = random.Random(20260)
         for y in [523.0400660893072] + [rng.uniform(y_lo, y_hi) for _ in range(500)]:
             r = E.mu_a_inverse(a, y)
@@ -745,6 +755,18 @@ class TestInequalityBattery:
         q = 0.75 + 1e-3
         r = 0.01
         assert 0.5 * math.pi * (math.atanh(r) / r) ** q > E.ellip_k(r)
+
+    def test_lower_constants_raised_by_1e3_fail_near_zero(self):
+        # the exponent 3/4 of (pi/2)(arth r/r)^q < K(r) and the coefficient
+        # pi/(4 log 2) - 1 of 1 + c (r')^2 < K(r)/log(4/r') are sharp at
+        # r -> 0: raised by a relative 1e-3 each fails at every r to 0.1
+        q = 0.75 * (1.0 + 1e-3)
+        c = (math.pi / (4.0 * math.log(2.0)) - 1.0) * (1.0 + 1e-3)
+        for r in kernel.Grid(1e-5, 0.1, 400, "logarithmic").points():
+            k = E.ellip_k(r)
+            rp2 = (1.0 - r) * (1.0 + r)
+            assert 0.5 * math.pi * (math.atanh(r) / r) ** q > k, r
+            assert k / math.log(4.0 / math.sqrt(rp2)) < 1.0 + c * rp2, r
 
     @pytest.mark.parametrize("r", [1e-4, 0.2, 0.6, 0.95, 1.0 - 1e-4])
     def test_klog_bounds(self, r):

@@ -126,6 +126,30 @@ class TestF21:
             assert actual <= res.abs_err_estimate, (a, b, c, x)
             assert res.abs_err_estimate <= cap * abs(res.value), (a, b, c, x)
 
+    @pytest.mark.parametrize("family", ["negative_a", "positive_a"])
+    def test_connection_estimate_bounds_the_error(self, family):
+        # d = c - a - b > 0 away from the integers takes the connection
+        # formula, where Gamma(d) and Gamma(-d) amplify the rounding of d by
+        # about 1/dist(d, Z); the first case sits next to the pole of
+        # Gamma(-d) at d = 1 and was missed 18x before the estimate counted it
+        cases = []
+        if family == "negative_a":
+            cases.append((-0.9950494684960567, 1.3576349947182027, 1.3590135915239197, 0.8554831696990532))
+        rng = random.Random(2026)
+        while len(cases) < (900 if family == "negative_a" else 300):
+            a = rng.uniform(-1.0, 0.0) if family == "negative_a" else rng.uniform(0.05, 5.0)
+            b, c, x = rng.uniform(0.05, 5.0), rng.uniform(1.0, 5.0), rng.uniform(0.76, 0.999)
+            d = c - a - b
+            if d > 0.0 and abs(d - round(d)) >= 1e-10:
+                cases.append((a, b, c, x))
+        for a, b, c, x in cases:
+            res = hyper.f21(HyperParams(a, b, c), x)
+            assert res.method == "near_one_expansion"
+            actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
+            assert actual <= res.abs_err_estimate, (a, b, c, x)
+            d = c - a - b
+            assert res.abs_err_estimate * abs(d - round(d)) <= 1e-10 * abs(res.value), (a, b, c, x)
+
     def test_at_zero(self):
         assert hyper.f21(HyperParams(2.2, 0.3, 1.7), 0.0).value == 1.0
 
