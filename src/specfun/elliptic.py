@@ -386,7 +386,8 @@ def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
 
 
 def _mu_inverse_lower(sig: _Signature, y: float) -> float:
-    # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on underflow
+    # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on
+    # underflow, NaN at y = inf, where the start computes inf - inf
     r_half = 0.5 * sig.r_a
     t0 = _mu_inverse_start(sig.a, y, r_half)
     if y >= r_half + _START_MARGIN:
@@ -475,14 +476,15 @@ def mu_a_inverse(a, y: float) -> float:
         # sqrt(1 - rc^2) as 1 minus a small term: the nearest float next to 1
         rc2 = rc * rc
         root = 1.0 - rc2 / (1.0 + math.sqrt(1.0 - rc2))
-        if root >= 1.0:
+        # NaN too: below y = c_sym^2 / DBL_MAX the reflected target is inf
+        if not root < 1.0:
             raise BracketError(
                 f"mu_a^-1({y}) is closer to 1 than binary64 resolves",
                 saturating_endpoint=1.0,
             )
         return root
     root = lower(sig, y)
-    if not root >= sys.float_info.min:  # NaN too: y = inf starts Newton at inf - inf
+    if not root >= sys.float_info.min:  # NaN too, as at y = inf
         raise BracketError(
             f"mu_a^-1({y}) underflows binary64", saturating_endpoint=0.0
         )

@@ -553,11 +553,12 @@ class TestNomeInverse:
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_bracket_errors_match_the_newton_path(self, a, monkeypatch):
-        ys = (800.0, math.inf, 1e-300)
+        # at y = 5e-324 the reflected target c_sym^2 / y overflows to inf
+        ys = (800.0, math.inf, 1e-300, 5e-324)
         nome = [_outcome(E.mu_a_inverse, a, y) for y in ys]
         monkeypatch.setattr(E, "_NOME_ROOTS", {})
         assert nome == [_outcome(E.mu_a_inverse, a, y) for y in ys]
-        assert nome == [("BracketError", 0.0), ("BracketError", 0.0), ("BracketError", 1.0)]
+        assert nome == [("BracketError", 0.0), ("BracketError", 0.0)] + [("BracketError", 1.0)] * 2
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_phi_next_to_one_matches_the_newton_path(self, a, monkeypatch):
@@ -646,6 +647,18 @@ class TestModularFunctionPhi:
     def test_saturation_signalled(self):
         with pytest.raises(BracketError) as exc:
             E.phi_k(23.0, 0.7)
+        assert exc.value.saturating_endpoint == 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: E.mu_a_inverse(0.3, 5e-324),
+        lambda: E.mu_a_inverse(0.3, 1e-320),
+        lambda: E.phi_k_a(0.3, 1e308, 0.9),
+        lambda: E.phi_k_a(0.3, 1.7e308, 0.5),
+    ], ids=["subnormal_target", "subnormal_target_2", "huge_k", "huge_k_2"])
+    def test_saturation_signalled_at_general_a(self, call):
+        # y below c_sym^2 / DBL_MAX reflects to an infinite target
+        with pytest.raises(BracketError) as exc:
+            call()
         assert exc.value.saturating_endpoint == 1.0
 
     @pytest.mark.parametrize("call", [
@@ -752,21 +765,20 @@ class TestInequalityBattery:
         assert 0.5 * math.pi * base ** 0.75 < k + 1e-12
 
     def test_refined_exponent_is_sharp_near_zero(self):
-        q = 0.75 + 1e-3
-        r = 0.01
-        assert 0.5 * math.pi * (math.atanh(r) / r) ** q > E.ellip_k(r)
+        # the exponent 3/4 of (pi/2)(arth r/r)^q < K(r), raised by 1e-3 or
+        # by a relative 1e-3, fails at every r to 0.1
+        for q in (0.75 + 1e-3, 0.75 * (1.0 + 1e-3)):
+            for r in kernel.Grid(1e-5, 0.1, 400, "logarithmic").points():
+                assert 0.5 * math.pi * (math.atanh(r) / r) ** q > E.ellip_k(r), (q, r)
 
-    def test_lower_constants_raised_by_1e3_fail_near_zero(self):
-        # the exponent 3/4 of (pi/2)(arth r/r)^q < K(r) and the coefficient
-        # pi/(4 log 2) - 1 of 1 + c (r')^2 < K(r)/log(4/r') are sharp at
-        # r -> 0: raised by a relative 1e-3 each fails at every r to 0.1
-        q = 0.75 * (1.0 + 1e-3)
+    def test_klog_coefficient_raised_by_1e3_fails_near_zero(self):
+        # the coefficient pi/(4 log 2) - 1 of 1 + c (r')^2 < K(r)/log(4/r')
+        # is sharp at r -> 0: raised by a relative 1e-3 it fails at every r
+        # to 0.1
         c = (math.pi / (4.0 * math.log(2.0)) - 1.0) * (1.0 + 1e-3)
         for r in kernel.Grid(1e-5, 0.1, 400, "logarithmic").points():
-            k = E.ellip_k(r)
             rp2 = (1.0 - r) * (1.0 + r)
-            assert 0.5 * math.pi * (math.atanh(r) / r) ** q > k, r
-            assert k / math.log(4.0 / math.sqrt(rp2)) < 1.0 + c * rp2, r
+            assert E.ellip_k(r) / math.log(4.0 / math.sqrt(rp2)) < 1.0 + c * rp2, r
 
     @pytest.mark.parametrize("r", [1e-4, 0.2, 0.6, 0.95, 1.0 - 1e-4])
     def test_klog_bounds(self, r):
