@@ -7,7 +7,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 verify names each failed check on stderr as
 ``FAIL <id> max_residual=<r> argmax=<x>``.  Numbers print in shortest
-round-trip decimal.
+round-trip decimal; eval of a residual function prints the residual and
+``scale=<sum of |terms|>``.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def _format_result(res) -> str:
         return f"{res.value!r} error_bound={res.error_bound!r} method={res.method}"
     if isinstance(res, DeTempleValues):
         return f"{res.big_h!r} d_n={res.d_n!r} r_n={res.r_n!r}"
+    if isinstance(res, tuple):  # a residual function's (residual, scale)
+        return f"{res[0]!r} scale={res[1]!r}"
     return repr(float(res))
 
 
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="resize continuous grids to N points; "
                                "integer and tuple grids keep theirs")
     p_verify.add_argument("--tol-scale", type=float, default=1.0, metavar="S",
-                          help="scale every tolerance by S")
+                          help="scale every tolerance, the rounding budget included")
     out = p_verify.add_mutually_exclusive_group()
     out.add_argument("--json", dest="json_path", metavar="PATH",
                      help="write a JSON report to PATH")

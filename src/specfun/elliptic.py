@@ -508,24 +508,26 @@ def phi_k(big_k: float, r: float) -> float:
     return phi_k_a(0.5, big_k, r)
 
 
-def legendre_residual(r: float) -> float:
-    """E K' + E' K - K K' - pi/2 (identically zero)."""
+def legendre_residual(r: float):
+    """(residual, scale) of E K' + E' K - K K' = pi/2, as kernel.balance
+    returns them."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"legendre_residual needs r in (0, 1), got {r}")
     k = ellip_k(r)
     kp = ellip_k_prime(r)
-    return ellip_e(r) * kp + ellip_e_prime(r) * k - k * kp - 0.5 * math.pi
+    return kernel.balance(ellip_e(r) * kp, ellip_e_prime(r) * k, -k * kp, -0.5 * math.pi)
 
 
-def generalized_legendre_residual(a, r: float) -> float:
-    """e_a k_a' + e_a' k_a - k_a k_a' - pi sin(pi a) / (4(1-a))."""
+def generalized_legendre_residual(a, r: float):
+    """(residual, scale) of e_a k_a' + e_a' k_a - k_a k_a'
+    = pi sin(pi a) / (4(1-a))."""
     a = _check_signature(a)
     if not 0.0 < r < 1.0:
         raise DomainError(f"needs r in (0, 1), got {r}")
     ka = k_a(a, r)
     kap = k_a_prime(a, r)
     rhs = math.pi * sinpi(a) / (4.0 * (1.0 - a))
-    return e_a(a, r) * kap + e_a_prime(a, r) * ka - ka * kap - rhs
+    return kernel.balance(e_a(a, r) * kap, e_a_prime(a, r) * ka, -ka * kap, -rhs)
 
 
 def ellipse_perimeter(b: float) -> float:
@@ -553,14 +555,14 @@ ODE_IDS = ("ka_ode", "ea_ode", "lemniscate_ode")
 _GUARD = 0.05
 
 
-def ode_residual(which: str, a, r: float) -> float:
-    """Residual of the second-order ODE satisfied by k_a, e_a, or the
-    square-root-argument solution F(a, 1-a; 1; sqrt(1-z^2)).
+def ode_residual(which: str, a, r: float):
+    """(residual, scale) of the second-order ODE satisfied by k_a, e_a,
+    or the square-root-argument solution F(a, 1-a; 1; sqrt(1-z^2)).
 
     The derivatives are exact: hyper.hyp2f1_derivatives gives F, F' and
     F'' from contiguous 2F1 values, and the chain rule carries them to r
     (through x = r^2, or Z = sqrt(1 - r^2) with dZ/dr = -r/Z and
-    d^2Z/dr^2 = -1/Z^3).  The residual is at roundoff, about 1e-14.
+    d^2Z/dr^2 = -1/Z^3).  The residual is at roundoff, a few eps * scale.
     Arguments outside the guard band (0.05, 0.95) are refused.
     """
     if which not in ODE_IDS:
@@ -575,30 +577,32 @@ def ode_residual(which: str, a, r: float) -> float:
         w, f1, f2 = hyp2f1_derivatives(a, 1.0 - a, 1.0, big_z, one_minus_x=one_minus_z)
         d1 = -r / big_z * f1
         d2 = x / (big_z * big_z) * f2 - f1 / big_z ** 3
-        return (
-            big_z ** 3 * one_minus_z * r * d2
-            - (big_z * one_minus_z + (1.0 - 2.0 * big_z) * big_z * x) * d1
-            - a * (1.0 - a) * r ** 3 * w
+        return kernel.balance(
+            big_z ** 3 * one_minus_z * r * d2,
+            -(big_z * one_minus_z + (1.0 - 2.0 * big_z) * big_z * x) * d1,
+            -a * (1.0 - a) * r ** 3 * w,
         )
     lo = a if which == "ka_ode" else a - 1.0  # k_a or e_a: (pi/2) F(lo, 1-a; 1; r^2)
     f0, f1, f2 = hyp2f1_derivatives(lo, 1.0 - a, 1.0, x, one_minus_x=xc)
     f, d1, d2 = 0.5 * math.pi * f0, math.pi * r * f1, math.pi * (f1 + 2.0 * x * f2)
     if which == "ka_ode":
-        return r * xc * d2 + (1.0 - 3.0 * x) * d1 - 4.0 * a * (1.0 - a) * r * f
-    return r * xc * d2 + xc * d1 + 4.0 * (1.0 - a) ** 2 * r * f
+        return kernel.balance(r * xc * d2, (1.0 - 3.0 * x) * d1, -4.0 * a * (1.0 - a) * r * f)
+    return kernel.balance(r * xc * d2, xc * d1, 4.0 * (1.0 - a) ** 2 * r * f)
 
 
-def schwarzian_residual(a, r: float, step: float = None) -> float:
-    """Schwarzian derivative of mu_a minus its closed form
+def schwarzian_residual(a, r: float, step: float = None):
+    """(residual, scale) of the Schwarzian derivative of mu_a against its
+    closed form
 
     -8a(1-a)/(r')^2 + (1 + 6r^2 - 3r^4) / (2 r^2 (r')^4).
 
     The Schwarzian is exact: S = g'' - g'^2/2 with
     g = log(-mu_a') = -log r - log r'^2 - 2 log F(r^2), F = F(a,1-a;1;.),
     whose F' and F'' come from hyper.hyp2f1_derivatives; the residual is
-    at roundoff, about 1e-14.  Given a step, S comes instead from
-    central stencils of mu_a with that step; their third derivative is
-    noisy, and the residual shrinks superquadratically with the step.
+    at roundoff.  The scale sums |g''|, g'^2/2 and the closed form's two
+    terms.  Given a step, S comes instead from central stencils of mu_a
+    with that step; their third derivative is noisy, and the residual
+    shrinks superquadratically with the step.
     """
     a = _check_signature(a)
     if not 0.1 < r < 0.9:
@@ -609,13 +613,15 @@ def schwarzian_residual(a, r: float, step: float = None) -> float:
         q1, q2 = f1 / f0, f2 / f0
         g1 = -1.0 / r + 2.0 * r / rp2 - 4.0 * r * q1
         g2 = 1.0 / x + 2.0 * (1.0 + x) / (rp2 * rp2) - 4.0 * q1 - 8.0 * x * (q2 - q1 * q1)
-        s_val = g2 - 0.5 * g1 * g1
+        terms = (g2, -0.5 * g1 * g1)
     else:
         h = float(step)
         f = lambda t: mu_a(a, t)
         w1 = kernel.derivative(f, r, order=1, step=h, domain=(0.0, 1.0))
         w2 = kernel.derivative(f, r, order=2, step=h, domain=(0.0, 1.0))
         w3 = kernel.derivative(f, r, order=3, step=h, domain=(0.0, 1.0))
-        s_val = w3 / w1 - 1.5 * (w2 / w1) ** 2
-    rhs = -8.0 * a * (1.0 - a) / rp2 + (1.0 + 6.0 * r * r - 3.0 * r ** 4) / (2.0 * r * r * rp2 * rp2)
-    return s_val - rhs
+        terms = (w3 / w1, -1.5 * (w2 / w1) ** 2)
+    return kernel.balance(
+        *terms, 8.0 * a * (1.0 - a) / rp2,
+        -(1.0 + 6.0 * r * r - 3.0 * r ** 4) / (2.0 * r * r * rp2 * rp2),
+    )

@@ -20,7 +20,9 @@ On top of the engine: the value at x = 1, the Ramanujan constant
 R(a,b) = -2 gamma - Psi(a) - Psi(b), contiguous-relation residuals, the
 Legendre-type product combinations and their gamma-quotient closed forms,
 the Elliott and Kummer four-product identities, and a terminating 3F2
-positivity lemma.
+positivity lemma.  Each residual function returns the pair
+(residual, scale) of kernel.balance: the identity's terms summed, and
+sum |term|, so a caller can read the residual in units of eps * scale.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from collections import namedtuple
 
 from .errors import ConstraintError, DomainError, ParameterError, RangeError
 from .gamma import EULER_GAMMA, digamma, gamma, log_gamma
+from .kernel import balance
 
 __all__ = [
     "HyperParams",
@@ -354,8 +357,8 @@ def _pair_values(a, b, c, z):
 CONTIGUOUS_IDS = ("d_u", "d_v", "shift_c", "sym_combo", "b_shift")
 
 
-def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
-    """LHS - RHS of one of the five encoded contiguous relations.
+def contiguous_residual(which: str, params: HyperParams, z: float):
+    """(LHS - RHS, scale) of one of the five encoded contiguous relations.
 
     With u = F(a-1,b;c;.), v = F(a,b;c;.), u1 = u(1-z), v1 = v(1-z):
 
@@ -398,26 +401,23 @@ def contiguous_residual(which: str, params: HyperParams, z: float) -> float:
         return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, t, w)
 
     if which == "d_u":
-        return z * du(z) - (a - 1.0) * (v(z) - u(z))
+        return balance(z * du(z), (1.0 - a) * v(z), (a - 1.0) * u(z))
     if which == "d_v":
-        vz = v(z)
-        return (1.0 - z) * a * (hyp2f1(a + 1.0, b, c, z) - vz) - (
-            (c - a) * u(z) + (a - c + b * z) * vz
-        )
+        vz, k = v(z), (1.0 - z) * a
+        return balance(k * hyp2f1(a + 1.0, b, c, z), -k * vz, (a - c) * u(z), -(a - c + b * z) * vz)
     if which == "shift_c":
         lhs = a * b / c * z * (1.0 - z) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
-        return lhs - ((c - a) * u(z) + (a - c + b * z) * v(z))
+        return balance(lhs, (a - c) * u(z), -(a - c + b * z) * v(z))
     if which == "sym_combo":
-        y = 1.0 - z
+        y, zy, k = 1.0 - z, z * (1.0 - z), a + b - 1.0
         uz, u1, vz, v1 = _pair_values(a, b, c, z)
         duz, du1, dvz, dv1 = du(z), du(y, z), dv(z), dv(y, z)
         # d/dz of a value at 1-z is minus the derivative there
-        dq = duz * v1 - uz * dv1 - du1 * vz + u1 * dvz - dvz * v1 + vz * dv1
-        rhs = (1.0 - a - b) * ((1.0 - z) * uz * v1 - z * u1 * vz - (1.0 - 2.0 * z) * vz * v1)
-        return z * (1.0 - z) * dq - rhs
-    return z * (1.0 - z) * dv(z) - (
-        (c - b) * hyp2f1(a, b - 1.0, c, z) + (b - c + a * z) * v(z)
-    )
+        return balance(
+            zy * duz * v1, -zy * uz * dv1, -zy * du1 * vz, zy * u1 * dvz, -zy * dvz * v1, zy * vz * dv1,
+            k * (1.0 - z) * uz * v1, -k * z * u1 * vz, -k * (1.0 - 2.0 * z) * vz * v1,
+        )
+    return balance(z * (1.0 - z) * dv(z), (b - c) * hyp2f1(a, b - 1.0, c, z), -(b - c + a * z) * v(z))
 
 
 def corollary44_value(a: float, c: float, z: float) -> float:
@@ -439,9 +439,10 @@ def corollary44_reference(a: float, c: float) -> float:
     return gamma(c) ** 2 / (gamma(c + a - 1.0) * gamma(c - a + 1.0))
 
 
-def wronskian_combo_residual(a: float, b: float, c: float, z: float) -> float:
-    """(c-a)(u v1 + u1 v) + (a-1) v v1 - A z^(1-c) (1-z)^(1-c), where
-    A = Gamma(c)^2/(Gamma(a)Gamma(b)); requires 2c = a + b + 1, c >= 1."""
+def wronskian_combo_residual(a: float, b: float, c: float, z: float):
+    """(residual, scale) of (c-a)(u v1 + u1 v) + (a-1) v v1
+    = A z^(1-c) (1-z)^(1-c), where A = Gamma(c)^2/(Gamma(a)Gamma(b));
+    requires 2c = a + b + 1, c >= 1."""
     if abs(2.0 * c - (a + b + 1.0)) > 1e-12:
         raise ConstraintError(f"needs 2c = a+b+1, got 2c-(a+b+1) = {2 * c - (a + b + 1)}")
     if not (a > 0.0 and b > 0.0 and c >= 1.0):
@@ -450,12 +451,15 @@ def wronskian_combo_residual(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"z must be interior to (0, 1), got {z}")
     uz, u1, vz, v1 = _pair_values(a, b, c, z)
     big_a = gamma(c) ** 2 / (gamma(a) * gamma(b))
-    lhs = (c - a) * (uz * v1 + u1 * vz) + (a - 1.0) * vz * v1
-    return lhs - big_a * z ** (1.0 - c) * (1.0 - z) ** (1.0 - c)
+    return balance(
+        (c - a) * uz * v1, (c - a) * u1 * vz, (a - 1.0) * vz * v1,
+        -big_a * z ** (1.0 - c) * (1.0 - z) ** (1.0 - c),
+    )
 
 
-def elliott_residual(a: float, b: float, c: float, x: float) -> float:
-    """F1 F2 + F3 F4 - F2 F3 minus its gamma-quotient closed form.
+def elliott_residual(a: float, b: float, c: float, x: float):
+    """(residual, scale) of F1 F2 + F3 F4 - F2 F3 = its gamma-quotient
+    closed form.
 
     F1 = F(1/2+a, -1/2-c; 1+a+b; x),   F2 = F(1/2-a, 1/2+c; 1+b+c; 1-x),
     F3 = F(1/2+a, 1/2-c; 1+a+b; x),    F4 = F(-1/2-a, 1/2+c; 1+b+c; 1-x).
@@ -479,11 +483,11 @@ def elliott_residual(a: float, b: float, c: float, x: float) -> float:
         - log_gamma(a + b + c + 1.5)
         - log_gamma(b + 0.5)
     )
-    return f1 * f2 + f3 * f4 - f2 * f3 - rhs
+    return balance(f1 * f2, f3 * f4, -f2 * f3, -rhs)
 
 
-def kummer_residual(a: float, b: float, c: float, x: float) -> float:
-    """Residual of the two-product closed form
+def kummer_residual(a: float, b: float, c: float, x: float):
+    """(residual, scale) of the two-product closed form
 
     F(a,b;a+b-c+1;1-x) F(a+1,b+1;c+1;x)
       + c/(a+b-c+1) F(a,b;c;x) F(a+1,b+1;a+b-c+2;1-x)
@@ -496,11 +500,10 @@ def kummer_residual(a: float, b: float, c: float, x: float) -> float:
         raise ParameterError(f"a+b-c+1 = {s} is a nonpositive integer")
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must be interior to (0, 1), got {x}")
-    lhs = hyp2f1(a, b, s, 1.0 - x, one_minus_x=x) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x)
-    lhs += (c / s) * hyp2f1(a, b, c, x) * hyp2f1(a + 1.0, b + 1.0, s + 1.0, 1.0 - x, one_minus_x=x)
+    first = hyp2f1(a, b, s, 1.0 - x, one_minus_x=x) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x)
+    second = (c / s) * hyp2f1(a, b, c, x) * hyp2f1(a + 1.0, b + 1.0, s + 1.0, 1.0 - x, one_minus_x=x)
     d_const = gamma(s) * gamma(c + 1.0) / (gamma(a + 1.0) * gamma(b + 1.0))
-    rhs = d_const * x ** (-c) * (1.0 - x) ** (c - a - b - 1.0)
-    return lhs - rhs
+    return balance(first, second, -d_const * x ** (-c) * (1.0 - x) ** (c - a - b - 1.0))
 
 
 def f32_terminating(n: int, a: float, b: float, eps: float) -> float:

@@ -1,7 +1,8 @@
 """Shared numeric substrate.
 
 Central-difference stencils, a Newton root finder for monotone functions
-of one sign of curvature, and grid generation.  Everything here is a pure
+of one sign of curvature, grid generation, and the residual and scale of
+an identity written as a vanishing sum.  Everything here is a pure
 function of its inputs and safe to call from any number of threads.
 Exact summation is not wrapped here: the library calls math.fsum directly.
 
@@ -20,6 +21,7 @@ from .errors import DomainError, IterationCapError
 __all__ = [
     "BracketRoot",
     "Grid",
+    "balance",
     "derivative",
     "invert_monotone",
 ]
@@ -66,6 +68,18 @@ def derivative(f, x: float, order: int = 1, step: float = None, domain: tuple = 
         f(x - 3 * h) - 8.0 * f(x - 2 * h) + 13.0 * f(x - h)
         - 13.0 * f(x + h) + 8.0 * f(x + 2 * h) - f(x + 3 * h)
     ) / (8.0 * h ** 3)
+
+
+def balance(*terms):
+    """(residual, scale) of an identity written as terms that sum to zero:
+    their sum, added left to right, and sum |t|.  A residual that rounding
+    alone leaves is a few eps * scale (Oettli and Prager's componentwise
+    backward error; Higham, Accuracy and Stability, 1.10)."""
+    total = scale = 0.0
+    for t in terms:
+        total += t
+        scale += abs(t)
+    return total, scale
 
 
 BracketRoot = namedtuple("BracketRoot", "root residual iterations")

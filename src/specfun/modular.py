@@ -4,8 +4,9 @@ A modular equation of degree p in signature 1/a asks for s with
 mu_a(s) = p mu_a(r); its solution is s = phi^a_(1/p)(r).  In the moduli
 variables alpha = r^2, beta = s^2 the transcendental relation collapses,
 for particular (a, p), to printed algebraic identities.  Each registered
-identity is certified numerically as a residual of its printed form;
-nothing here attempts to solve the algebraic forms directly.
+identity is certified numerically as a residual of its printed form,
+returned with the scale sum |term| of kernel.balance; nothing here
+attempts to solve the algebraic forms directly.
 
 Each identity lists its degrees, one tuple per parameterization: degree
 p stands for the squared modulus phi^a_(1/p)(r)^2, degree 1 for
@@ -24,6 +25,7 @@ from collections import namedtuple
 
 from .errors import DomainError, UnknownIdentityError
 from .elliptic import phi_k_a
+from .kernel import balance
 
 __all__ = [
     "ModularIdentity",
@@ -36,62 +38,58 @@ __all__ = [
 ModularIdentity = namedtuple("ModularIdentity", "id signature_a degrees residual_fn anchor")
 ModularIdentity.__doc__ = """A registered identity, as a namedtuple: ``degrees`` holds, per
     parameterization, the degrees of its moduli in order, and ``residual_fn``
-    takes those squared moduli positionally."""
+    takes those squared moduli positionally and returns (residual, scale)."""
 
 
 _THIRD = 1.0 / 3.0
 _HALF = 0.5
 
 
-def _res_deg3(al: float, be: float) -> float:
-    return (al * be) ** 0.25 + ((1.0 - al) * (1.0 - be)) ** 0.25 - 1.0
+# p = alpha beta and s = (1 - alpha)(1 - beta), as the printed forms group them
 
 
-def _res_deg5(al: float, be: float) -> float:
-    q = al * be * (1.0 - al) * (1.0 - be)
-    return math.sqrt(al * be) + math.sqrt((1.0 - al) * (1.0 - be)) + 2.0 * (16.0 * q) ** (1.0 / 6.0) - 1.0
+def _res_deg3(al: float, be: float):
+    return balance((al * be) ** 0.25, ((1.0 - al) * (1.0 - be)) ** 0.25, -1.0)
 
 
-def _res_deg7(al: float, be: float) -> float:
-    return (al * be) ** 0.125 + ((1.0 - al) * (1.0 - be)) ** 0.125 - 1.0
+def _res_deg5(al: float, be: float):
+    p, s = al * be, (1.0 - al) * (1.0 - be)
+    return balance(math.sqrt(p), math.sqrt(s), 2.0 * (16.0 * p * s) ** (1.0 / 6.0), -1.0)
 
 
-def _res_deg9_chain(al: float, be: float, ga: float) -> float:
-    lhs = (al * (1.0 - ga)) ** 0.125 + (ga * (1.0 - al)) ** 0.125
-    return lhs - 2.0 ** _THIRD * (be * (1.0 - be)) ** (1.0 / 24.0)
+def _res_deg7(al: float, be: float):
+    return balance((al * be) ** 0.125, ((1.0 - al) * (1.0 - be)) ** 0.125, -1.0)
 
 
-def _res_deg23(al: float, be: float) -> float:
-    q = al * be * (1.0 - al) * (1.0 - be)
-    return (al * be) ** 0.125 + ((1.0 - al) * (1.0 - be)) ** 0.125 + 2.0 ** (2.0 / 3.0) * q ** (1.0 / 24.0) - 1.0
+def _res_deg9_chain(al: float, be: float, ga: float):
+    return balance((al * (1.0 - ga)) ** 0.125, (ga * (1.0 - al)) ** 0.125,
+                   -(2.0 ** _THIRD) * (be * (1.0 - be)) ** (1.0 / 24.0))
 
 
-def _res_mixed_357(al: float, be: float) -> float:
-    lhs = math.sqrt(0.5 * (1.0 + math.sqrt(al * be) + math.sqrt((1.0 - al) * (1.0 - be))))
-    rhs = (
-        (al * be) ** 0.125
-        + ((1.0 - al) * (1.0 - be)) ** 0.125
-        - (al * be * (1.0 - al) * (1.0 - be)) ** 0.125
-    )
-    return lhs - rhs
+def _res_deg23(al: float, be: float):
+    p, s = al * be, (1.0 - al) * (1.0 - be)
+    return balance(p ** 0.125, s ** 0.125, 2.0 ** (2.0 / 3.0) * (p * s) ** (1.0 / 24.0), -1.0)
 
 
-def _res_sig3_deg2(al: float, be: float) -> float:
-    return (al * be) ** _THIRD + ((1.0 - al) * (1.0 - be)) ** _THIRD - 1.0
+def _res_mixed_357(al: float, be: float):
+    p, s = al * be, (1.0 - al) * (1.0 - be)
+    lhs = math.sqrt(0.5 * (1.0 + math.sqrt(p) + math.sqrt(s)))
+    return balance(lhs, -p ** 0.125, -s ** 0.125, (p * s) ** 0.125)
 
 
-def _res_sig3_deg5(al: float, be: float) -> float:
-    q = al * be * (1.0 - al) * (1.0 - be)
-    return (al * be) ** _THIRD + ((1.0 - al) * (1.0 - be)) ** _THIRD + 3.0 * q ** (1.0 / 6.0) - 1.0
+def _res_sig3_deg2(al: float, be: float):
+    return balance((al * be) ** _THIRD, ((1.0 - al) * (1.0 - be)) ** _THIRD, -1.0)
 
 
-def _res_sig3_deg11(al: float, be: float) -> float:
-    q = al * be * (1.0 - al) * (1.0 - be)
-    lhs = (al * be) ** _THIRD + ((1.0 - al) * (1.0 - be)) ** _THIRD + 6.0 * q ** (1.0 / 6.0)
-    lhs += 3.0 * math.sqrt(3.0) * q ** (1.0 / 12.0) * (
-        (al * be) ** (1.0 / 6.0) + ((1.0 - al) * (1.0 - be)) ** (1.0 / 6.0)
-    )
-    return lhs - 1.0
+def _res_sig3_deg5(al: float, be: float):
+    p, s = al * be, (1.0 - al) * (1.0 - be)
+    return balance(p ** _THIRD, s ** _THIRD, 3.0 * (p * s) ** (1.0 / 6.0), -1.0)
+
+
+def _res_sig3_deg11(al: float, be: float):
+    p, s = al * be, (1.0 - al) * (1.0 - be)
+    mixed = 3.0 * math.sqrt(3.0) * (p * s) ** (1.0 / 12.0) * (p ** (1.0 / 6.0) + s ** (1.0 / 6.0))
+    return balance(p ** _THIRD, s ** _THIRD, 6.0 * (p * s) ** (1.0 / 6.0), mixed, -1.0)
 
 
 _IDENTITIES = {}
@@ -157,10 +155,15 @@ def _moduli_for(identity: ModularIdentity, r: float) -> list:
     ]
 
 
-def identity_residual(identity_id: str, r: float) -> float:
-    """|LHS - RHS| of a registered identity at r; the mixed relation is
-    evaluated under both of its parameterizations and the worse is kept."""
+def identity_residual(identity_id: str, r: float):
+    """(|LHS - RHS|, scale) of a registered identity at r; the mixed
+    relation is evaluated under both of its parameterizations and the
+    pair of the larger |LHS - RHS| / scale is kept."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
     identity = get_identity(identity_id)
-    return max(abs(identity.residual_fn(*m)) for m in _moduli_for(identity, r))
+    residual, scale = max(
+        (identity.residual_fn(*m) for m in _moduli_for(identity, r)),
+        key=lambda pair: abs(pair[0]) / pair[1],
+    )
+    return abs(residual), scale

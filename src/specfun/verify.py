@@ -1,13 +1,16 @@
 """Check registry, grid execution, and report serialization.
 
-Every identity, inequality, bracket, and shape property asserted by the
-library is registered here as a CheckSpec and executed over a grid.
-Check kinds:
+Every identity, inequality and shape property asserted by the library
+is registered here as a CheckSpec and executed over a grid.  Check kinds:
 
 * identity     — evaluator returns a residual; pass iff max |residual| <= tol.
+                 The 33 that only rounding keeps from zero read it in
+                 units of eps * S, S = sum |terms| (kernel.balance), and
+                 share the tolerance _ROUNDING_BUDGET; the six whose gap is
+                 truncation (a limit, a table, a stencil) keep their own.
 * inequality   — evaluator returns a signed margin (>= 0 means satisfied);
-                 pass iff no margin drops below -tol.  Bracket checks use
-                 the same convention with margin = min(v - lo, hi - v).
+                 pass iff no margin drops below -tol.  A two-sided bracket
+                 returns min(v - lo, hi - v), a 0/1 probe 0 or -1.
 * monotonicity — evaluator returns the sequence value; adjacent
                  differences may not fall below -tol relative.
 * convexity    — same with second differences (uniform grids only).
@@ -27,7 +30,7 @@ from collections import namedtuple
 
 from . import balls, elliptic, gamma, hyper, modular
 from .errors import DomainError
-from .kernel import Grid, derivative
+from .kernel import Grid, balance, derivative
 
 __all__ = [
     "CheckSpec",
@@ -43,13 +46,33 @@ __all__ = [
 
 SUITES = ("gamma", "balls", "hyper", "elliptic", "modular")
 
-_KINDS = ("identity", "inequality", "monotonicity", "convexity", "bracket")
+_KINDS = ("identity", "inequality", "monotonicity", "convexity")
+
+_EPS = 2.220446049250313e-16
+# the tolerance of every rounding-limited identity, in units of eps * S:
+# the smallest power of two at least 4x the worst reading (12.8, at
+# elliptic.lemniscate_ode) on the default grids and at 7, 64 and 200
+# points; a relative error of 1e-12 c x in every 2F1 reads 690 and up
+_ROUNDING_BUDGET = 64.0
+
+
+def _units(residual, scale):
+    """|residual| / (eps * scale); 0 for an exact 0, where scale may be 0."""
+    return 0.0 if residual == 0.0 else abs(residual) / (_EPS * scale)
+
+
+def _max_units(param_sets, fn):
+    # worst rounding units of the (residual, scale) pair fn(params, x)
+    def ev(x):
+        return max(_units(*fn(params, x)) for params in param_sets)
+
+    return ev
 
 
 class CheckSpec(namedtuple("CheckSpec", "id anchor kind grid tolerance evaluator note")):
     """One registered check, an immutable namedtuple: ``grid`` is a Grid,
     a tuple or a range of points, ``evaluator`` maps a point to a float.
-    An unknown kind or a tolerance that is not positive raises
+    An unknown kind or a tolerance that is not positive and finite raises
     DomainError, also from ``_make`` and ``_replace``."""
 
     __slots__ = ()
@@ -57,8 +80,8 @@ class CheckSpec(namedtuple("CheckSpec", "id anchor kind grid tolerance evaluator
     def __new__(cls, id, anchor, kind, grid, tolerance, evaluator, note=""):
         if kind not in _KINDS:
             raise DomainError(f"unknown check kind {kind!r}")
-        if not tolerance > 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < tolerance < math.inf:  # inf would pass every check
+            raise DomainError("tolerance must be positive and finite")
         return tuple.__new__(cls, (id, anchor, kind, grid, tolerance, evaluator, note))
 
     @classmethod
@@ -88,7 +111,7 @@ def run_check(spec: CheckSpec, grid_n: int = None, tol_scale: float = 1.0) -> Ch
     tol = spec.tolerance * tol_scale
     ev, kind, isfinite = spec.evaluator, spec.kind, math.isfinite
     identity = kind == "identity"
-    pointwise = identity or kind in ("inequality", "bracket")
+    pointwise = identity or kind == "inequality"
     t0 = time.perf_counter()
     max_res, argmax, vals = 0.0, pts[0], []
     for p in pts:
@@ -130,23 +153,20 @@ def run_check(spec: CheckSpec, grid_n: int = None, tol_scale: float = 1.0) -> Ch
 # gamma suite
 
 
-def _max_over(param_sets, fn):
-    def ev(x):
-        return max(abs(fn(params, x)) for params in param_sets)
-
-    return ev
-
-
 def _build_gamma():
     checks = []
     eg = gamma.EULER_GAMMA
 
-    def recurrence_rel(x):
-        return gamma.gamma(x + 1.0) / (x * gamma.gamma(x)) - 1.0
+    def recurrence(x):
+        # x + 1 would round, by up to ulp(32)/2 next to x = 31.5, and
+        # psi(x + 1) ~ 3.5 amplify that to tens of units; taking
+        # x = (x + 1) - 1 makes x + 1 exact on [0.5, 50]
+        x = (x + 1.0) - 1.0
+        return _units(*balance(gamma.gamma(x + 1.0), -x * gamma.gamma(x)))
 
     checks.append(CheckSpec(
         "gamma.recurrence", "Gamma(x+1) = x Gamma(x)", "identity",
-        Grid(0.5, 50.0, 1000, "logarithmic"), 1e-12, recurrence_rel,
+        Grid(0.5, 50.0, 1000, "logarithmic"), _ROUNDING_BUDGET, recurrence,
     ))
 
     def interval_bounds(x):
@@ -223,7 +243,7 @@ def _build_gamma():
 
     checks.append(CheckSpec(
         "gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4",
-        "bracket", range(1, 10_001), 1e-12, detemple_bracket,
+        "inequality", range(1, 10_001), 1e-12, detemple_bracket,
     ))
     checks.append(CheckSpec(
         "gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4",
@@ -346,25 +366,25 @@ def _build_balls():
                       balls.DIFFERENCE_B - balls.difference_scaled(n)),
     ))
 
-    def sharpness_probe(i):
+    def breaks(i):
         bump = 1e-3
         if i == 0:   # lower constant of the power family, equality at n = 1
-            return 0.0 if balls.power_ratio(1) - balls.POWER_A * (1.0 + bump) < 0.0 else 1.0
+            return balls.power_ratio(1) - balls.POWER_A * (1.0 + bump) < 0.0
         if i == 1:   # upper constant of the sqrt family, equality at n = 1
-            return 0.0 if balls.SQRT_B * (1.0 - bump) - balls.sqrt_shift(1) < 0.0 else 1.0
+            return balls.SQRT_B * (1.0 - bump) - balls.sqrt_shift(1) < 0.0
         if i == 2:   # lower exponent of the quotient family, equality at n = 1
-            return 0.0 if balls.quotient_exponent(1) - balls.QUOTIENT_ALPHA * (1.0 + bump) < 0.0 else 1.0
+            return balls.quotient_exponent(1) - balls.QUOTIENT_ALPHA * (1.0 + bump) < 0.0
         if i == 3:   # lower constant of the difference family, equality at n = 2
-            return 0.0 if balls.difference_scaled(2) - balls.DIFFERENCE_A * (1.0 + bump) < 0.0 else 1.0
+            return balls.difference_scaled(2) - balls.DIFFERENCE_A * (1.0 + bump) < 0.0
         # upper constant of the difference family: violated within n <= 200
-        return 0.0 if any(
+        return any(
             balls.DIFFERENCE_B * (1.0 - bump) - balls.difference_scaled(n) < 0.0 for n in range(2, 201)
-        ) else 1.0
+        )
 
     checks.append(CheckSpec(
         "balls.sharpness_spotcheck",
         "perturbing each sharp constant by 1e-3 in the favorable direction breaks it",
-        "identity", range(5), 0.5, sharpness_probe,
+        "inequality", range(5), 1e-12, lambda i: 0.0 if breaks(i) else -1.0,
         note="the sqrt(e), A = 1/2 and beta = 1/2 constants are approached too "
              "slowly to violate within n <= 200: perturbed by 1e-3 they still "
              "hold there, so no probe on this range shows their sharpness",
@@ -391,7 +411,7 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.derivative_formula", "dF/dz = (ab/c) F(a+1,b+1;c+1;z)",
-        "identity", Grid(0.05, 0.7, 14), 5e-9, _max_over(trip, deriv_formula),
+        "identity", Grid(0.05, 0.7, 14), 5e-9, lambda z: max(abs(deriv_formula(p, z)) for p in trip),
     ))
 
     one_probes = (_HP(0.1, 0.2, 1.0), _HP(0.3, 0.3, 1.4), _HP(0.25, 0.5, 1.6))
@@ -426,8 +446,8 @@ def _build_hyper():
     ))
     checks.append(CheckSpec(
         "hyper.ramanujan_constant_half", "R(1/2,1/2) = log 16",
-        "identity", (0.0,), 1e-12,
-        lambda _: hyper.ramanujan_R(0.5, 0.5) - math.log(16.0),
+        "identity", (0.0,), _ROUNDING_BUDGET,
+        lambda _: _units(*balance(hyper.ramanujan_R(0.5, 0.5), -math.log(16.0))),
     ))
     checks.append(CheckSpec(
         "hyper.qf_decreasing", "R(x,1-x) sin(pi x) decreasing on (0, 1/2]",
@@ -435,24 +455,22 @@ def _build_hyper():
         lambda x: -hyper.ramanujan_R(x, 1.0 - x) * math.sin(math.pi * x),
     ))
 
-    # exact contiguous derivatives: residuals at most 2.1e-15 on the grids
-    # tried, 2 to 400 points
     for which in hyper.CONTIGUOUS_IDS:
         checks.append(CheckSpec(
             f"hyper.contiguous_{which}", f"contiguous relation {which}",
-            "identity", Grid(0.05, 0.95, 19), 5e-14,
-            _max_over(trip, lambda p, z, w=which: hyper.contiguous_residual(w, p, z)),
+            "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET,
+            _max_units(trip, lambda p, z, w=which: hyper.contiguous_residual(w, p, z)),
         ))
 
     ode_params = (_HP(0.7, 1.1, 1.3), _HP(0.5, 0.5, 1.0))
 
     def hyp_ode(p, z):
         f, d1, d2 = hyper.hyp2f1_derivatives(p.a, p.b, p.c, z)
-        return z * (1.0 - z) * d2 + (p.c - (p.a + p.b + 1.0) * z) * d1 - p.a * p.b * f
+        return balance(z * (1.0 - z) * d2, (p.c - (p.a + p.b + 1.0) * z) * d1, -p.a * p.b * f)
 
     checks.append(CheckSpec(
         "hyper.hypergeometric_ode", "z(1-z)w'' + [c-(a+b+1)z]w' - ab w = 0",
-        "identity", Grid(0.05, 0.95, 19), 1e-11, _max_over(ode_params, hyp_ode),
+        "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET, _max_units(ode_params, hyp_ode),
     ))
 
     sq_params = (_HP(0.6, 0.9, 1.25), _HP(0.5, 0.5, 1.0))
@@ -461,16 +479,16 @@ def _build_hyper():
         # w(z) = F(z^2): w' = 2z F', w'' = 2F' + 4z^2 F''
         x = z * z
         f, f1, f2 = hyper.hyp2f1_derivatives(p.a, p.b, p.c, x, one_minus_x=(1.0 - z) * (1.0 + z))
-        return (
-            z * (1.0 - x) * (2.0 * f1 + 4.0 * x * f2)
-            + (2.0 * p.c - 1.0 - (2.0 * p.a + 2.0 * p.b + 1.0) * x) * 2.0 * z * f1
-            - 4.0 * p.a * p.b * z * f
+        return balance(
+            z * (1.0 - x) * (2.0 * f1 + 4.0 * x * f2),
+            (2.0 * p.c - 1.0 - (2.0 * p.a + 2.0 * p.b + 1.0) * x) * 2.0 * z * f1,
+            -4.0 * p.a * p.b * z * f,
         )
 
     checks.append(CheckSpec(
         "hyper.ode_square_argument",
         "z(1-z^2)w'' + [2c-1-(2a+2b+1)z^2]w' - 4ab z w = 0 for w = F(a,b;c;z^2), 2c = a+b+1",
-        "identity", Grid(0.05, 0.95, 19), 3e-12, _max_over(sq_params, square_ode),
+        "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET, _max_units(sq_params, square_ode),
     ))
 
     wr_params = (_HP(0.5, 0.5, 1.0), _HP(0.4, 0.8, 1.1))
@@ -482,36 +500,35 @@ def _build_hyper():
         d1 = k * hyper.hyp2f1(p.a + 1.0, p.b + 1.0, p.c + 1.0, z)
         w2 = hyper.hyp2f1(p.a, p.b, p.c, 1.0 - z, one_minus_x=z)
         d2 = k * hyper.hyp2f1(p.a + 1.0, p.b + 1.0, p.c + 1.0, 1.0 - z, one_minus_x=z)
-        wr = -w1 * d2 - w2 * d1
-        scaled = wr * z ** p.c * (1.0 - z) ** (p.a + p.b - p.c + 1.0)
-        ref = -math.exp(2.0 * gamma.log_gamma(p.c) - gamma.log_gamma(p.a) - gamma.log_gamma(p.b))
-        return scaled / ref - 1.0
+        m = z ** p.c * (1.0 - z) ** (p.a + p.b - p.c + 1.0)
+        ref = math.exp(2.0 * gamma.log_gamma(p.c) - gamma.log_gamma(p.a) - gamma.log_gamma(p.b))
+        return balance(-w1 * d2 * m, -w2 * d1 * m, ref)  # W m = -ref
 
     checks.append(CheckSpec(
         "hyper.wronskian_decay",
         "W(F(.;z), F(.;1-z)) z^c (1-z)^(a+b-c+1) is constant when 2c = a+b+1",
-        "identity", Grid(0.1, 0.9, 17), 1e-13, _max_over(wr_params, wronskian_decay),
+        "identity", Grid(0.1, 0.9, 17), _ROUNDING_BUDGET, _max_units(wr_params, wronskian_decay),
     ))
 
     cor_params = ((0.3, 1.2), (0.5, 1.0), (0.7, 1.5))
 
     def cor44(pair, z):
         a, c = pair
-        return hyper.corollary44_value(a, c, z) - hyper.corollary44_reference(a, c)
+        return balance(hyper.corollary44_value(a, c, z), -hyper.corollary44_reference(a, c))
 
     checks.append(CheckSpec(
         "hyper.corollary44", "u v1 + u1 v - v v1 equals its gamma quotient",
-        "identity", Grid(0.1, 0.9, 17), 5e-14, _max_over(cor_params, cor44),
+        "identity", Grid(0.1, 0.9, 17), _ROUNDING_BUDGET, _max_units(cor_params, cor44),
     ))
 
     def cor44_spread(i):
         a, c = cor_params[i]
         vals = [hyper.corollary44_value(a, c, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        return max(vals) - min(vals)
+        return _units(*balance(max(vals), -min(vals)))
 
     checks.append(CheckSpec(
         "hyper.corollary44_spread", "the product combination is z-independent",
-        "identity", range(len(cor_params)), 4e-14, cor44_spread,
+        "identity", range(len(cor_params)), _ROUNDING_BUDGET, cor44_spread,
     ))
 
     combo_params = ((0.5, 0.5, 1.0), (0.4, 0.8, 1.1), (0.3, 1.9, 1.6))
@@ -519,27 +536,24 @@ def _build_hyper():
     checks.append(CheckSpec(
         "hyper.wronskian_combo",
         "(c-a)(u v1 + u1 v) + (a-1) v v1 = [G(c)^2/(G(a)G(b))] (z(1-z))^(1-c)",
-        "identity", Grid(0.05, 0.95, 19), 1e-13,
-        _max_over(combo_params, lambda p, z: hyper.wronskian_combo_residual(*p, z)),
+        "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET,
+        _max_units(combo_params, lambda p, z: hyper.wronskian_combo_residual(*p, z)),
     ))
 
     elliott_draws = _elliott_draws(100)
 
-    def elliott(i):
-        a, b, c, x = elliott_draws[i]
-        return hyper.elliott_residual(a, b, c, x)
-
     checks.append(CheckSpec(
         "hyper.elliott", "F1 F2 + F3 F4 - F2 F3 equals its gamma quotient",
-        "identity", range(len(elliott_draws)), 1e-13, elliott,
+        "identity", range(len(elliott_draws)), _ROUNDING_BUDGET,
+        lambda i: _units(*hyper.elliott_residual(*elliott_draws[i])),
     ))
 
     kummer_params = ((0.5, 0.5, 0.5), (0.4, 0.6, 0.5), (0.9, 0.8, 0.7))
 
     checks.append(CheckSpec(
         "hyper.kummer", "Kummer's two-product closed form",
-        "identity", Grid(0.05, 0.95, 50), 1e-11,
-        _max_over(kummer_params, lambda p, x: hyper.kummer_residual(*p, x)),
+        "identity", Grid(0.05, 0.95, 50), _ROUNDING_BUDGET,
+        _max_units(kummer_params, lambda p, x: hyper.kummer_residual(*p, x)),
     ))
 
     growth_pairs = ((0.5, 0.5), (0.25, 0.75))
@@ -668,15 +682,16 @@ def _build_elliptic():
 
     def agm_vs_series(r):
         series = hyper.hyp2f1(0.5, 0.5, 1.0, r * r, one_minus_x=(1.0 - r) * (1.0 + r))
-        return 2.0 / math.pi * elliptic.ellip_k(r) - series
+        return _units(*balance(2.0 / math.pi * elliptic.ellip_k(r), -series))
 
     checks.append(CheckSpec(
         "elliptic.agm_vs_series", "(2/pi) K(r) = F(1/2,1/2;1;r^2), AGM against series",
-        "identity", _BATTERY_GRID, 1e-12, agm_vs_series,
+        "identity", _BATTERY_GRID, _ROUNDING_BUDGET, agm_vs_series,
     ))
     checks.append(CheckSpec(
         "elliptic.legendre", "E K' + E' K - K K' = pi/2",
-        "identity", Grid(0.01, 0.99, 99), 1e-12, elliptic.legendre_residual,
+        "identity", Grid(0.01, 0.99, 99), _ROUNDING_BUDGET,
+        lambda r: _units(*elliptic.legendre_residual(r)),
     ))
 
     gen_as = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.49)
@@ -684,8 +699,8 @@ def _build_elliptic():
     checks.append(CheckSpec(
         "elliptic.legendre_generalized",
         "e_a k_a' + e_a' k_a - k_a k_a' = pi sin(pi a)/(4(1-a))",
-        "identity", Grid(0.02, 0.98, 64, "atanh"), 2e-13,
-        lambda r: max(abs(elliptic.generalized_legendre_residual(a, r)) for a in gen_as),
+        "identity", Grid(0.02, 0.98, 64, "atanh"), _ROUNDING_BUDGET,
+        _max_units(gen_as, elliptic.generalized_legendre_residual),
     ))
 
     def arth_bounds(r):
@@ -715,12 +730,12 @@ def _build_elliptic():
         for r in grid.points():
             if 0.5 * math.pi * (math.atanh(r) / r) ** q > elliptic.ellip_k(r):
                 return 0.0
-        return 1.0
+        return -1.0
 
     checks.append(CheckSpec(
         "elliptic.arth_exponent_sharp",
         "exponent 3/4 + 1e-3 already fails on a refined grid (near r -> 0)",
-        "identity", (0.0,), 0.5, arth_exponent_sharp,
+        "inequality", (0.0,), 1e-12, arth_exponent_sharp,
         note="the bound degrades at the origin, not at r -> 1: both sides expand "
              "as 1 + q r^2/3 versus 1 + r^2/4 there; the upper exponent 1, "
              "lowered by 1e-3, fails only where log(4/r') exceeds (pi/2)^1000: "
@@ -774,8 +789,10 @@ def _build_elliptic():
     ))
     checks.append(CheckSpec(
         "elliptic.mu_symmetry_point", "mu_a(1/sqrt 2) = pi/(2 sin(pi a))",
-        "identity", tuple(i / 20.0 for i in range(1, 20)), 1e-12,
-        lambda a: elliptic.mu_a(a, math.sqrt(0.5)) - 0.5 * math.pi / math.sin(math.pi * a),
+        "identity", tuple(i / 20.0 for i in range(1, 20)), _ROUNDING_BUDGET,
+        lambda a: _units(*balance(
+            elliptic.mu_a(a, math.sqrt(0.5)), -0.5 * math.pi / math.sin(math.pi * a)
+        )),
     ))
 
     phi_ps = (2.0, 5.0)
@@ -794,12 +811,12 @@ def _build_elliptic():
         for a in phi_as:
             for p in rt_ps:
                 s = elliptic.phi_k_a(a, 1.0 / p, r)
-                worst = max(worst, abs(elliptic.phi_k_a(a, p, s) - r))
+                worst = max(worst, _units(*balance(elliptic.phi_k_a(a, p, s), -r)))
         return worst
 
     checks.append(CheckSpec(
         "elliptic.phi_roundtrip", "phi^a_p inverts phi^a_(1/p)",
-        "identity", Grid(0.05, 0.95, 32, "atanh"), 5e-14, phi_roundtrip,
+        "identity", Grid(0.05, 0.95, 32, "atanh"), _ROUNDING_BUDGET, phi_roundtrip,
     ))
     checks.append(CheckSpec(
         "elliptic.beta_below_alpha", "solved modulus stays below the input for p > 1",
@@ -810,23 +827,23 @@ def _build_elliptic():
     ))
 
     ode_as = (0.5, 1.0 / 3.0, 0.25)
-    for which, tol in (("ka_ode", 1e-12), ("ea_ode", 4e-14), ("lemniscate_ode", 2e-14)):
+    for which in elliptic.ODE_IDS:
         checks.append(CheckSpec(
             f"elliptic.{which}", f"second-order ODE residual for {which}",
-            "identity", Grid(0.06, 0.94, 15), tol,
-            lambda r, w=which: max(abs(elliptic.ode_residual(w, a, r)) for a in ode_as),
+            "identity", Grid(0.06, 0.94, 15), _ROUNDING_BUDGET,
+            _max_units(ode_as, lambda a, r, w=which: elliptic.ode_residual(w, a, r)),
         ))
 
     checks.append(CheckSpec(
         "elliptic.schwarzian", "Schwarzian of mu_a matches its closed form",
-        "identity", Grid(0.15, 0.85, 8), 5e-13,
-        lambda r: max(abs(elliptic.schwarzian_residual(a, r)) for a in (0.5, 0.25)),
+        "identity", Grid(0.15, 0.85, 8), _ROUNDING_BUDGET,
+        _max_units((0.5, 0.25), elliptic.schwarzian_residual),
     ))
 
     def schwarzian_decay(_):
         h = 5e-3  # at 2.5e-3 the half step's stencil reads mu's last bits
-        r1 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h))
-        r2 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0))
+        r1 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h)[0])
+        r2 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0)[0])
         return r1 / r2 - 3.0
 
     checks.append(CheckSpec(
@@ -855,8 +872,8 @@ def _build_modular():
         identity = modular.get_identity(iid)
         checks.append(CheckSpec(
             f"modular.{iid}", identity.anchor,
-            "identity", Grid(0.05, 0.95, 64, "atanh"), 2e-14,
-            lambda r, i=iid: modular.identity_residual(i, r),
+            "identity", Grid(0.05, 0.95, 64, "atanh"), _ROUNDING_BUDGET,
+            lambda r, i=iid: _units(*modular.identity_residual(i, r)),
         ))
     return checks
 

@@ -152,17 +152,17 @@ def test_criterion_08_agm_vs_series():
 
 
 def test_criterion_09_identity_residuals():
-    worst_leg = max(abs(elliptic.legendre_residual(r)) for r in Grid(0.01, 0.99, 99).points())
+    worst_leg = max(abs(elliptic.legendre_residual(r)[0]) for r in Grid(0.01, 0.99, 99).points())
     ok = worst_leg < 1e-12
 
     worst_gen = 0.0
     for a in (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.49):
         for r in Grid(0.02, 0.98, 64, "atanh").points():
-            worst_gen = max(worst_gen, abs(elliptic.generalized_legendre_residual(a, r)))
+            worst_gen = max(worst_gen, abs(elliptic.generalized_legendre_residual(a, r)[0]))
     ok = ok and worst_gen < 1e-10
 
     worst_ell = max(
-        abs(hyper.elliott_residual(a, b, c, x))
+        abs(hyper.elliott_residual(a, b, c, x)[0])
         for a, b, c, x in verify._elliott_draws(100)
     )
     ok = ok and worst_ell < 1e-9
@@ -170,7 +170,7 @@ def test_criterion_09_identity_residuals():
     worst_kum = 0.0
     for x in Grid(0.05, 0.95, 50).points():
         for p in ((0.5, 0.5, 0.5), (0.4, 0.6, 0.5)):
-            worst_kum = max(worst_kum, abs(hyper.kummer_residual(*p, x)))
+            worst_kum = max(worst_kum, abs(hyper.kummer_residual(*p, x)[0]))
     ok = ok and worst_kum < 1e-8
 
     cor_vals = [hyper.corollary44_value(0.3, 1.2, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -182,7 +182,7 @@ def test_criterion_09_identity_residuals():
     worst_combo = 0.0
     for z in Grid(0.05, 0.95, 19).points():
         for p in ((0.5, 0.5, 1.0), (0.4, 0.8, 1.1)):
-            worst_combo = max(worst_combo, abs(hyper.wronskian_combo_residual(*p, z)))
+            worst_combo = max(worst_combo, abs(hyper.wronskian_combo_residual(*p, z)[0]))
     ok = ok and worst_combo < 1e-9
 
     _criterion(9, ok, f"legendre {worst_leg:.1e}, generalized {worst_gen:.1e}, "
@@ -197,8 +197,8 @@ def test_criterion_10_derivative_relations():
     for z in Grid(0.1, 0.9, 9).points():
         for p in trip:
             for which in ("d_u", "d_v", "sym_combo", "b_shift"):
-                worst_derivative = max(worst_derivative, abs(hyper.contiguous_residual(which, p, z)))
-            worst_algebraic = max(worst_algebraic, abs(hyper.contiguous_residual("shift_c", p, z)))
+                worst_derivative = max(worst_derivative, abs(hyper.contiguous_residual(which, p, z)[0]))
+            worst_algebraic = max(worst_algebraic, abs(hyper.contiguous_residual("shift_c", p, z)[0]))
     ok = worst_derivative < 5e-14 and worst_algebraic < 5e-14
 
     worst_ode = 0.0
@@ -212,14 +212,14 @@ def test_criterion_10_derivative_relations():
     for which in elliptic.ODE_IDS:
         for a in (0.5, 1.0 / 3.0):
             for r in (0.1, 0.5, 0.9):
-                worst_ode = max(worst_ode, abs(elliptic.ode_residual(which, a, r)))
+                worst_ode = max(worst_ode, abs(elliptic.ode_residual(which, a, r)[0]))
     ok = ok and worst_ode < 1e-5
 
-    worst_schwarz = max(abs(elliptic.schwarzian_residual(a, r))
+    worst_schwarz = max(abs(elliptic.schwarzian_residual(a, r)[0])
                         for a in (0.5, 0.25) for r in (0.2, 0.5, 0.8))
     h = 5e-3
-    decay = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h)) / \
-        abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0))
+    decay = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h)[0]) / \
+        abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0)[0])
     ok = ok and worst_schwarz < 1e-3 and decay >= 3.0
 
     _criterion(10, ok, f"contiguous {worst_derivative:.1e}/{worst_algebraic:.1e}, "
@@ -274,7 +274,7 @@ def test_criterion_13_modular_equations():
     grid = Grid(0.05, 0.95, 64, "atanh").points()
     for iid in modular.IDENTITY_IDS:
         for r in grid:
-            worst = max(worst, modular.identity_residual(iid, r))
+            worst = max(worst, modular.identity_residual(iid, r)[0])
     ok = worst <= 1e-6
 
     worst_rt = 0.0

@@ -42,6 +42,15 @@ class TestEval:
         value = float(out.split()[0])
         assert abs(value - gamma.EULER_GAMMA) < 1.7e-6
 
+    @pytest.mark.parametrize("argv", [("legendre_residual", "0.3"),
+                                      ("generalized_legendre_residual", "0.25", "0.3")])
+    def test_residual_prints_its_scale(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0
+        residual, scale = out.split()
+        assert abs(float(residual)) < 1e-14
+        assert scale.startswith("scale=") and float(scale[len("scale="):]) > 1.0
+
     def test_unknown_function(self, capsys):
         code, _, err = run_cli(capsys, "eval", "nope", "1")
         assert code == 2

@@ -39,7 +39,7 @@ class TestSolveModular:
 
     def test_third_degree_legendre_form(self):
         for r in (0.2, 0.5, 0.8):
-            assert modular.identity_residual("classical_deg3", r) < 1e-7
+            assert modular.identity_residual("classical_deg3", r)[0] < 1e-7
 
     def test_beta_below_alpha(self):
         for p in (2.0, 3.0, 5.0):
@@ -70,22 +70,22 @@ class TestIdentityRegistry:
 
 class TestIdentityResiduals:
     def test_deg7_at_half(self):
-        assert modular.identity_residual("classical_deg7", 0.5) < 1e-7
+        assert modular.identity_residual("classical_deg7", 0.5)[0] < 1e-7
 
     def test_sig3_deg2(self):
-        assert modular.identity_residual("sig3_deg2", 0.3) < 1e-7
+        assert modular.identity_residual("sig3_deg2", 0.3)[0] < 1e-7
 
     def test_deg9_chain(self):
-        assert modular.identity_residual("classical_deg9_chain", 0.6) < 1e-6
+        assert modular.identity_residual("classical_deg9_chain", 0.6)[0] < 1e-6
 
     @pytest.mark.parametrize("r", [0.05, 0.25, 0.5, 0.75, 0.95])
     def test_deg5_across_grid(self, r):
-        assert modular.identity_residual("classical_deg5", r) < 1e-6
+        assert modular.identity_residual("classical_deg5", r)[0] < 1e-6
 
     @pytest.mark.parametrize("iid", modular.IDENTITY_IDS)
     @pytest.mark.parametrize("r", [0.05, 0.5, 0.95])
     def test_all_registered(self, iid, r):
-        assert modular.identity_residual(iid, r) < 1e-6
+        assert modular.identity_residual(iid, r)[0] < 1e-6
 
     def test_mixed_parameterizations_individually(self):
         r = 0.45
@@ -94,8 +94,8 @@ class TestIdentityResiduals:
         be7 = phi_k_a(0.5, 1.0 / 7.0, r) ** 2
         al3 = phi_k_a(0.5, 1.0 / 3.0, r) ** 2
         be5 = phi_k_a(0.5, 1.0 / 5.0, r) ** 2
-        assert abs(identity.residual_fn(al, be7)) < 1e-7
-        assert abs(identity.residual_fn(al3, be5)) < 1e-7
+        assert abs(identity.residual_fn(al, be7)[0]) < 1e-7
+        assert abs(identity.residual_fn(al3, be5)[0]) < 1e-7
 
     def test_square_root_variant_of_sig3_deg2_fails(self):
         # the cube-root form is registered; the square-root first term that
@@ -105,7 +105,7 @@ class TestIdentityResiduals:
         al = r * r
         wrong = math.sqrt(al * be) + ((1.0 - al) * (1.0 - be)) ** (1.0 / 3.0) - 1.0
         assert abs(wrong) > 1e-2
-        assert modular.identity_residual("sig3_deg2", r) < 1e-8
+        assert modular.identity_residual("sig3_deg2", r)[0] < 1e-8
 
     def test_sig3_deg5_uses_degree_five_solution(self):
         # beta of degree 3 does not satisfy the quintic identity
@@ -116,4 +116,4 @@ class TestIdentityResiduals:
         wrong = (al * be3) ** (1.0 / 3.0) + ((1.0 - al) * (1.0 - be3)) ** (1.0 / 3.0) \
             + 3.0 * q ** (1.0 / 6.0) - 1.0
         assert abs(wrong) > 1e-2
-        assert modular.identity_residual("sig3_deg5", r) < 1e-8
+        assert modular.identity_residual("sig3_deg5", r)[0] < 1e-8

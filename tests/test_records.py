@@ -111,9 +111,11 @@ RULES = [
     (lambda: verify.CheckSpec("c", "a", "other", (1.0,), 1e-9, abs), DomainError,
      "unknown check kind 'other'"),
     (lambda: verify.CheckSpec("c", "a", "identity", (1.0,), 0.0, abs), DomainError,
-     "tolerance must be positive"),
+     "tolerance must be positive and finite"),
     (lambda: verify.CheckSpec("c", "a", "identity", (1.0,), NAN, abs), DomainError,
-     "tolerance must be positive"),
+     "tolerance must be positive and finite"),
+    (lambda: verify.CheckSpec("c", "a", "identity", (1.0,), float("inf"), abs), DomainError,
+     "tolerance must be positive and finite"),
 ]
 
 
