@@ -3,17 +3,19 @@
 Every identity, inequality and shape property asserted by the library
 is registered here as a CheckSpec and executed over a grid.  Check kinds:
 
-* identity     — evaluator returns a residual; pass iff max |residual| <= tol.
-                 The 33 that only rounding keeps from zero read it in
-                 units of eps * S, S = sum |terms| (kernel.balance), and
-                 share the tolerance _ROUNDING_BUDGET; the six whose gap is
-                 truncation (a limit, a table, a stencil) keep their own.
-* inequality   — evaluator returns a signed margin (>= 0 means satisfied);
-                 pass iff no margin drops below -tol.  A two-sided bracket
-                 returns min(v - lo, hi - v), a 0/1 probe 0 or -1.
-* monotonicity — evaluator returns the sequence value; adjacent
-                 differences may not fall below -tol relative.
+* identity     — evaluator returns a residual, zero on paper.
+* inequality   — evaluator returns the signed slack of its claim (>= 0
+                 where it holds); a two-sided bound the lesser of two.
+* monotonicity — evaluator returns the sequence value; run_check takes
+                 each step v[i] - v[i-1] as the slack.
 * convexity    — same with second differences (uniform grids only).
+A check passes iff no |residual| and no -slack exceeds its tolerance.
+All but six read in rounding units, eps * S with S = sum |terms|
+(kernel.balance), under one tolerance, _ROUNDING_BUDGET: an inequality
+balances its two sides, a claim on the sign of one value v reads its
+sign (S = |v|), and a sharpness probe reads 0 where the pushed constant
+breaks and -inf where it holds.  The six identities whose gap is
+truncation (a limit, a table, a stencil) keep their own tolerance.
 A NaN or infinite value fails any kind, with residual inf at its point.
 
 Evaluators are pure and draws are generated from fixed seeds, so rerunning
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import time
 from collections import namedtuple
@@ -49,22 +52,41 @@ SUITES = ("gamma", "balls", "hyper", "elliptic", "modular")
 _KINDS = ("identity", "inequality", "monotonicity", "convexity")
 
 _EPS = 2.220446049250313e-16
-# the tolerance of every rounding-limited identity, in units of eps * S:
-# the smallest power of two at least 4x the worst reading (12.8, at
-# elliptic.lemniscate_ode) on the default grids and at 7, 64 and 200
-# points; a relative error of 1e-12 c x in every 2F1 reads 690 and up
+# the tolerance of every check but six, in units of eps * S: the smallest
+# power of two at least 4x the worst reading on the default grids and at
+# 7, 64, 200 and 1000 points (14.3, elliptic.lemniscate_ode; the least
+# one-sided slack is -3.7); a relative error of 1e-12 c x in every 2F1
+# reads 690 and up, and K(r) 1e-13 low a slack of -226 in arth_refined
 _ROUNDING_BUDGET = 64.0
 
 
 def _units(residual, scale):
-    """|residual| / (eps * scale); 0 for an exact 0, where scale may be 0."""
-    return 0.0 if residual == 0.0 else abs(residual) / (_EPS * scale)
+    """residual / (eps * scale), signed: an identity's error or a claim's
+    slack in rounding units; 0 for an exact 0, where scale may be 0."""
+    return 0.0 if residual == 0.0 else residual / (_EPS * scale)
+
+
+def _slack(hi, lo):
+    # hi - lo in units of eps * (|hi| + |lo|): _units(*balance(hi, -lo)) bit
+    # for bit, without its argument loop (10^4-point checks call it most)
+    d = hi - lo
+    return 0.0 if d == 0.0 else d / (_EPS * (abs(hi) + abs(lo)))
+
+
+def _sign(v):
+    # the slack of v >= 0 for one value with no terms to balance: its sign
+    return _units(v, abs(v))
+
+
+def _between(lo, v, hi):
+    # the slack of lo <= v <= hi in rounding units, v evaluated once
+    return min(_slack(v, lo), _slack(hi, v))
 
 
 def _max_units(param_sets, fn):
-    # worst rounding units of the (residual, scale) pair fn(params, x)
+    # worst rounding units of the identity (residual, scale) = fn(params, x)
     def ev(x):
-        return max(_units(*fn(params, x)) for params in param_sets)
+        return max(abs(_units(*fn(params, x))) for params in param_sets)
 
     return ev
 
@@ -110,34 +132,23 @@ def run_check(spec: CheckSpec, grid_n: int = None, tol_scale: float = 1.0) -> Ch
     pts = _points_for(spec, grid_n)
     tol = spec.tolerance * tol_scale
     ev, kind, isfinite = spec.evaluator, spec.kind, math.isfinite
-    identity = kind == "identity"
-    pointwise = identity or kind == "inequality"
     t0 = time.perf_counter()
-    max_res, argmax, vals = 0.0, pts[0], []
-    for p in pts:
-        v = ev(p)
-        if not isfinite(v):  # NaN fails every test below and +inf meets every margin
-            max_res, argmax = math.inf, p
-            break
-        if pointwise:
-            res = abs(v) if identity else -v
-            if res > max_res:
-                max_res, argmax = res, p
-        else:
-            vals.append(v)
+    vals = [ev(p) for p in pts]
+    max_res, argmax = 0.0, pts[0]
+    if not all(map(isfinite, vals)):  # NaN fails every test below, +inf meets every margin
+        max_res = math.inf
+        argmax = next(p for p, v in zip(pts, vals) if not isfinite(v))
     else:
-        if kind == "monotonicity":
-            for i in range(1, len(vals)):
-                scale = max(1.0, abs(vals[i]), abs(vals[i - 1]))
-                res = (vals[i - 1] - vals[i]) / scale
-                if res > max_res:
-                    max_res, argmax = res, pts[i]
-        elif kind == "convexity":
-            for i in range(1, len(vals) - 1):
-                scale = max(1.0, abs(vals[i]))
-                res = -(vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / scale
-                if res > max_res:
-                    max_res, argmax = res, pts[i]
+        at = pts
+        if kind == "monotonicity":  # each step, as a slack in rounding units
+            vals, at = [_slack(v, u) for u, v in zip(vals, vals[1:])], pts[1:]
+        elif kind == "convexity":  # each second difference, likewise
+            vals = [_units(*balance(w, -2.0 * v, u)) for u, v, w in zip(vals, vals[1:], vals[2:])]
+            at = pts[1:-1]
+        res = list(map(abs if kind == "identity" else operator.neg, vals))
+        worst = max(res, default=0.0)
+        if worst > 0.0:  # the first point of the worst reading
+            max_res, argmax = worst, at[res.index(worst)]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return CheckResult(
         id=spec.id,
@@ -162,7 +173,7 @@ def _build_gamma():
         # psi(x + 1) ~ 3.5 amplify that to tens of units; taking
         # x = (x + 1) - 1 makes x + 1 exact on [0.5, 50]
         x = (x + 1.0) - 1.0
-        return _units(*balance(gamma.gamma(x + 1.0), -x * gamma.gamma(x)))
+        return _slack(gamma.gamma(x + 1.0), x * gamma.gamma(x))
 
     checks.append(CheckSpec(
         "gamma.recurrence", "Gamma(x+1) = x Gamma(x)", "identity",
@@ -170,41 +181,32 @@ def _build_gamma():
     ))
 
     def interval_bounds(x):
-        g = gamma.gamma(x)
-        lo = x ** ((1.0 - eg) * x - 1.0)
-        hi = x ** (x - 1.0)
-        return min((g - lo) / g, (hi - g) / g)
+        return _between(x ** ((1.0 - eg) * x - 1.0), gamma.gamma(x), x ** (x - 1.0))
 
     checks.append(CheckSpec(
         "gamma.interval_bounds", "x^((1-g)x-1) < Gamma(x) < x^(x-1) on (1,100]",
-        "inequality", Grid(1.005, 100.0, 200), 1e-12, interval_bounds,
+        "inequality", Grid(1.005, 100.0, 200), _ROUNDING_BUDGET, interval_bounds,
     ))
 
     _A01 = 1.0 - eg
     _B01 = 0.5 * (math.pi ** 2 / 6.0 - eg)
 
     def alzer_unit(x):
-        g = gamma.gamma(x)
-        lo = x ** (_A01 * (x - 1.0) - eg)
-        hi = x ** (_B01 * (x - 1.0) - eg)
-        return min((g - lo) / g, (hi - g) / g)
+        return _between(x ** (_A01 * (x - 1.0) - eg), gamma.gamma(x), x ** (_B01 * (x - 1.0) - eg))
 
     checks.append(CheckSpec(
         "gamma.alzer_unit_interval",
         "x^(a(x-1)-g) < Gamma(x) < x^(b(x-1)-g) on (0,1), a = 1-g, b = (pi^2/6-g)/2",
-        "inequality", Grid(0.01, 0.99, 99), 1e-12, alzer_unit,
+        "inequality", Grid(0.01, 0.99, 99), _ROUNDING_BUDGET, alzer_unit,
     ))
 
     def alzer_beyond(x):
-        g = gamma.gamma(x)
-        lo = x ** (_B01 * (x - 1.0) - eg)
-        hi = x ** (1.0 * (x - 1.0) - eg)
-        return min((g - lo) / g, (hi - g) / g)
+        return _between(x ** (_B01 * (x - 1.0) - eg), gamma.gamma(x), x ** (x - 1.0 - eg))
 
     checks.append(CheckSpec(
         "gamma.alzer_beyond_one",
         "x^(a(x-1)-g) < Gamma(x) < x^(x-1-g) on (1,inf), a = (pi^2/6-g)/2",
-        "inequality", Grid(1.005, 100.0, 200), 1e-12, alzer_beyond,
+        "inequality", Grid(1.005, 100.0, 200), _ROUNDING_BUDGET, alzer_beyond,
     ))
 
     table = gamma.THETA_RECORD
@@ -220,47 +222,42 @@ def _build_gamma():
              "rounded in the source, so their gaps sit just above 5e-5",
     ))
 
-    def theta_window(x):
-        t = gamma.theta(x) / 30.0
-        return min(t - 0.01, 1.0 / 30.0 - t)
-
     checks.append(CheckSpec(
         "gamma.theta_growth_range", "theta/30 in (1/100, 1/30) on [1, 500]",
-        "inequality", Grid(1.0, 500.0, 500), 1e-12, theta_window,
+        "inequality", Grid(1.0, 500.0, 500), _ROUNDING_BUDGET,
+        lambda x: _between(0.01, gamma.theta(x) / 30.0, 1.0 / 30.0),
     ))
     checks.append(CheckSpec(
         "gamma.theta_growth_mono", "theta increasing on [1, 500]",
-        "monotonicity", Grid(1.0, 500.0, 500), 1e-12, gamma.theta,
+        "monotonicity", Grid(1.0, 500.0, 500), _ROUNDING_BUDGET, gamma.theta,
     ))
 
     gaps = gamma.detemple_gaps(10_000)  # R_n - g, n = 1..10^4: one table per build
 
     def detemple_bracket(n):
-        g = gaps[n - 1]
-        hi = 1.0 / (24.0 * n * n)
-        lo = 1.0 / (24.0 * (n + 1.0) ** 2)
-        return min(g - lo, hi - g) / hi
+        return _between(1.0 / (24.0 * (n + 1.0) ** 2), gaps[n - 1], 1.0 / (24.0 * n * n))
 
     checks.append(CheckSpec(
         "gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4",
-        "inequality", range(1, 10_001), 1e-12, detemple_bracket,
+        "inequality", range(1, 10_001), _ROUNDING_BUDGET, detemple_bracket,
     ))
     checks.append(CheckSpec(
         "gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4",
-        "monotonicity", range(1, 10_001), 1e-12, lambda n: n * n * gaps[n - 1],
+        "monotonicity", range(1, 10_001), _ROUNDING_BUDGET, lambda n: n * n * gaps[n - 1],
     ))
     checks.append(CheckSpec(
         "gamma.bigh_below_cap", "n^2 (R_n - g) < 1/24",
-        "inequality", range(1, 10_001), 1e-12, lambda n: 1.0 / 24.0 - n * n * gaps[n - 1],
+        "inequality", range(1, 10_001), _ROUNDING_BUDGET,
+        lambda n: _slack(1.0 / 24.0, n * n * gaps[n - 1]),
     ))
 
     def karatsuba_margin(k):
         est = gamma.karatsuba_euler_gamma(k)
-        return (est.error_bound - abs(est.value - eg)) / est.error_bound
+        return _slack(est.error_bound, abs(est.value - eg))
 
     checks.append(CheckSpec(
         "gamma.karatsuba_bound", "|estimate - g| <= c_k + ulp, c_k = 2/(12k)! + 2k^2 e^-k",
-        "inequality", (1, 5, 10, 20), 1e-12, karatsuba_margin,
+        "inequality", (1, 5, 10, 20), _ROUNDING_BUDGET, karatsuba_margin,
     ))
 
     def ramanujan_err(i):
@@ -272,48 +269,48 @@ def _build_gamma():
     checks.append(CheckSpec(
         "gamma.ramanujan_terms_decreasing",
         "sixth-root expansion error shrinks with every added tail coefficient at x = 10",
-        "monotonicity", range(8), 1e-12, ramanujan_err,
+        "monotonicity", range(8), _ROUNDING_BUDGET, ramanujan_err,
     ))
 
     def ramanujan_seven(x):
         ref = gamma.gamma(x + 1.0)
         est = gamma.ramanujan_gamma(x, 7)
-        return (1e-9 - abs(est.value - ref) / ref) / 1e-9
+        return _slack(1e-9, abs(est.value - ref) / ref)
 
     checks.append(CheckSpec(
         "gamma.ramanujan_seven_terms", "full seven-coefficient tail reaches 1e-9 at x >= 10",
-        "inequality", (10.0, 20.0, 50.0), 1e-12, ramanujan_seven,
+        "inequality", (10.0, 20.0, 50.0), _ROUNDING_BUDGET, ramanujan_seven,
     ))
 
     checks.append(CheckSpec(
         "gamma.mono_f_increasing", "log Gamma(x+1)/(x log x) increasing",
-        "monotonicity", Grid(1.02, 200.0, 300, "logarithmic"), 1e-12, gamma.mono_f,
+        "monotonicity", Grid(1.02, 200.0, 300, "logarithmic"), _ROUNDING_BUDGET, gamma.mono_f,
     ))
     checks.append(CheckSpec(
         "gamma.mono_f_concave", "log Gamma(x+1)/(x log x) concave beyond 1",
-        "convexity", Grid(1.02, 200.0, 200), 1e-10, lambda x: -gamma.mono_f(x),
+        "convexity", Grid(1.02, 200.0, 200), _ROUNDING_BUDGET, lambda x: -gamma.mono_f(x),
     ))
     checks.append(CheckSpec(
         "gamma.mono_f_range", "mono_f maps (1, inf) into (1-g, 1)",
-        "inequality", Grid(1.02, 200.0, 200), 1e-12,
-        lambda x: min(gamma.mono_f(x) - (1.0 - eg), 1.0 - gamma.mono_f(x)),
+        "inequality", Grid(1.02, 200.0, 200), _ROUNDING_BUDGET,
+        lambda x: _between(1.0 - eg, gamma.mono_f(x), 1.0),
     ))
     checks.append(CheckSpec(
         "gamma.lemma_g_positive", "sum (n-x)/(n+x)^3 > 0 for x > -1",
-        "inequality", Grid(-0.999, 100.0, 120), 1e-12, gamma.lemma_g,
+        "inequality", Grid(-0.999, 100.0, 120), _ROUNDING_BUDGET, lambda x: _sign(gamma.lemma_g(x)),
     ))
     checks.append(CheckSpec(
         "gamma.lemma_h_nonnegative", "x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x) >= 0",
-        "inequality", Grid(-0.999, 20.0, 100), 1e-12, gamma.lemma_h,
+        "inequality", Grid(-0.999, 20.0, 100), _ROUNDING_BUDGET, lambda x: _sign(gamma.lemma_h(x)),
     ))
 
     def dn_slower(n):
         rec = gamma.detemple(n)
-        return abs(rec.d_n - eg) - abs(rec.r_minus_gamma)
+        return _slack(abs(rec.d_n - eg), abs(rec.r_minus_gamma))
 
     checks.append(CheckSpec(
         "gamma.dn_slower_than_rn", "|D_n - g| > |R_n - g| for n = 2..1000",
-        "inequality", range(2, 1001, 2), 1e-12, dn_slower,
+        "inequality", range(2, 1001, 2), _ROUNDING_BUDGET, dn_slower,
     ))
     return checks
 
@@ -326,44 +323,42 @@ def _build_balls():
 
     checks.append(CheckSpec(
         "balls.volume_decreasing", "Omega_n decreases to 0 from n = 7 on",
-        "monotonicity", range(7, 201), 1e-12, lambda n: -balls.log_ball_volume(n),
+        "monotonicity", range(7, 201), _ROUNDING_BUDGET, lambda n: -balls.log_ball_volume(n),
     ))
     checks.append(CheckSpec(
         "balls.surface_decreasing", "omega_n decreases to 0 from n = 7 on",
-        "monotonicity", range(7, 201), 1e-12,
+        "monotonicity", range(7, 201), _ROUNDING_BUDGET,
         lambda n: -(math.log(n + 1) + balls.log_ball_volume(n + 1)),
     ))
     checks.append(CheckSpec(
         "balls.root_power_decreasing", "Omega_n^(1/(n log n)) decreasing",
-        "monotonicity", range(2, 201), 1e-12,
+        "monotonicity", range(2, 201), _ROUNDING_BUDGET,
         lambda n: -math.exp(balls.log_ball_volume(n) / (n * math.log(n))),
     ))
     checks.append(CheckSpec(
         "balls.root_power_above_limit", "Omega_n^(1/(n log n)) > e^(-1/2)",
-        "inequality", range(2, 201), 1e-12,
-        lambda n: math.exp(balls.log_ball_volume(n) / (n * math.log(n))) - math.exp(-0.5),
+        "inequality", range(2, 201), _ROUNDING_BUDGET,
+        lambda n: _slack(math.exp(balls.log_ball_volume(n) / (n * math.log(n))), math.exp(-0.5)),
     ))
     checks.append(CheckSpec(
         "balls.alzer_power", "a Om_(n+1)^(n/(n+1)) <= Om_n <= b Om_(n+1)^(n/(n+1)), a = 2/sqrt(pi), b = sqrt(e)",
-        "inequality", range(1, 201), 1e-12,
-        lambda n: min(balls.power_ratio(n) - balls.POWER_A, balls.POWER_B - balls.power_ratio(n)),
+        "inequality", range(1, 201), _ROUNDING_BUDGET,
+        lambda n: _between(balls.POWER_A, balls.power_ratio(n), balls.POWER_B),
     ))
     checks.append(CheckSpec(
         "balls.alzer_sqrt", "sqrt((n+1/2)/2pi) <= Om_(n-1)/Om_n <= sqrt((n+pi/2-1)/2pi)",
-        "inequality", range(1, 201), 1e-10,
-        lambda n: min(balls.sqrt_shift(n) - balls.SQRT_A, balls.SQRT_B - balls.sqrt_shift(n)),
+        "inequality", range(1, 201), _ROUNDING_BUDGET,
+        lambda n: _between(balls.SQRT_A, balls.sqrt_shift(n), balls.SQRT_B),
     ))
     checks.append(CheckSpec(
         "balls.alzer_quotient", "(1+1/n)^a <= Om_n^2/(Om_(n-1)Om_(n+1)) <= (1+1/n)^(1/2), a = 2 - log pi/log 2",
-        "inequality", range(1, 201), 1e-10,
-        lambda n: min(balls.quotient_exponent(n) - balls.QUOTIENT_ALPHA,
-                      balls.QUOTIENT_BETA - balls.quotient_exponent(n)),
+        "inequality", range(1, 201), _ROUNDING_BUDGET,
+        lambda n: _between(balls.QUOTIENT_ALPHA, balls.quotient_exponent(n), balls.QUOTIENT_BETA),
     ))
     checks.append(CheckSpec(
         "balls.alzer_difference", "A/sqrt(n) <= (n+1)Om_(n+1)/Om_n - n Om_n/Om_(n-1) < B/sqrt(n)",
-        "inequality", range(2, 201), 1e-12,
-        lambda n: min(balls.difference_scaled(n) - balls.DIFFERENCE_A,
-                      balls.DIFFERENCE_B - balls.difference_scaled(n)),
+        "inequality", range(2, 201), _ROUNDING_BUDGET,
+        lambda n: _between(balls.DIFFERENCE_A, balls.difference_scaled(n), balls.DIFFERENCE_B),
     ))
 
     def breaks(i):
@@ -384,7 +379,7 @@ def _build_balls():
     checks.append(CheckSpec(
         "balls.sharpness_spotcheck",
         "perturbing each sharp constant by 1e-3 in the favorable direction breaks it",
-        "inequality", range(5), 1e-12, lambda i: 0.0 if breaks(i) else -1.0,
+        "inequality", range(5), _ROUNDING_BUDGET, lambda i: 0.0 if breaks(i) else -math.inf,
         note="the sqrt(e), A = 1/2 and beta = 1/2 constants are approached too "
              "slowly to violate within n <= 200: perturbed by 1e-3 they still "
              "hold there, so no probe on this range shows their sharpness",
@@ -436,22 +431,21 @@ def _build_hyper():
             gamma.beta(a, b) * hyper.hyp2f1(a, b, a + b, x, one_minus_x=w)
             + math.log(w) - hyper.ramanujan_R(a, b)
         )
-        bound = 10.0 * w * abs(math.log(w))
-        return 1.0 - gap / bound
+        return _slack(10.0 * w * abs(math.log(w)), gap)
 
     checks.append(CheckSpec(
         "hyper.zero_balanced_limit",
         "B(a,b) F(a,b;a+b;x) + log(1-x) -> R(a,b) with O((1-x)log(1-x)) gap",
-        "inequality", range(len(zb_pairs)), 1e-12, zero_balanced,
+        "inequality", range(len(zb_pairs)), _ROUNDING_BUDGET, zero_balanced,
     ))
     checks.append(CheckSpec(
         "hyper.ramanujan_constant_half", "R(1/2,1/2) = log 16",
         "identity", (0.0,), _ROUNDING_BUDGET,
-        lambda _: _units(*balance(hyper.ramanujan_R(0.5, 0.5), -math.log(16.0))),
+        lambda _: _slack(hyper.ramanujan_R(0.5, 0.5), math.log(16.0)),
     ))
     checks.append(CheckSpec(
         "hyper.qf_decreasing", "R(x,1-x) sin(pi x) decreasing on (0, 1/2]",
-        "monotonicity", Grid(0.001, 0.5, 120), 1e-12,
+        "monotonicity", Grid(0.001, 0.5, 120), _ROUNDING_BUDGET,
         lambda x: -hyper.ramanujan_R(x, 1.0 - x) * math.sin(math.pi * x),
     ))
 
@@ -524,7 +518,7 @@ def _build_hyper():
     def cor44_spread(i):
         a, c = cor_params[i]
         vals = [hyper.corollary44_value(a, c, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        return _units(*balance(max(vals), -min(vals)))
+        return _slack(max(vals), min(vals))
 
     checks.append(CheckSpec(
         "hyper.corollary44_spread", "the product combination is z-independent",
@@ -565,27 +559,31 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.growth_exp_mono", "F(a,b;a+b;1-e^-x) increasing in x",
-        "monotonicity", Grid(0.25, 20.0, 80), 1e-12,
+        "monotonicity", Grid(0.25, 20.0, 80), _ROUNDING_BUDGET,
         lambda x: sum(k_of(p, x) for p in growth_pairs),
     ))
     checks.append(CheckSpec(
         "hyper.growth_exp_convex", "F(a,b;a+b;1-e^-x) convex in x",
-        "convexity", Grid(0.25, 20.0, 80), 1e-10,
+        "convexity", Grid(0.25, 20.0, 80), _ROUNDING_BUDGET,
         lambda x: sum(k_of(p, x) for p in growth_pairs),
     ))
 
+    # the endpoint checks take k' and l' from the exact F' (DLMF 15.5.1)
+    # close to both limits, x = 1e-8 and 40 or 1e12, where their gap to the
+    # limit is at most 8.0e-10
+    def k_slope(a, b, x):  # k'(x) = e^-x F'(1 - e^-x)
+        w = math.exp(-x)
+        return w * hyper.hyp2f1_derivatives(a, b, a + b, 1.0 - w, one_minus_x=w)[1]
+
     def growth_exp_endpoints(i):
         a, b = growth_pairs[i]
-        f = lambda x: k_of((a, b), x)
-        lo = derivative(f, 0.001, order=1, step=2e-4)
-        hi = derivative(f, 20.0, order=1, step=0.05)
         lo_ref = a * b / (a + b)
         hi_ref = math.exp(gamma.log_gamma(a + b) - gamma.log_gamma(a) - gamma.log_gamma(b))
-        return max(abs(lo - lo_ref), abs(hi - hi_ref))
+        return max(abs(k_slope(a, b, 1e-8) - lo_ref), abs(k_slope(a, b, 40.0) - hi_ref))
 
     checks.append(CheckSpec(
         "hyper.growth_exp_endpoints", "k' runs from ab/(a+b) to G(a+b)/(G(a)G(b))",
-        "identity", range(len(growth_pairs)), 1e-3, growth_exp_endpoints,
+        "identity", range(len(growth_pairs)), 1e-8, growth_exp_endpoints,
     ))
 
     power_trips = ((0.9, 0.8, 0.5), (0.6, 0.9, 0.5))
@@ -598,30 +596,32 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.growth_power_mono", "F(a,b;c;1-(1+x)^(-1/d)) increasing in x",
-        "monotonicity", Grid(0.25, 30.0, 60), 1e-12,
+        "monotonicity", Grid(0.25, 30.0, 60), _ROUNDING_BUDGET,
         lambda x: sum(l_of(p, x) for p in power_trips),
     ))
     checks.append(CheckSpec(
         "hyper.growth_power_convex", "F(a,b;c;1-(1+x)^(-1/d)) convex in x",
-        "convexity", Grid(0.25, 30.0, 60), 1e-10,
+        "convexity", Grid(0.25, 30.0, 60), _ROUNDING_BUDGET,
         lambda x: sum(l_of(p, x) for p in power_trips),
     ))
+
+    def l_slope(a, b, c, x):  # l'(x) = (1+x)^(-1/d-1) F'(1 - (1+x)^(-1/d)) / d
+        d = a + b - c
+        w = (1.0 + x) ** (-1.0 / d)
+        return w / (d * (1.0 + x)) * hyper.hyp2f1_derivatives(a, b, c, 1.0 - w, one_minus_x=w)[1]
 
     def growth_power_endpoints(i):
         a, b, c = power_trips[i]
         d = a + b - c
-        f = lambda x: l_of((a, b, c), x)
-        lo = derivative(f, 0.001, order=1, step=2e-4)
-        hi = derivative(f, 1e5, order=1, step=30.0)
         lo_ref = a * b / (c * d)
         hi_ref = math.exp(
             gamma.log_gamma(c) + gamma.log_gamma(d) - gamma.log_gamma(a) - gamma.log_gamma(b)
         )
-        return max(abs(lo - lo_ref), abs(hi - hi_ref))
+        return max(abs(l_slope(a, b, c, 1e-8) - lo_ref), abs(l_slope(a, b, c, 1e12) - hi_ref))
 
     checks.append(CheckSpec(
         "hyper.growth_power_endpoints", "l' runs from ab/(cd) to G(c)G(d)/(G(a)G(b))",
-        "identity", range(len(power_trips)), 1e-3, growth_power_endpoints,
+        "identity", range(len(power_trips)), 1e-8, growth_power_endpoints,
     ))
 
     f32_draws = _f32_draws(100)
@@ -632,7 +632,7 @@ def _build_hyper():
 
     checks.append(CheckSpec(
         "hyper.f32_positive", "terminating 3F2(-n,a,b;1+a+b,1+eps-n;1) > 0 in the eps window",
-        "inequality", range(len(f32_draws)), 1e-12, f32,
+        "inequality", range(len(f32_draws)), _ROUNDING_BUDGET, lambda i: _sign(f32(i)),
     ))
     return checks
 
@@ -682,7 +682,7 @@ def _build_elliptic():
 
     def agm_vs_series(r):
         series = hyper.hyp2f1(0.5, 0.5, 1.0, r * r, one_minus_x=(1.0 - r) * (1.0 + r))
-        return _units(*balance(2.0 / math.pi * elliptic.ellip_k(r), -series))
+        return _slack(2.0 / math.pi * elliptic.ellip_k(r), series)
 
     checks.append(CheckSpec(
         "elliptic.agm_vs_series", "(2/pi) K(r) = F(1/2,1/2;1;r^2), AGM against series",
@@ -704,24 +704,20 @@ def _build_elliptic():
     ))
 
     def arth_bounds(r):
-        k = elliptic.ellip_k(r)
         base = math.atanh(r) / r
-        lo = 0.5 * math.pi * math.sqrt(base)
-        hi = 0.5 * math.pi * base
-        return min((k - lo) / k, (hi - k) / k)
+        return _between(0.5 * math.pi * math.sqrt(base), elliptic.ellip_k(r), 0.5 * math.pi * base)
 
     checks.append(CheckSpec(
         "elliptic.arth_bounds", "(pi/2)(arth r/r)^(1/2) < K(r) < (pi/2) arth r/r",
-        "inequality", _BATTERY_GRID, 1e-12, arth_bounds,
+        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET, arth_bounds,
     ))
 
     def arth_refined(r):
-        k = elliptic.ellip_k(r)
-        return (k - 0.5 * math.pi * (math.atanh(r) / r) ** 0.75) / k
+        return _slack(elliptic.ellip_k(r), 0.5 * math.pi * (math.atanh(r) / r) ** 0.75)
 
     checks.append(CheckSpec(
         "elliptic.arth_refined", "(pi/2)(arth r/r)^(3/4) < K(r), 3/4 the best exponent",
-        "inequality", _BATTERY_GRID, 1e-12, arth_refined,
+        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET, arth_refined,
     ))
 
     def arth_exponent_sharp(_):
@@ -730,12 +726,12 @@ def _build_elliptic():
         for r in grid.points():
             if 0.5 * math.pi * (math.atanh(r) / r) ** q > elliptic.ellip_k(r):
                 return 0.0
-        return -1.0
+        return -math.inf
 
     checks.append(CheckSpec(
         "elliptic.arth_exponent_sharp",
         "exponent 3/4 + 1e-3 already fails on a refined grid (near r -> 0)",
-        "inequality", (0.0,), 1e-12, arth_exponent_sharp,
+        "inequality", (0.0,), _ROUNDING_BUDGET, arth_exponent_sharp,
         note="the bound degrades at the origin, not at r -> 1: both sides expand "
              "as 1 + q r^2/3 versus 1 + r^2/4 there; the upper exponent 1, "
              "lowered by 1e-3, fails only where log(4/r') exceeds (pi/2)^1000: "
@@ -744,55 +740,53 @@ def _build_elliptic():
 
     checks.append(CheckSpec(
         "elliptic.klog_kuhnau_qiu", "9/(8+r^2) < K(r)/log(4/r')",
-        "inequality", _BATTERY_GRID, 1e-12,
-        lambda r: _klog_ratio(r) - 9.0 / (8.0 + r * r),
+        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET,
+        lambda r: _slack(_klog_ratio(r), 9.0 / (8.0 + r * r)),
     ))
     checks.append(CheckSpec(
         "elliptic.klog_qiu_vamanamurthy", "K(r)/log(4/r') < 1 + (r')^2/4",
-        "inequality", _BATTERY_GRID, 1e-12,
-        lambda r: 1.0 + 0.25 * (1.0 - r) * (1.0 + r) - _klog_ratio(r),
+        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET,
+        lambda r: _units(*balance(1.0, 0.25 * (1.0 - r) * (1.0 + r), -_klog_ratio(r))),
         note="the ratio is 1 + (r')^2 (1 - 1/log(4/r'))/4 + ... as r -> 1, so "
              "the quarter, lowered by 1e-3, fails only for r' below about "
              "e^-1000: no grid in binary64 shows its sharpness",
     ))
     checks.append(CheckSpec(
         "elliptic.klog_alzer", "1 + (pi/(4 log 2) - 1)(r')^2 < K(r)/log(4/r')",
-        "inequality", _BATTERY_GRID, 1e-12,
-        lambda r: _klog_ratio(r) - 1.0 - _ALZER_KLOG * (1.0 - r) * (1.0 + r),
+        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET,
+        lambda r: _units(*balance(_klog_ratio(r), -1.0, -_ALZER_KLOG * (1.0 - r) * (1.0 + r))),
     ))
 
-    # over the semiaxis b = r': perimeter(b) = 4 E(r), margins scaled by 2 pi
+    # over the semiaxis b = r': perimeter(b) = 4 E(r)
     def ellipse_lower(b):
-        return (elliptic.ellipse_perimeter(b) - elliptic.muir_approx(b)) / (2.0 * math.pi)
+        return _slack(elliptic.ellipse_perimeter(b), elliptic.muir_approx(b))
 
     def ellipse_upper(b):
-        return (elliptic.upper_approx(b) - elliptic.ellipse_perimeter(b)) / (2.0 * math.pi)
+        return _slack(elliptic.upper_approx(b), elliptic.ellipse_perimeter(b))
 
     checks.append(CheckSpec(
         "elliptic.ellipse_lower", "perimeter(b) >= 2 pi ((1+b^(3/2))/2)^(2/3) on [0,1]",
-        "inequality", Grid(0.0, 1.0, 101), 1e-12, ellipse_lower,
+        "inequality", Grid(0.0, 1.0, 101), _ROUNDING_BUDGET, ellipse_lower,
     ))
     checks.append(CheckSpec(
         "elliptic.ellipse_upper", "perimeter(b) <= 2 pi ((1+b^2)/2)^(1/2) on [0,1]",
-        "inequality", Grid(0.0, 1.0, 101), 1e-12, ellipse_upper,
+        "inequality", Grid(0.0, 1.0, 101), _ROUNDING_BUDGET, ellipse_upper,
     ))
 
     checks.append(CheckSpec(
         "elliptic.mu_decreasing", "the ring modulus decreases in r",
-        "monotonicity", Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), 1e-12,
+        "monotonicity", Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), _ROUNDING_BUDGET,
         lambda r: -elliptic.mu(r),
     ))
     checks.append(CheckSpec(
         "elliptic.mu_a_decreasing", "the generalized ring modulus decreases in r",
-        "monotonicity", Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), 1e-12,
+        "monotonicity", Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), _ROUNDING_BUDGET,
         lambda r: -(elliptic.mu_a(1.0 / 3.0, r) + elliptic.mu_a(0.15, r)),
     ))
     checks.append(CheckSpec(
         "elliptic.mu_symmetry_point", "mu_a(1/sqrt 2) = pi/(2 sin(pi a))",
         "identity", tuple(i / 20.0 for i in range(1, 20)), _ROUNDING_BUDGET,
-        lambda a: _units(*balance(
-            elliptic.mu_a(a, math.sqrt(0.5)), -0.5 * math.pi / math.sin(math.pi * a)
-        )),
+        lambda a: _slack(elliptic.mu_a(a, math.sqrt(0.5)), 0.5 * math.pi / math.sin(math.pi * a)),
     ))
 
     phi_ps = (2.0, 5.0)
@@ -800,8 +794,10 @@ def _build_elliptic():
 
     checks.append(CheckSpec(
         "elliptic.phi_below_identity", "phi^a_(1/p)(r) < r for p > 1",
-        "inequality", Grid(0.05, 0.95, 64, "atanh"), 1e-12,
-        lambda r: min(r - elliptic.phi_k_a(a, 1.0 / p, r) for a in phi_as for p in phi_ps),
+        "inequality", Grid(0.05, 0.95, 64, "atanh"), _ROUNDING_BUDGET,
+        lambda r: min(
+            _slack(r, elliptic.phi_k_a(a, 1.0 / p, r)) for a in phi_as for p in phi_ps
+        ),
     ))
 
     rt_ps = (2.0, 3.0, 5.0, 7.0, 11.0, 23.0)
@@ -811,7 +807,7 @@ def _build_elliptic():
         for a in phi_as:
             for p in rt_ps:
                 s = elliptic.phi_k_a(a, 1.0 / p, r)
-                worst = max(worst, _units(*balance(elliptic.phi_k_a(a, p, s), -r)))
+                worst = max(worst, abs(_slack(elliptic.phi_k_a(a, p, s), r)))
         return worst
 
     checks.append(CheckSpec(
@@ -820,9 +816,10 @@ def _build_elliptic():
     ))
     checks.append(CheckSpec(
         "elliptic.beta_below_alpha", "solved modulus stays below the input for p > 1",
-        "inequality", Grid(0.05, 0.95, 32, "atanh"), 1e-12,
+        "inequality", Grid(0.05, 0.95, 32, "atanh"), _ROUNDING_BUDGET,
         lambda r: min(
-            r * r - elliptic.phi_k_a(a, 1.0 / p, r) ** 2 for a in phi_as for p in (2.0, 3.0, 5.0)
+            _slack(r * r, elliptic.phi_k_a(a, 1.0 / p, r) ** 2)
+            for a in phi_as for p in (2.0, 3.0, 5.0)
         ),
     ))
 
@@ -844,11 +841,11 @@ def _build_elliptic():
         h = 5e-3  # at 2.5e-3 the half step's stencil reads mu's last bits
         r1 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h)[0])
         r2 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0)[0])
-        return r1 / r2 - 3.0
+        return _slack(r1, 3.0 * r2)
 
     checks.append(CheckSpec(
         "elliptic.schwarzian_step_decay", "halving the stencil step cuts the residual >= 3x",
-        "inequality", (0.0,), 1e-12, schwarzian_decay,
+        "inequality", (0.0,), _ROUNDING_BUDGET, schwarzian_decay,
     ))
 
     def e_a_continuity(a):
