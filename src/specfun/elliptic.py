@@ -11,9 +11,12 @@ engine with exact complements.  The ring modulus
 takes both of its factors from one series in s^2 = min(r, r')^2 <= 1/2:
 the 2F1 series of F(a,1-a;1;s^2) together with the logarithmic series of
 F(a,1-a;1;1-s^2) (DLMF 15.8.10), whose terms are all positive, so mu_a
-stays accurate deep into both corners.  At a = 1/2 and 1/4 mu_a is
-instead -log(q)/2 for Jacobi's nome q of a classical modulus, a short
-series in closed form (DLMF 19.5), within 3.5e-16 of mpmath (measured).
+stays accurate deep into both corners.  At a = 1/2, 1/4, 1/3 and 1/6 mu_a
+is instead -log(q)/2 for the nome q in closed form: Jacobi's nome series
+of a classical modulus (DLMF 19.5) at 1/2 and 1/4, one step of Borwein's
+cubic AGM at 1/3, and at 1/6 the j-invariant bridge to the classical
+modulus at the same nome; within 3.5e-16, 3.5e-16, 4.2e-16 and 4.5e-16
+of mpmath (measured), and no 2F1, series table or AGM loop.
 sin(pi a) is gamma.sinpi, exact also for a next to 0 or 1.  Inverting
 mu_a uses the symmetry mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 to work on
 the well-conditioned half r <= 1/sqrt(2), where the nome q = exp(-2 mu_a)
@@ -95,17 +98,19 @@ class _Signature:
     """The constants of one signature parameter a that mu_a and its
     inverse need: r_a, Ramanujan's R(a, 1-a), the h_0 of mu_a's series and
     the asymptote mu_a(r) ~ r_a/2 - log r; sin_pi_a, of the symmetry value
-    pi/(2 sin(pi a)); and mu_table, the series coefficients (see
-    _mu_series).  Built only by _memo_record.  R_a overflows for a below
-    about 5.6e-309, which raises RangeError."""
+    pi/(2 sin(pi a)); mu_table, the series coefficients (see _mu_series);
+    and mu_closed, mu_a's closed form at a nome signature (_NOME_MUS), else
+    None.  Built only by _memo_record.  R_a overflows for a below about
+    5.6e-309, which raises RangeError."""
 
-    __slots__ = ("a", "r_a", "sin_pi_a", "mu_table")
+    __slots__ = ("a", "r_a", "sin_pi_a", "mu_table", "mu_closed")
 
     def __init__(self, a):
         self.a = a = _check_signature(a)
         self.r_a = ramanujan_R(a, 1.0 - a)
         self.sin_pi_a = sinpi(a)
         self.mu_table = None
+        self.mu_closed = _NOME_MUS.get(a)
 
 
 @functools.lru_cache(maxsize=64)  # a registry pass uses 20 distinct a, inverse solves 4
@@ -308,15 +313,86 @@ def _jacobi_mu(k: float, kc: float, log_k: float):
     return 0.5 * math.log(d) - log_k - 0.5 * math.log1p(t), theta * theta
 
 
+def _mu_half(r: float, xc: float):
+    # a = 1/2: the classical mu(r) itself
+    m, f = _jacobi_mu(r, math.sqrt(xc), math.log(r))
+    return m, -1.0 / (xc * f * f)
+
+
+def _mu_quarter(r: float, xc: float):
+    # a = 1/4: mu(k) at k = r/(1+r'), k'^2 = 2r'/(1+r'), the inverse of
+    # _nome_quarter's map, with F(1/4,3/4;1;r^2) = sqrt(1+k^2) F(1/2,1/2;1;k^2)
+    # and 1+k^2 = 2/(1+r'); -log k is log(1+r') - log r, as k may round to 0
+    rc = math.sqrt(xc)
+    k, log_k = r / (1.0 + rc), math.log(r) - math.log1p(rc)
+    m, f = _jacobi_mu(k, math.sqrt(2.0 * rc / (1.0 + rc)), log_k)
+    return m, -0.5 * (1.0 + rc) / (xc * f * f)
+
+
+_LOG_3, _LOG_432, _PI_3, _PI_6 = math.log(3.0), math.log(432.0), math.pi / 3.0, math.pi / 6.0
+# 27 q/x - 1 = x (5/9 + 31x/81 + 5729x^2/19683 + 41518x^3/177147 + ...) at a = 1/3
+_CUBIC_NOME = (5.0 / 9.0, 31.0 / 81.0, 5729.0 / 19683.0, 41518.0 / 177147.0)
+
+
+def _mu_third(x: float, xc: float, log_x: float):
+    # (mu_a, F(1/3,2/3;1;x)) at a = 1/3, x <= 1/2, by one step of Borwein's
+    # cubic AGM: b = (1-x)^(1/3), g = (1+b+b^2)(1+2b), and x1 = (x/g)^3 =
+    # ((1-b)/(1+2b))^3 <= 5.1e-4 has the nome q^3, so mu_a = -log(q^3)/6 =
+    # log(3g/x)/2 - log1p(27 q^3/x1 - 1)/6, and F(x) = 3 F(x1)/(1+2b); log x
+    # is passed in, as x may underflow where it is finite
+    b = xc ** (1.0 / 3.0)  # math.cbrt needs Python 3.11
+    g = (1.0 + b * (1.0 + b)) * (1.0 + 2.0 * b)
+    x1 = x / g
+    x1 *= x1 * x1
+    c1, c2, c3, c4 = _CUBIC_NOME
+    t = x1 * (c1 + x1 * (c2 + x1 * (c3 + x1 * c4)))
+    f = 1.0 + x1 * (2.0 / 9.0 + x1 * (10.0 / 81.0 + x1 * (560.0 / 6561.0 + x1 * (3850.0 / 59049.0))))
+    return 0.5 * (_LOG_3 + math.log(g) - log_x) - math.log1p(t) / 6.0, 3.0 * f / (1.0 + 2.0 * b)
+
+
+def _mu_sixth(x: float, xc: float, log_x: float):
+    # (mu_a, F(1/6,5/6;1;x)) at a = 1/6, x <= 1/2, by the j-invariant bridge
+    # 1728/j = 4x(1-x) = 27u^2/(4(1-u)^3) to the classical lam = k^2 at the
+    # same nome, u = lam(1-lam): mu_a(r) = 2 mu(k), F = F(1/2,1/2;1;lam)
+    # (1-u)^(1/4).  v = u/(1-u) is the root (4/3) sin(pi/3-t) sin t of
+    # v^3 + v^2 = 16x(1-x)/27, t = atan2(2 sqrt(x(1-x)), 1-2x)/3, and
+    # 1-4u = 4 sin^2(pi/6-t)/(1+v), so lam and 1-lam carry no cancellation.
+    # Below x = 1e-16 the asymptote R_a/2 - log r (R_a = log 432) is exact
+    if x < 1e-16:
+        return 0.5 * (_LOG_432 - log_x), 1.0
+    t = math.atan2(2.0 * math.sqrt(x * xc), xc - x) / 3.0
+    v = 4.0 / 3.0 * math.sin(_PI_3 - t) * math.sin(t)
+    s = 2.0 * math.sin(_PI_6 - t) / math.sqrt(1.0 + v)  # sqrt(1 - 4u)
+    lam = 2.0 * v / ((1.0 + v) * (1.0 + s))
+    m, f = _jacobi_mu(math.sqrt(lam), math.sqrt(0.5 * (1.0 + s)), 0.5 * math.log(lam))
+    return 2.0 * m, f / math.sqrt(math.sqrt(1.0 + v))
+
+
+def _by_symmetry(core, c: float, r: float, xc: float):
+    # (mu_a, slope) from core = (mu_a, F(a,1-a;1;x)) on x <= 1/2; above,
+    # mu_a(r) mu_a(r') = c^2 and F(a,1-a;1;r^2) = F(a,1-a;1;r'^2) mu_a(r')/c
+    x = r * r
+    if x <= xc:
+        m, f = core(x, xc, 2.0 * math.log(r))
+        return m, -1.0 / (xc * f * f)
+    m, f = core(xc, x, math.log(xc))
+    f *= m / c
+    return c * c / m, -1.0 / (xc * f * f)
+
+
+# _mu_and_slope in closed form at the signatures 2, 4, 3 and 6; c = pi/(2 sin(pi a))
+_NOME_MUS = {0.5: _mu_half, 0.25: _mu_quarter,
+             1.0 / 3.0: functools.partial(_by_symmetry, _mu_third, math.pi / math.sqrt(3.0)),
+             1.0 / 6.0: functools.partial(_by_symmetry, _mu_sixth, math.pi)}
+
+
 def _mu_and_slope(sig: _Signature, r: float):
     """(mu_a(r), d mu_a / d(log r)) for r in (0, 1), unchecked.
 
-    At a = 1/2 and 1/4 mu_a(r) is the classical mu(k) of _jacobi_mu: k = r
-    at a = 1/2, and at a = 1/4 k = r/(1+r'), k'^2 = 2r'/(1+r') and
-    F(1/4,3/4;1;r^2) = sqrt(1+k^2) F(1/2,1/2;1;k^2), 1+k^2 = 2/(1+r'): the
-    inverse of _nome_quarter's map at the same nome.  There mu_a is within
-    3.5e-16 (a = 1/2) and 3.1e-16 (a = 1/4) of mpmath over r from 5e-324
-    to 1 - 10^-15.5 (measured on 1,002 r).
+    At a = 1/2, 1/4, 1/3 and 1/6 (_NOME_MUS) mu_a = -log(q)/2 in closed
+    form: _jacobi_mu at 1/2 and 1/4, one cubic AGM step at 1/3 and the
+    j-invariant bridge to _jacobi_mu at 1/6, within 3.5e-16, 3.5e-16,
+    4.2e-16 and 4.5e-16 of mpmath over r from 5e-324 to 1 - 10^-15.5.
 
     Any other a takes both factors of mu_a from one series in
     s^2 = min(r, r')^2 <= 1/2: with (F, E) = _mu_series(sig, s^2), F is
@@ -324,14 +400,8 @@ def _mu_and_slope(sig: _Signature, r: float):
     For r <= 1/sqrt(2) the sine cancels, mu_a(r) = E/(2F) - log r.
     """
     xc = _complement(r)
-    if sig.a == 0.5:
-        m, f = _jacobi_mu(r, math.sqrt(xc), math.log(r))
-        return m, -1.0 / (xc * f * f)
-    if sig.a == 0.25:
-        rc = math.sqrt(xc)
-        k, log_k = r / (1.0 + rc), math.log(r) - math.log1p(rc)
-        m, f = _jacobi_mu(k, math.sqrt(2.0 * rc / (1.0 + rc)), log_k)
-        return m, -0.5 * (1.0 + rc) / (xc * f * f)
+    if sig.mu_closed is not None:
+        return sig.mu_closed(r, xc)
     x = r * r
     if x <= xc:
         f, e = _mu_series(sig, x)
@@ -351,9 +421,10 @@ def mu_a(a, r: float) -> float:
     """Generalized ring modulus; decreasing homeomorphism of (0,1) onto
     (0, infinity).  Takes every r in (0, 1), subnormal or next to 1, else
     DomainError (NaN too).  Within 3.5e-16 relative of mpmath at a = 1/2
-    and 1/4; at any other a within 6e-16 for r or 1 - r in [1e-15.5, 1e-7]
-    and for r below 1e-9, but only within 2e-15 for r in [0.3, 0.96],
-    where _mu_series's plain sums lose about 1e-15 (all measured)."""
+    and 1/4, 4.2e-16 at 1/3 and 4.5e-16 at 1/6, in closed form; at any
+    other a within 6e-16 for r or 1 - r in [1e-15.5, 1e-7] and for r
+    below 1e-9, but only within 2e-15 for r in [0.3, 0.96], where
+    _mu_series's plain sums lose about 1e-15 (all measured)."""
     sig = _memo_record(a)
     if not 0.0 < r < 1.0:
         raise DomainError(f"mu_a needs r in (0, 1), got {r}")
@@ -403,10 +474,10 @@ def _mu_inverse_lower(sig: _Signature, y: float) -> float:
     return math.exp(res.root)
 
 
-def _euler(q: float) -> float:
-    # (q; q)_inf = 1 - q - q^2 + q^5 + q^7 - ..., to roundoff for q <= e^-3
+def _euler_m1(q: float) -> float:
+    # (q; q)_inf - 1 = -q - q^2 + q^5 + q^7 - ..., to roundoff for q <= e^-3
     q2 = q * q
-    return 1.0 - q * (1.0 + q * (1.0 - q2 * q * (1.0 + q2)))
+    return -q * (1.0 + q * (1.0 - q2 * q * (1.0 + q2)))
 
 
 def _nome_half(sig, y):
@@ -427,10 +498,12 @@ def _nome_quarter(sig, y):
 
 def _nome_third(sig, y):
     # x = c^3 / (b^3 + c^3) for Borwein's cubic b = (q; q)^3 / (q^3; q^3)
-    # and c = 3 q^(1/3) (q^3; q^3)^3 / (q; q); here v = c^3 / (s^2 b^3)
+    # and c = 3 q^(1/3) (q^3; q^3)^3 / (q; q); here v = c^3 / (s^2 b^3), its
+    # 12th power taken through log1p, as the quotient's rounding would be
+    # raised to it (9 ulp in r before, 1.5 after; measured)
     s = math.exp(-y)
     q = s * s
-    v = 27.0 * (_euler(q * q * q) / _euler(q)) ** 12
+    v = 27.0 * math.exp(12.0 * (math.log1p(_euler_m1(q * q * q)) - math.log1p(_euler_m1(q))))
     return s * math.sqrt(v / (1.0 + q * v))
 
 
@@ -493,8 +566,8 @@ def mu_a_inverse(a, y: float) -> float:
 
 def phi_k_a(a, big_k: float, r: float) -> float:
     """Modular function: the s with mu_a(s) = mu_a(r) / K, from one mu_a
-    evaluation and mu_a_inverse (closed form at a = 1/2, 1/4, 1/3, 1/6),
-    whose BracketError and IterationCapError it passes on."""
+    evaluation and mu_a_inverse (both closed forms at a = 1/2, 1/4, 1/3,
+    1/6), whose BracketError and IterationCapError it passes on."""
     sig = _memo_record(a)
     if not big_k > 0.0:
         raise DomainError(f"phi_k_a needs K > 0, got {big_k}")

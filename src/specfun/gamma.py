@@ -541,16 +541,37 @@ def lemma_g(x: float) -> float:
 
 
 _LEMMA_H_SWITCH = 20.0  # lemma_h sums the three functions up to here
+_LEMMA_H_TAYLOR = 0.5  # and its Taylor series below this |x|
 _HALF_LOG_2PI_M1 = 0.5 * math.log(2.0 * math.pi) - 1.0
+
+
+@functools.lru_cache(maxsize=1)
+def _lemma_h_coefficients() -> tuple:
+    # (-1)^k zeta(k) (k-1)^2/k, k = 61 down to 2, built on first use; zeta(k)
+    # sums n < 10 and the Euler-Maclaurin tail from n = 10 with the eight B_2j
+    out = []
+    for k in range(61, 1, -1):
+        z = math.fsum(n ** -k for n in range(1, 10)) + 10.0 ** (1 - k) / (k - 1) + 0.5 * 10.0 ** -k
+        t = 0.5 * k * 10.0 ** (-k - 1)
+        for j, b in enumerate(_B2N, 1):
+            z += b * t
+            t *= (k + 2 * j - 1) * (k + 2 * j) / ((2 * j + 1) * (2 * j + 2) * 100.0)
+        out.append((-1) ** k * z * (k - 1) ** 2 / k)
+    return tuple(out)
 
 
 def lemma_h(x: float) -> float:
     """x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x); zero at x = 0,
     nonnegative on (-1, infinity).  Needs a finite x > -1.
 
-    Up to x = 20 the three functions are summed as written.  Above, their
-    y log y and y parts (y = 1 + x) cancel on paper: Binet's remainder and
-    the series of DLMF 5.11.1, 5.11.2 and 5.15.8 leave
+    For |x| < 1/2, where the three terms (each near 0.58|x|) cancel to
+    about 0.82 x^2, h is its Taylor series sum_{k>=2} (-1)^k zeta(k)
+    (k-1)^2/k x^k to 60 terms, within 7e-16 relative of mpmath wherever h
+    is a normal float; the plain sum lost all digits by x = 1e-8.  Up to
+    x = 20 the three functions are summed as written, within 2e-14
+    (measured).  Above, their y log y and y parts (y = 1 + x) cancel on
+    paper: Binet's remainder and the series of DLMF 5.11.1, 5.11.2 and
+    5.15.8 leave
     h = log(2 pi y)/2 - 1 + (1/y - 1)/(2y)
     + sum_k B_2k y^(1-2k) [2k/(2k-1) - (2 + 1/(2k))/y + 1/y^2],
     within 2e-16 relative of mpmath up to the binary64 ceiling, where the
@@ -560,6 +581,11 @@ def lemma_h(x: float) -> float:
         raise DomainError(f"lemma_h needs a finite x > -1, got {x}")
     if x == 0.0:
         return 0.0
+    if abs(x) < _LEMMA_H_TAYLOR:
+        s = 0.0
+        for c in _lemma_h_coefficients():
+            s = s * x + c
+        return x * s * x
     if x <= _LEMMA_H_SWITCH:
         return x * x * trigamma(1.0 + x) - x * digamma(1.0 + x) + log_gamma(1.0 + x)
     y = 1.0 + x

@@ -13,6 +13,10 @@ from specfun.errors import BracketError, DomainError, RangeError
 
 mp.mp.dps = 40
 
+# the signatures 2, 3, 4 and 6 of Ramanujan's theories, where mu_a and its
+# inverse are closed forms in the nome
+_NOME_SIGNATURES = [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0]
+
 
 class TestAgm:
     def test_fixed_point(self):
@@ -284,16 +288,19 @@ class TestRingModulus:
         for r in (1e-20, 1e-100, 1e-300, 5e-324):
             assert abs(E.mu_a(a, r) / (half_r_a - mp.log(r)) - 1) <= 1e-15, r
 
-    @pytest.mark.parametrize("a", [0.5, 0.25])
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_nome_signatures_against_mpmath(self, a):
-        # Jacobi's nome series at a = 1/2 and 1/4 over the bulk, r from
-        # 1e-3 down to 1e-300 and 5e-324, and 1 - r down to 10^-15.5; below
-        # r = 1e-9 the reference is the asymptote, its O(r^2) under 1e-18
+        # the closed forms (Jacobi's nome series at a = 1/2 and 1/4, a cubic
+        # AGM step at 1/3, the j-invariant bridge at 1/6) over the bulk, r
+        # from 1e-3 down to 1e-300 and 5e-324, and 1 - r down to 10^-15.5,
+        # with both sides of the switch at 1/sqrt(2); below r = 1e-9 the
+        # reference is the asymptote, its O(r^2) under 1e-18.  The
+        # reference takes a as the float it is, a few 1e-17 off 1/3 and 1/6
         rng = random.Random(2121)
         rs = ([rng.uniform(0.001, 0.999) for _ in range(500)]
               + [10.0 ** -rng.uniform(3.0, 300.0) for _ in range(250)]
               + [1.0 - 10.0 ** -rng.uniform(3.0, 15.5) for _ in range(250)]
-              + [5e-324, 0.7828])
+              + [5e-324, 0.7828, math.sqrt(0.5), math.nextafter(math.sqrt(0.5), 0.0)])
         am = mp.mpf(a)
         worst = 0.0
         with mp.workdps(50):
@@ -308,9 +315,9 @@ class TestRingModulus:
                 worst = max(worst, float(abs(E.mu_a(a, r) / ref - 1)))
         assert worst <= 5e-16
 
-    @pytest.mark.parametrize("a", [0.5, 0.25])
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_nome_signatures_run_no_series(self, a, monkeypatch):
-        # mu_a and phi_k_a at a = 1/2 and 1/4 are closed forms in the nome,
+        # mu_a and phi_k_a at the four signatures are closed forms in the nome,
         # both ways: no 2F1, no table series and no AGM
         calls = []
         for name in ("hyp2f1", "_mu_series", "agm"):
@@ -325,15 +332,36 @@ class TestRingModulus:
                 E.phi_k_a(a, big_k, r)
         assert calls == []
 
-    @pytest.mark.parametrize("a", [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0])
+    def test_cubic_nome_coefficients(self):
+        # 27 q/x = 1 + sum c_n x^n at a = 1/3, q = exp(-2 mu_a), from
+        # mpmath's Taylor series; _mu_third sums c_1..c_4
+        def scaled_nome(x):
+            # 1/3 at the working precision, or the differences see its excess
+            third = mp.mpf(1) / 3
+            ratio = mp.hyp2f1(third, 2 * third, 1, 1 - x) / mp.hyp2f1(third, 2 * third, 1, x)
+            return 27 * mp.exp(-2 * mp.pi / mp.sqrt(3) * ratio) / x
+
+        with mp.workdps(25):
+            series = mp.taylor(scaled_nome, 0, 4, singular=True)
+        assert abs(series[0] - 1) < 1e-20
+        for c, ref in zip(E._CUBIC_NOME, series[1:]):
+            assert abs(c / ref - 1) <= 2e-16, (c, ref)
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_roundtrip_through_the_inverse(self, a):
-        # targets up to 700, so most roots lie below 1e-7
+        # mu_a(mu_a^-1(y)), both ways in closed form, within 4 ulp of y and
+        # within max(1e-13, ulp(y)): targets up to 700, so most roots lie
+        # below 1e-7, then as many within a factor 2 of the symmetry value.
+        # Below it the root lies next to 1, where one ulp of r moves mu_a
+        # by many ulps of y, so no float r could meet the 4 ulp there
         c_sym = 0.5 * math.pi / math.sin(math.pi * a)
         rng = random.Random(1108)
-        for _ in range(500):
-            y = rng.uniform(c_sym, 700.0)
+        ys = ([rng.uniform(c_sym, 700.0) for _ in range(500)]
+              + [rng.uniform(c_sym, 2.0 * c_sym) for _ in range(500)])
+        for y in ys:
             r = E.mu_a_inverse(a, y)
-            assert abs(E.mu_a(a, r) - y) <= max(1e-13, math.ulp(y)), (y, r)
+            err = abs(E.mu_a(a, r) - y)
+            assert err <= min(4.0 * math.ulp(y), max(1e-13, math.ulp(y))), (y, r)
 
     # the extreme signatures test sin(pi a) next to 0 and 1 and the
     # digamma reflection in R_a; the three r laws cover the bulk and both
@@ -512,14 +540,14 @@ def _outcome(fn, *args):
         return ("BracketError", exc.saturating_endpoint)
 
 
-_NOME_SIGNATURES = [0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0]
-
-
 class TestNomeInverse:
     """mu_a_inverse at a = 1/2, 1/3, 1/4, 1/6: r^2 from the nome q = exp(-2y)."""
 
     def test_the_four_signatures_take_the_nome_path(self):
-        assert sorted(E._NOME_ROOTS) == sorted(_NOME_SIGNATURES)
+        assert sorted(E._NOME_ROOTS) == sorted(E._NOME_MUS) == sorted(_NOME_SIGNATURES)
+        for a in _NOME_SIGNATURES:
+            assert E._memo_record(a).mu_closed is E._NOME_MUS[a]
+        assert E._memo_record(0.3).mu_closed is None
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_mu_residual_next_to_the_symmetry_value(self, a):
@@ -674,6 +702,9 @@ class TestModularFunctionPhi:
     def test_domain(self):
         with pytest.raises(DomainError):
             E.phi_k(0.0, 0.5)
+        for a in _NOME_SIGNATURES + [0.3]:  # mu_a(r) / inf = 0 has no root
+            with pytest.raises(DomainError):
+                E.phi_k_a(a, math.inf, 0.5)
         with pytest.raises(DomainError):
             E.phi_k(2.0, 1.0)
 

@@ -494,6 +494,30 @@ class TestLemmas:
                 worst = max(worst, float(abs(G.lemma_h(x) / ref - 1)))
         assert worst <= 1e-14
 
+    def test_lemma_h_small_x_against_mpmath(self):
+        # below |x| = 1/2 the Taylor series; the three-term sum read a
+        # relative error of 3.1 at x = 1e-8.  Where h ~ 0.82 x^2 is
+        # subnormal (|x| below about 1.6e-154) the bound adds 5e-324
+        rng = random.Random(2727)
+        top = math.log10(G._LEMMA_H_TAYLOR)
+        xs = ([sign * 10.0 ** rng.uniform(-300.0, top) for sign in (1.0, -1.0) for _ in range(150)]
+              + [sign * x for sign in (1.0, -1.0)
+                 for x in (1e-300, 1e-154, 1e-8, 0.01, 0.1, math.nextafter(G._LEMMA_H_TAYLOR, 0.0))])
+        for x in xs:
+            if abs(x) < 1e-30:  # the series' first two terms, the rest under 1e-60
+                ref = mp.zeta(2) / 2 * mp.mpf(x) ** 2 - 4 * mp.zeta(3) / 3 * mp.mpf(x) ** 3
+            else:
+                with mp.workdps(40 - 2 * int(math.log10(abs(x)))):
+                    xm = mp.mpf(x)
+                    ref = xm * xm * mp.psi(1, 1 + xm) - xm * mp.digamma(1 + xm) + mp.loggamma(1 + xm)
+            assert abs(G.lemma_h(x) - ref) <= 1e-14 * ref + 5e-324, x
+
+    def test_lemma_h_taylor_coefficients(self):
+        coefficients = G._lemma_h_coefficients()[::-1]  # k = 2, 3, ...
+        for k, c in enumerate(coefficients, 2):
+            ref = (-1) ** k * mp.zeta(k) * (k - 1) ** 2 / k
+            assert abs(c / ref - 1) <= 4e-16, k
+
     def test_domains(self):
         with pytest.raises(DomainError):
             G.lemma_g(-1.0)
