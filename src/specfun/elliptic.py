@@ -16,7 +16,7 @@ is instead -log(q)/2 for the nome q in closed form: Jacobi's nome series
 of a classical modulus (DLMF 19.5) at 1/2 and 1/4, one step of Borwein's
 cubic AGM at 1/3, and at 1/6 the j-invariant bridge to the classical
 modulus at the same nome; within 3.5e-16, 3.5e-16, 4.2e-16 and 4.5e-16
-of mpmath (measured), and no 2F1, series table or AGM loop.
+of mpmath (measured), and no 2F1, series loop or AGM loop.
 sin(pi a) is gamma.sinpi, exact also for a next to 0 or 1.  Inverting
 mu_a uses the symmetry mu_a(r) mu_a(r') = (pi/(2 sin(pi a)))^2 to work on
 the well-conditioned half r <= 1/sqrt(2), where the nome q = exp(-2 mu_a)
@@ -38,16 +38,11 @@ itself the root, the terms it drops below e^(-72); from R_a/2 + 25 on it
 is exp(R_a/2 - y) bit for bit, its correction below half an ulp of log r.
 
 The two constants of a that mu_a and its inverse need, R_a and
-sin(pi a), are computed once per a on a private record, and so are the
-series coefficients c_n and c_n h_n, which depend on a alone: the record
-grows that table lazily as far as an evaluation needs it (at most 50
-entries, since x <= 1/2), so at a repeated a a mu_a evaluation sums
-stored coefficients instead of running their recurrence.  The table is
-published whole by one attribute store and never mutated, so threads may
-share a record without a lock.  Every function here takes a as a float;
-mu_a, mu_a_inverse and phi_k_a look its record up in a bounded memo (64
-entries), so a process builds the record of a given a once, not once per
-call or per mu_a evaluation.
+sin(pi a), are computed once per a on a private immutable record; the
+series coefficients run their recurrence in each evaluation.  Every
+function here takes a as a float; mu_a, mu_a_inverse and phi_k_a look its
+record up in a bounded memo (64 entries), so a process builds the record
+of a given a once, not once per call or per mu_a evaluation.
 """
 
 from __future__ import annotations
@@ -55,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import namedtuple
 
 from .errors import BracketError, DomainError
 from .gamma import sinpi
@@ -94,29 +90,20 @@ def _check_signature(a) -> float:
     return a
 
 
-class _Signature:
-    """The constants of one signature parameter a that mu_a and its
-    inverse need: r_a, Ramanujan's R(a, 1-a), the h_0 of mu_a's series and
-    the asymptote mu_a(r) ~ r_a/2 - log r; sin_pi_a, of the symmetry value
-    pi/(2 sin(pi a)); mu_table, the series coefficients (see _mu_series);
-    and mu_closed, mu_a's closed form at a nome signature (_NOME_MUS), else
-    None.  Built only by _memo_record.  R_a overflows for a below about
-    5.6e-309, which raises RangeError."""
-
-    __slots__ = ("a", "r_a", "sin_pi_a", "mu_table", "mu_closed")
-
-    def __init__(self, a):
-        self.a = a = _check_signature(a)
-        self.r_a = ramanujan_R(a, 1.0 - a)
-        self.sin_pi_a = sinpi(a)
-        self.mu_table = None
-        self.mu_closed = _NOME_MUS.get(a)
+# the constants of one signature parameter a that mu_a and its inverse
+# need: r_a, Ramanujan's R(a, 1-a), the h_0 of mu_a's series and the
+# asymptote mu_a(r) ~ r_a/2 - log r; sin_pi_a, of the symmetry value
+# pi/(2 sin(pi a)); and mu_closed, mu_a's closed form at a nome signature
+# (_NOME_MUS), else None
+_Record = namedtuple("_Record", "a r_a sin_pi_a mu_closed")
 
 
 @functools.lru_cache(maxsize=64)  # a registry pass uses 20 distinct a, inverse solves 4
-def _memo_record(a: float) -> _Signature:
-    # lru_cache caches no exception, so a bad a raises on every call
-    return _Signature(a)
+def _memo_record(a: float) -> _Record:
+    # lru_cache caches no exception, so a bad a raises on every call; R_a
+    # overflows for a below about 5.6e-309, which raises RangeError
+    a = _check_signature(a)
+    return _Record(a, ramanujan_R(a, 1.0 - a), sinpi(a), _NOME_MUS.get(a))
 
 
 _HALF_PI = 0.5 * math.pi
@@ -128,7 +115,9 @@ def _complement(r: float) -> float:
 
 
 def agm(x: float, y: float) -> float:
-    """Common limit of the arithmetic-geometric mean iteration."""
+    """Common limit of the arithmetic-geometric mean iteration; finite for
+    any positive finite x and y, and within 1e-15 relative where the limit
+    is a normal float (measured)."""
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"agm needs positive arguments, got ({x}, {y})")
     a, b = float(x), float(y)
@@ -137,8 +126,10 @@ def agm(x: float, y: float) -> float:
     for _ in range(100):
         if a - b <= 4.0 * math.ulp(a):
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+        g = a * b  # past either end of the normal range, sqrt each factor
+        g = math.sqrt(g) if sys.float_info.min <= g < math.inf else math.sqrt(a) * math.sqrt(b)
+        a, b = 0.5 * a + 0.5 * b, g
+    return a + 0.5 * (b - a)  # exact b - a; 0.5 * b would drop a subnormal's last bit
 
 
 def ellip_k(r: float) -> float:
@@ -230,7 +221,7 @@ def e_a_prime(a, r: float) -> float:
     return 0.5 * math.pi * hyp2f1(a - 1.0, 1.0 - a, 1.0, _complement(r), one_minus_x=r * r)
 
 
-def _mu_series(sig: _Signature, x: float):
+def _mu_series(sig: _Record, x: float):
     """(F, E) = (sum c_n x^n, sum c_n h_n x^n) for 0 <= x <= 1/2.
 
     c_n = (a)_n (1-a)_n / n!^2 are the coefficients of F(a,1-a;1;x) and
@@ -240,50 +231,23 @@ def _mu_series(sig: _Signature, x: float):
     1/(a+n) + 1/(1-a+n) >= 2/(n+1/2).  The term ratio is below x <= 1/2,
     so once both new terms are under 1e-17 of their sums the tail is
     below the last term.  Terms stay under max(1, h_0) x^n, so the sums
-    are finite wherever R_a is.
-
-    The coefficients c_n and c_n h_n (n >= 1) depend on a alone, so they
-    are read from the record's table: two multiply-adds per term and no
-    division.  A sum that runs past the table's end goes on by the
-    recurrence, appending to copies of its lists, and then publishes
-    the longer table, with the last h, in one attribute store; published
-    lists are never mutated, so a reader in another thread sees the old
-    table or the new one.  Each term is the same float product either
-    way, so the result depends on (a, x) alone, not on how far the table
-    had grown.  At x = 1/2 the sums stop after at most 49 terms over
-    a in [1e-6, 1 - 1e-6] (measured), so a table stays under 50 entries.
+    are finite wherever R_a is.  At x = 1/2 the sums stop after at most 49
+    terms over a in [1e-6, 1 - 1e-6] (measured).
     """
-    cs, ds, h = sig.mu_table or ((), (), sig.r_a)
-    f, e, p = 1.0, sig.r_a, 1.0
-    for c, d in zip(cs, ds):
-        p *= x
-        u, v = c * p, d * p
-        f += u
-        e += v
-        if u <= 1e-17 * f and v <= 1e-17 * e:
-            return f, e
-    # past the table: c_k = c_{k-1} q / k^2 and h_k = h_{k-1} + 2/k - (2k-1)/q,
+    # c_k = c_{k-1} q / k^2 and h_k = h_{k-1} + 2/k - (2k-1)/q,
     # q = (a+k-1)(k-a) = (k-1)k + ab with b = 1-a; the counter k is a float
     ab = sig.a * (1.0 - sig.a)
-    k = float(len(cs))
-    c = cs[-1] if cs else 1.0
-    cs, ds = list(cs), list(ds)
+    f, e, p, c, h, k = 1.0, sig.r_a, 1.0, 1.0, sig.r_a, 0.0
     while True:
         q = k * (k + 1.0) + ab
         k += 1.0
         c = c * q / (k * k)
         h += 2.0 / k - (2.0 * k - 1.0) / q
-        d = c * h
-        cs.append(c)
-        ds.append(d)
         p *= x
-        u, v = c * p, d * p
+        u, v = c * p, c * h * p
         f += u
         e += v
         if u <= 1e-17 * f and v <= 1e-17 * e:
-            # publish copies, never grow a published table in place: other
-            # threads may be reading it
-            sig.mu_table = cs, ds, h
             return f, e
 
 
@@ -386,7 +350,7 @@ _NOME_MUS = {0.5: _mu_half, 0.25: _mu_quarter,
              1.0 / 6.0: functools.partial(_by_symmetry, _mu_sixth, math.pi)}
 
 
-def _mu_and_slope(sig: _Signature, r: float):
+def _mu_and_slope(sig: _Record, r: float):
     """(mu_a(r), d mu_a / d(log r)) for r in (0, 1), unchecked.
 
     At a = 1/2, 1/4, 1/3 and 1/6 (_NOME_MUS) mu_a = -log(q)/2 in closed
@@ -456,7 +420,7 @@ def _mu_inverse_start(a: float, y: float, r_half: float) -> float:
     return t
 
 
-def _mu_inverse_lower(sig: _Signature, y: float) -> float:
+def _mu_inverse_lower(sig: _Record, y: float) -> float:
     # the root r <= 1/sqrt(2) of mu_a(r) = y >= pi/(2 sin(pi a)); 0.0 on
     # underflow, NaN at y = inf, where the start computes inf - inf
     r_half = 0.5 * sig.r_a

@@ -500,13 +500,17 @@ def mono_f(x: float) -> float:
     """log Gamma(x+1) / (x log x), continued through the x = 1 hole.
 
     Strictly increasing on (0, infinity) onto (0, 1); the value at the
-    removable singularity is 1 - gamma.  Needs a finite x > 0.
+    removable singularity is 1 - gamma.  Needs a finite x > 0.  From
+    x = 2.5e305 on, where x log x nears the largest float, it is Stirling's
+    1 - 1/log x, the next term log(2 pi x) / (2 x log x) below 1e-302.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"mono_f needs a finite x > 0, got {x}")
     t = x - 1.0
     if abs(t) <= 1e-5:
         return _MONO_F_LIMIT + _MONO_F_SLOPE * t
+    if x >= 2.5e305:
+        return 1.0 - 1.0 / math.log(x)
     return log_gamma(x + 1.0) / (x * math.log(x))
 
 

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -442,6 +443,17 @@ class TestMonotoneQuotient:
     def test_domain(self):
         with pytest.raises(DomainError):
             G.mono_f(-1.0)
+
+    def test_past_the_overflow_of_x_log_x(self):
+        # x log x overflows from 2.5564e305 and log Gamma(x+1) from
+        # 2.5600e305, while the quotient stays below 1
+        rng = random.Random(305)
+        top = math.log10(sys.float_info.max)
+        xs = [10 ** rng.uniform(305.0, top) for _ in range(300)]
+        xs += [1e305, 2.5e305, 2.5563481638716906e305, 2.558e305, 2.56e305, 1e308, sys.float_info.max]
+        for x in xs:
+            want = mp.loggamma(mp.mpf(x) + 1) / (mp.mpf(x) * mp.log(x))
+            assert abs(G.mono_f(x) - want) <= 1e-15 * want, x
 
 
 class TestLemmas:

@@ -731,14 +731,14 @@ class TestFloatOnlyLoops:
         assert (res.value, res.terms_used, res.method) == (value, terms, "near_one_expansion")
 
     def test_mu_series_within_one_ulp_of_the_recurrence(self):
-        # the record's coefficients c_n are free of x, where the recurrence
-        # folds x into them, so the sums may round apart: by at most 1 ulp,
-        # and no further from mpmath over the sweep
+        # _mu_series keeps its coefficients c_n free of x, where this
+        # recurrence folds x into them, so the sums may round apart: by at
+        # most 1 ulp, and no further from mpmath over the sweep
         rng = random.Random(13)
         worst_got, worst_ref = [0.0, 0.0], [0.0, 0.0]
         for _ in range(600):
             a, x = rng.uniform(0.001, 0.999), rng.uniform(0.0, 0.5)
-            got, ref = elliptic._mu_series(elliptic._Signature(a), x), _ref_mu_series(a, x)
+            got, ref = elliptic._mu_series(elliptic._memo_record(a), x), _ref_mu_series(a, x)
             for i in range(2):
                 assert abs(got[i] - ref[i]) <= math.ulp(ref[i]), (a, x, i)
             with mp.workdps(25):
