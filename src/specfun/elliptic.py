@@ -37,12 +37,12 @@ From y = R_a/2 + 12 on (roots below about e^-12) the three-term start is
 itself the root, the terms it drops below e^(-72); from R_a/2 + 25 on it
 is exp(R_a/2 - y) bit for bit, its correction below half an ulp of log r.
 
-The two constants of a that mu_a and its inverse need, R_a and
-sin(pi a), are computed once per a on a private immutable record; the
-series coefficients run their recurrence in each evaluation.  Every
-function here takes a as a float; mu_a, mu_a_inverse and phi_k_a look its
-record up in a bounded memo (64 entries), so a process builds the record
-of a given a once, not once per call or per mu_a evaluation.
+What mu_a and its inverse read of a (R_a, sin(pi a), the symmetry value
+and, at the four signatures, both closed forms) sits on a private
+immutable record; the series coefficients run their recurrence in each
+evaluation.  Every function here takes a as a float; mu_a, mu_a_inverse
+and phi_k_a look its record up in a bounded memo (64 entries), so a
+process builds the record of a given a once, not once per call.
 """
 
 from __future__ import annotations
@@ -90,12 +90,12 @@ def _check_signature(a) -> float:
     return a
 
 
-# the constants of one signature parameter a that mu_a and its inverse
-# need: r_a, Ramanujan's R(a, 1-a), the h_0 of mu_a's series and the
-# asymptote mu_a(r) ~ r_a/2 - log r; sin_pi_a, of the symmetry value
-# pi/(2 sin(pi a)); and mu_closed, mu_a's closed form at a nome signature
-# (_NOME_MUS), else None
-_Record = namedtuple("_Record", "a r_a sin_pi_a mu_closed")
+# what mu_a and its inverse read of one signature parameter a: r_a =
+# R(a, 1-a), the h_0 of mu_a's series and its asymptote r_a/2 - log r;
+# sin_pi_a and c_sym = pi/(2 sin(pi a)), the symmetry value; and _NOME's
+# pair at a nome signature, mu_closed(r) and mu_root(sig, y), else None
+# (mu_a from _mu_and_slope) and _mu_inverse_lower (Newton)
+_Record = namedtuple("_Record", "a r_a sin_pi_a c_sym mu_closed mu_root")
 
 
 @functools.lru_cache(maxsize=64)  # a registry pass uses 20 distinct a, inverse solves 4
@@ -103,10 +103,12 @@ def _memo_record(a: float) -> _Record:
     # lru_cache caches no exception, so a bad a raises on every call; R_a
     # overflows for a below about 5.6e-309, which raises RangeError
     a = _check_signature(a)
-    return _Record(a, ramanujan_R(a, 1.0 - a), sinpi(a), _NOME_MUS.get(a))
+    r_a, sin_pi_a = ramanujan_R(a, 1.0 - a), sinpi(a)
+    mu_closed, mu_root = _NOME.get(a, (None, _mu_inverse_lower))
+    return _Record(a, r_a, sin_pi_a, 0.5 * math.pi / sin_pi_a, mu_closed, mu_root)
 
 
-_HALF_PI = 0.5 * math.pi
+_HALF_PI_SQ = 0.25 * math.pi * math.pi  # mu(k) mu(k') at a = 1/2
 
 
 def _complement(r: float) -> float:
@@ -117,9 +119,10 @@ def _complement(r: float) -> float:
 def agm(x: float, y: float) -> float:
     """Common limit of the arithmetic-geometric mean iteration; finite for
     any positive finite x and y, and within 1e-15 relative where the limit
-    is a normal float (measured)."""
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"agm needs positive arguments, got ({x}, {y})")
+    is a normal float (measured).  DomainError at an argument that is not
+    positive and finite (inf and NaN too)."""
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise DomainError(f"agm needs positive finite arguments, got ({x}, {y})")
     a, b = float(x), float(y)
     if a < b:
         a, b = b, a
@@ -251,46 +254,41 @@ def _mu_series(sig: _Record, x: float):
             return f, e
 
 
-def _jacobi_mu(k: float, kc: float, log_k: float):
-    """(mu(k), F(1/2,1/2;1;k^2)) for the modulus k, its complement kc and log k.
+def _jacobi_mu(k: float, kc: float, log_k: float) -> float:
+    """mu(k) for a modulus k <= kc, its complement kc and log k.
 
-    For k <= kc, Jacobi's nome q = exp(-2 mu) is l + 2l^5 + 15l^9 + 150l^13
-    + 1707l^17 + ... with l = k^2/d, d = 2(1+k')(1+sqrt(k'))^2 (DLMF 19.5),
-    and l <= 0.0433, so the terms dropped are under 1e-23 of q; then
-    mu = log(d)/2 - log k - log1p(q/l - 1)/2 and F = theta_3(q)^2.  For
-    k > kc the symmetry mu(k) mu(k') = (pi/2)^2 swaps the two, with
-    F(k^2) = F(k'^2) mu(k') / (pi/2).  log k is passed in because k may
-    round to 0 where log k is finite.
+    Jacobi's nome q = exp(-2 mu) is l + 2l^5 + 15l^9 + 150l^13 + 1707l^17
+    + ... with l = k^2/d, d = 2(1+k')(1+sqrt(k'))^2 (DLMF 19.5), and
+    l <= 0.0433, so the terms dropped are under 1e-23 of q; then
+    mu = log(d)/2 - log k - log1p(q/l - 1)/2.  At k > kc callers take
+    (pi/2)^2 / mu(kc), so log k is computed only where it is read; it is
+    passed in because k may round to 0 where log k is finite.
     """
-    if k > kc:
-        m, f = _jacobi_mu(kc, k, math.log(kc))
-        return _HALF_PI * _HALF_PI / m, m * f / _HALF_PI
     s = 1.0 + math.sqrt(kc)
     d = 2.0 * (1.0 + kc) * s * s
     l = k * k / d
     l4 = l * l
     l4 *= l4
     t = l4 * (2.0 + l4 * (15.0 + l4 * (150.0 + 1707.0 * l4)))  # q/l - 1
-    q = l * (1.0 + t)
-    q3 = q * q * q
-    theta = 1.0 + 2.0 * q * (1.0 + q3 * (1.0 + q3 * q * q))  # 1 + 2q + 2q^4 + 2q^9
-    return 0.5 * math.log(d) - log_k - 0.5 * math.log1p(t), theta * theta
+    return 0.5 * math.log(d) - log_k - 0.5 * math.log1p(t)
 
 
-def _mu_half(r: float, xc: float):
+def _mu_half(r: float) -> float:
     # a = 1/2: the classical mu(r) itself
-    m, f = _jacobi_mu(r, math.sqrt(xc), math.log(r))
-    return m, -1.0 / (xc * f * f)
+    rc = math.sqrt(_complement(r))
+    if r > rc:
+        return _HALF_PI_SQ / _jacobi_mu(rc, r, math.log(rc))
+    return _jacobi_mu(r, rc, math.log(r))
 
 
-def _mu_quarter(r: float, xc: float):
+def _mu_quarter(r: float) -> float:
     # a = 1/4: mu(k) at k = r/(1+r'), k'^2 = 2r'/(1+r'), the inverse of
-    # _nome_quarter's map, with F(1/4,3/4;1;r^2) = sqrt(1+k^2) F(1/2,1/2;1;k^2)
-    # and 1+k^2 = 2/(1+r'); -log k is log(1+r') - log r, as k may round to 0
-    rc = math.sqrt(xc)
-    k, log_k = r / (1.0 + rc), math.log(r) - math.log1p(rc)
-    m, f = _jacobi_mu(k, math.sqrt(2.0 * rc / (1.0 + rc)), log_k)
-    return m, -0.5 * (1.0 + rc) / (xc * f * f)
+    # _nome_quarter's map; -log k is log(1+r') - log r, as k may round to 0
+    rc = math.sqrt(_complement(r))
+    k, kc = r / (1.0 + rc), math.sqrt(2.0 * rc / (1.0 + rc))
+    if k > kc:
+        return _HALF_PI_SQ / _jacobi_mu(kc, k, math.log(kc))
+    return _jacobi_mu(k, kc, math.log(r) - math.log1p(rc))
 
 
 _LOG_3, _LOG_432, _PI_3, _PI_6 = math.log(3.0), math.log(432.0), math.pi / 3.0, math.pi / 6.0
@@ -298,74 +296,60 @@ _LOG_3, _LOG_432, _PI_3, _PI_6 = math.log(3.0), math.log(432.0), math.pi / 3.0, 
 _CUBIC_NOME = (5.0 / 9.0, 31.0 / 81.0, 5729.0 / 19683.0, 41518.0 / 177147.0)
 
 
-def _mu_third(x: float, xc: float, log_x: float):
-    # (mu_a, F(1/3,2/3;1;x)) at a = 1/3, x <= 1/2, by one step of Borwein's
-    # cubic AGM: b = (1-x)^(1/3), g = (1+b+b^2)(1+2b), and x1 = (x/g)^3 =
+def _mu_third(x: float, xc: float, log_x: float) -> float:
+    # mu_a at a = 1/3, x <= 1/2, by one step of Borwein's cubic AGM:
+    # b = (1-x)^(1/3), g = (1+b+b^2)(1+2b), and x1 = (x/g)^3 =
     # ((1-b)/(1+2b))^3 <= 5.1e-4 has the nome q^3, so mu_a = -log(q^3)/6 =
-    # log(3g/x)/2 - log1p(27 q^3/x1 - 1)/6, and F(x) = 3 F(x1)/(1+2b); log x
-    # is passed in, as x may underflow where it is finite
+    # log(3g/x)/2 - log1p(27 q^3/x1 - 1)/6; log x is passed in, as x may
+    # underflow where it is finite
     b = xc ** (1.0 / 3.0)  # math.cbrt needs Python 3.11
     g = (1.0 + b * (1.0 + b)) * (1.0 + 2.0 * b)
     x1 = x / g
     x1 *= x1 * x1
     c1, c2, c3, c4 = _CUBIC_NOME
     t = x1 * (c1 + x1 * (c2 + x1 * (c3 + x1 * c4)))
-    f = 1.0 + x1 * (2.0 / 9.0 + x1 * (10.0 / 81.0 + x1 * (560.0 / 6561.0 + x1 * (3850.0 / 59049.0))))
-    return 0.5 * (_LOG_3 + math.log(g) - log_x) - math.log1p(t) / 6.0, 3.0 * f / (1.0 + 2.0 * b)
+    return 0.5 * (_LOG_3 + math.log(g) - log_x) - math.log1p(t) / 6.0
 
 
-def _mu_sixth(x: float, xc: float, log_x: float):
-    # (mu_a, F(1/6,5/6;1;x)) at a = 1/6, x <= 1/2, by the j-invariant bridge
-    # 1728/j = 4x(1-x) = 27u^2/(4(1-u)^3) to the classical lam = k^2 at the
-    # same nome, u = lam(1-lam): mu_a(r) = 2 mu(k), F = F(1/2,1/2;1;lam)
-    # (1-u)^(1/4).  v = u/(1-u) is the root (4/3) sin(pi/3-t) sin t of
-    # v^3 + v^2 = 16x(1-x)/27, t = atan2(2 sqrt(x(1-x)), 1-2x)/3, and
-    # 1-4u = 4 sin^2(pi/6-t)/(1+v), so lam and 1-lam carry no cancellation.
-    # Below x = 1e-16 the asymptote R_a/2 - log r (R_a = log 432) is exact
+def _mu_sixth(x: float, xc: float, log_x: float) -> float:
+    # mu_a at a = 1/6, x <= 1/2, by the j-invariant bridge 1728/j =
+    # 4x(1-x) = 27u^2/(4(1-u)^3) to the classical lam = k^2 at the same
+    # nome, u = lam(1-lam): mu_a(r) = 2 mu(k).  v = u/(1-u) is the root
+    # (4/3) sin(pi/3-t) sin t of v^3 + v^2 = 16x(1-x)/27,
+    # t = atan2(2 sqrt(x(1-x)), 1-2x)/3, and 1-4u = 4 sin^2(pi/6-t)/(1+v),
+    # so lam and 1-lam carry no cancellation.  Below x = 1e-16 the
+    # asymptote R_a/2 - log r (R_a = log 432) is exact
     if x < 1e-16:
-        return 0.5 * (_LOG_432 - log_x), 1.0
+        return 0.5 * (_LOG_432 - log_x)
     t = math.atan2(2.0 * math.sqrt(x * xc), xc - x) / 3.0
     v = 4.0 / 3.0 * math.sin(_PI_3 - t) * math.sin(t)
     s = 2.0 * math.sin(_PI_6 - t) / math.sqrt(1.0 + v)  # sqrt(1 - 4u)
     lam = 2.0 * v / ((1.0 + v) * (1.0 + s))
-    m, f = _jacobi_mu(math.sqrt(lam), math.sqrt(0.5 * (1.0 + s)), 0.5 * math.log(lam))
-    return 2.0 * m, f / math.sqrt(math.sqrt(1.0 + v))
+    k, kc = math.sqrt(lam), math.sqrt(0.5 * (1.0 + s))
+    if k > kc:
+        return 2.0 * (_HALF_PI_SQ / _jacobi_mu(kc, k, math.log(kc)))
+    return 2.0 * _jacobi_mu(k, kc, 0.5 * math.log(lam))
 
 
-def _by_symmetry(core, c: float, r: float, xc: float):
-    # (mu_a, slope) from core = (mu_a, F(a,1-a;1;x)) on x <= 1/2; above,
-    # mu_a(r) mu_a(r') = c^2 and F(a,1-a;1;r^2) = F(a,1-a;1;r'^2) mu_a(r')/c
-    x = r * r
+def _by_symmetry(core, c: float, r: float) -> float:
+    # mu_a from core = mu_a on x <= 1/2; above, mu_a(r) mu_a(r') = c^2
+    x, xc = r * r, _complement(r)
     if x <= xc:
-        m, f = core(x, xc, 2.0 * math.log(r))
-        return m, -1.0 / (xc * f * f)
-    m, f = core(xc, x, math.log(xc))
-    f *= m / c
-    return c * c / m, -1.0 / (xc * f * f)
-
-
-# _mu_and_slope in closed form at the signatures 2, 4, 3 and 6; c = pi/(2 sin(pi a))
-_NOME_MUS = {0.5: _mu_half, 0.25: _mu_quarter,
-             1.0 / 3.0: functools.partial(_by_symmetry, _mu_third, math.pi / math.sqrt(3.0)),
-             1.0 / 6.0: functools.partial(_by_symmetry, _mu_sixth, math.pi)}
+        return core(x, xc, 2.0 * math.log(r))
+    return c * c / core(xc, x, math.log(xc))
 
 
 def _mu_and_slope(sig: _Record, r: float):
-    """(mu_a(r), d mu_a / d(log r)) for r in (0, 1), unchecked.
+    """(mu_a(r), d mu_a / d(log r)) for r in (0, 1), unchecked, at any a:
+    the mu_a of a signature without a closed form, and Newton's f and
+    slope in _mu_inverse_lower.
 
-    At a = 1/2, 1/4, 1/3 and 1/6 (_NOME_MUS) mu_a = -log(q)/2 in closed
-    form: _jacobi_mu at 1/2 and 1/4, one cubic AGM step at 1/3 and the
-    j-invariant bridge to _jacobi_mu at 1/6, within 3.5e-16, 3.5e-16,
-    4.2e-16 and 4.5e-16 of mpmath over r from 5e-324 to 1 - 10^-15.5.
-
-    Any other a takes both factors of mu_a from one series in
-    s^2 = min(r, r')^2 <= 1/2: with (F, E) = _mu_series(sig, s^2), F is
-    F(a,1-a;1;s^2) and (sin(pi a)/pi) (E - 2 F log s) is F(a,1-a;1;1-s^2).
-    For r <= 1/sqrt(2) the sine cancels, mu_a(r) = E/(2F) - log r.
+    Both factors of mu_a come from one series in s^2 = min(r, r')^2 <= 1/2:
+    with (F, E) = _mu_series(sig, s^2), F is F(a,1-a;1;s^2) and
+    (sin(pi a)/pi) (E - 2 F log s) is F(a,1-a;1;1-s^2).  For
+    r <= 1/sqrt(2) the sine cancels, mu_a(r) = E/(2F) - log r.
     """
     xc = _complement(r)
-    if sig.mu_closed is not None:
-        return sig.mu_closed(r, xc)
     x = r * r
     if x <= xc:
         f, e = _mu_series(sig, x)
@@ -392,7 +376,8 @@ def mu_a(a, r: float) -> float:
     sig = _memo_record(a)
     if not 0.0 < r < 1.0:
         raise DomainError(f"mu_a needs r in (0, 1), got {r}")
-    return _mu_and_slope(sig, r)[0]
+    mu_closed = sig.mu_closed
+    return mu_closed(r) if mu_closed is not None else _mu_and_slope(sig, r)[0]
 
 
 _INVERT_TOL = 1e-13
@@ -481,8 +466,15 @@ def _nome_sixth(sig, y):
     return lam * (1.0 - lam) * math.sqrt(27.0 / (8.0 * m * m * m * (1.0 + w)))
 
 
-# _mu_inverse_lower in closed form at the signatures 2, 4, 3 and 6
-_NOME_ROOTS = {0.5: _nome_half, 0.25: _nome_quarter, 1.0 / 3.0: _nome_third, 1.0 / 6.0: _nome_sixth}
+# (mu_a, _mu_inverse_lower) in closed form at the signatures 2, 4, 3 and 6,
+# the floats 0.5, 0.25, 1/3 and 1/6; mu_a is within 3.5e-16, 3.5e-16,
+# 4.2e-16 and 4.5e-16 of mpmath over r from 5e-324 to 1 - 10^-15.5
+_NOME = {
+    0.5: (_mu_half, _nome_half),
+    0.25: (_mu_quarter, _nome_quarter),
+    1.0 / 3.0: (functools.partial(_by_symmetry, _mu_third, math.pi / math.sqrt(3.0)), _nome_third),
+    1.0 / 6.0: (functools.partial(_by_symmetry, _mu_sixth, math.pi), _nome_sixth),
+}
 
 
 def mu_a_inverse(a, y: float) -> float:
@@ -506,10 +498,9 @@ def mu_a_inverse(a, y: float) -> float:
     sig = _memo_record(a)
     if not y > 0.0:
         raise DomainError(f"mu_a_inverse needs y > 0, got {y}")
-    c_sym = 0.5 * math.pi / sig.sin_pi_a
-    lower = _NOME_ROOTS.get(sig.a, _mu_inverse_lower)
+    c_sym = sig.c_sym
     if y < c_sym:
-        rc = lower(sig, c_sym * c_sym / y)
+        rc = sig.mu_root(sig, c_sym * c_sym / y)
         # sqrt(1 - rc^2) as 1 minus a small term: the nearest float next to 1
         rc2 = rc * rc
         root = 1.0 - rc2 / (1.0 + math.sqrt(1.0 - rc2))
@@ -520,7 +511,7 @@ def mu_a_inverse(a, y: float) -> float:
                 saturating_endpoint=1.0,
             )
         return root
-    root = lower(sig, y)
+    root = sig.mu_root(sig, y)
     if not root >= sys.float_info.min:  # NaN too, as at y = inf
         raise BracketError(
             f"mu_a^-1({y}) underflows binary64", saturating_endpoint=0.0
@@ -537,7 +528,9 @@ def phi_k_a(a, big_k: float, r: float) -> float:
         raise DomainError(f"phi_k_a needs K > 0, got {big_k}")
     if not 0.0 < r < 1.0:
         raise DomainError(f"phi_k_a needs r interior to (0, 1), got {r}")
-    return mu_a_inverse(sig.a, _mu_and_slope(sig, r)[0] / big_k)
+    mu_closed = sig.mu_closed
+    y = mu_closed(r) if mu_closed is not None else _mu_and_slope(sig, r)[0]
+    return mu_a_inverse(sig.a, y / big_k)
 
 
 def phi_k(big_k: float, r: float) -> float:

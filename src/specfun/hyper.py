@@ -7,8 +7,8 @@ Evaluation strategy (d = c - a - b):
 * x > 0.75, d ~ an integer m >= 0 — the logarithmic expansion in 1 - x,
   a finite part of m terms plus a log(1-x) series; at m = 0 (zero-balanced)
   the digamma series behind the R(a,b) asymptotic at x = 1.
-* x > 0.75, d a negative value — Euler reflection
-  F = (1-x)^d F(c-a, c-b; c; x), then recurse (d flips sign).
+* x > 0.75, d < 0, or c equal to a or b — Euler reflection
+  F = (1-x)^d F(c-a, c-b; c; x), then recurse (d flips sign, or F = 1).
 * x > 0.75, otherwise — the two-sided linear connection formula in 1 - x
   with gamma-function coefficients.
 
@@ -255,7 +255,9 @@ def _dispatch(a, b, c, x, w):
     if m >= 0 and abs(d - m) < _INT_SNAP:
         v, e, n = _log_series(a, b, c, m, w)
         return v, e, n, "near_one_expansion"
-    if d < 0.0:
+    if d < 0.0 or c == a or c == b:
+        # at c = a the connection formula would take Gamma(c - a) = Gamma(0);
+        # under the argument rule no other pole of Gamma(c - a) has d >= 0
         inner_v, inner_e, n, _ = _dispatch(c - a, c - b, c, x, w)
         scale = w ** d
         v = scale * inner_v

@@ -40,6 +40,12 @@ class TestAgm:
         with pytest.raises(DomainError):
             E.agm(0.0, 1.0)
 
+    @pytest.mark.parametrize("x,y", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)])
+    def test_non_finite_is_domain_error(self, x, y):
+        # no NaN from the last mean's inf - inf
+        with pytest.raises(DomainError, match="positive finite"):
+            E.agm(x, y)
+
     def test_against_mpmath_over_the_float_range(self):
         # a*b and a+b may leave binary64 where the mean does not; the
         # worst here is 4.8e-16 (measured)
@@ -311,9 +317,10 @@ class TestRingModulus:
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_nome_signatures_run_no_series(self, a, monkeypatch):
         # mu_a and phi_k_a at the four signatures are closed forms in the nome,
-        # both ways: no 2F1, no table series and no AGM
+        # both ways, read off the record: no 2F1, no series, no AGM, and no
+        # _mu_and_slope, whose F and slope only general a and Newton need
         calls = []
-        for name in ("hyp2f1", "_mu_series", "agm"):
+        for name in ("hyp2f1", "_mu_series", "agm", "_mu_and_slope"):
             def counted(*args, _name=name, _fn=getattr(E, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
@@ -407,7 +414,7 @@ class TestInverseNewton:
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
     # the Newton counts hold at general a; at the four nome signatures
-    # (E._NOME_ROOTS) mu_a_inverse runs no solver, so there the count is 0
+    # (E._NOME) mu_a_inverse runs no solver, so there the count is 0
     @pytest.mark.parametrize("a", [0.05, 0.21, 0.9, 0.95, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5])
     def test_mu_evaluations_per_solve(self, a, monkeypatch):
         mu_and_slope = E._mu_and_slope
@@ -430,7 +437,7 @@ class TestInverseNewton:
             r = E.mu_a_inverse(a, y)
             counts.append(calls[0])
             assert abs(mu_and_slope(E._memo_record(a), r)[0] - y) <= 1e-13
-        assert max(counts) <= (0 if a in E._NOME_ROOTS else 6)
+        assert max(counts) <= (0 if a in E._NOME else 6)
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
 
@@ -449,7 +456,7 @@ class TestInverseNewton:
             E.mu_a_inverse(a, r_half + E._START_MARGIN + (700.0 - E._START_MARGIN) * i / 200)
         assert calls[0] == 0
         E.mu_a_inverse(a, r_half + E._START_MARGIN - 0.01)
-        assert calls[0] == (0 if a in E._NOME_ROOTS else 1)
+        assert calls[0] == (0 if a in E._NOME else 1)
 
     def test_deep_roots_are_the_one_term_asymptote(self):
         # from 25 above R_a/2 on, the three-term start's correction is below
@@ -503,8 +510,7 @@ class TestInverseNewton:
             u = rng.random()
             a = 0.001 if u < 0.125 else 0.999 if u < 0.25 else rng.uniform(0.001, 0.999)
             sig = E._memo_record(a)
-            c_sym = 0.5 * math.pi / sig.sin_pi_a
-            targets.append((a, rng.uniform(c_sym, 0.5 * sig.r_a + E._START_MARGIN)))
+            targets.append((a, rng.uniform(sig.c_sym, 0.5 * sig.r_a + E._START_MARGIN)))
         counts = []
         for a, y in targets + [(0.001, 500.4074428411587)]:
             calls[0] = 0
@@ -533,20 +539,28 @@ def _outcome(fn, *args):
         return ("BracketError", exc.saturating_endpoint)
 
 
+def _force_newton(monkeypatch, a):
+    # every call at a reads a record without the closed forms: mu_a from
+    # the series, its inverse from Newton
+    newton = E._memo_record(a)._replace(mu_closed=None, mu_root=E._mu_inverse_lower)
+    monkeypatch.setattr(E, "_memo_record", lambda _: newton)
+
+
 class TestNomeInverse:
     """mu_a_inverse at a = 1/2, 1/3, 1/4, 1/6: r^2 from the nome q = exp(-2y)."""
 
     def test_the_four_signatures_take_the_nome_path(self):
-        assert sorted(E._NOME_ROOTS) == sorted(E._NOME_MUS) == sorted(_NOME_SIGNATURES)
-        for a in _NOME_SIGNATURES:
-            assert E._memo_record(a).mu_closed is E._NOME_MUS[a]
-        assert E._memo_record(0.3).mu_closed is None
+        assert sorted(E._NOME) == sorted(_NOME_SIGNATURES)
+        for a in _NOME_SIGNATURES + [0.3]:
+            sig = E._memo_record(a)
+            assert sig.c_sym == 0.5 * math.pi / sig.sin_pi_a
+            assert (sig.mu_closed, sig.mu_root) == E._NOME.get(a, (None, E._mu_inverse_lower))
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_mu_residual_next_to_the_symmetry_value(self, a):
         # y = c (1 +- 10^-k): the direct path next to r = 1/sqrt(2), and
         # the reflected one through r'
-        c_sym = 0.5 * math.pi / E._memo_record(a).sin_pi_a
+        c_sym = E._memo_record(a).c_sym
         am = mp.mpf(a)
         worst = 0.0
         with mp.workdps(50):
@@ -563,7 +577,7 @@ class TestNomeInverse:
         # from c_sym to the underflow edge: the Newton solver stops within
         # 1e-13 of y in mu, about 1e-13 relative in r
         sig = E._memo_record(a)
-        c_sym = 0.5 * math.pi / sig.sin_pi_a
+        c_sym = sig.c_sym
         edge = 0.5 * sig.r_a - math.log(sys.float_info.min)
         rng = random.Random(1300)
         ys = ([c_sym * (1.0 + 10.0 ** -rng.uniform(0.0, 16.0)) for _ in range(1000)]
@@ -577,7 +591,7 @@ class TestNomeInverse:
         # at y = 5e-324 the reflected target c_sym^2 / y overflows to inf
         ys = (800.0, math.inf, 1e-300, 5e-324)
         nome = [_outcome(E.mu_a_inverse, a, y) for y in ys]
-        monkeypatch.setattr(E, "_NOME_ROOTS", {})
+        _force_newton(monkeypatch, a)
         assert nome == [_outcome(E.mu_a_inverse, a, y) for y in ys]
         assert nome == [("BracketError", 0.0), ("BracketError", 0.0)] + [("BracketError", 1.0)] * 2
 
@@ -590,7 +604,7 @@ class TestNomeInverse:
         calls = [(a, p, 1.0 - 10.0 ** -rng.uniform(6.0, 16.0))
                  for p in (2.0, 3.0, 5.0, 7.0, 11.0, 23.0) for _ in range(40)]
         nome = [_outcome(E.phi_k_a, *c) for c in calls]
-        monkeypatch.setattr(E, "_NOME_ROOTS", {})
+        _force_newton(monkeypatch, a)
         newton = [_outcome(E.phi_k_a, *c) for c in calls]
         # a raise counts as its saturating endpoint 1.0: the two paths'
         # reflected roots rc differ by a few ulp, which may round r either

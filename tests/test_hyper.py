@@ -101,6 +101,25 @@ class TestF21:
             actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
             assert actual <= res.abs_err_estimate, (a, b, c, x)
 
+    def test_c_equal_to_a_reflects_past_the_gamma_pole(self):
+        # c = a (or c = b) with the other parameter in (-1, 0) and x > 0.75,
+        # where the connection formula would take Gamma(c - a) = Gamma(0):
+        # Euler's transform leaves F(0, c - b; c; x) = 1, so F is
+        # (1-x)^(c-a-b); c - a - b rounds when a is the negative one
+        assert hyper.hyp2f1(1.5, -0.3, 1.5, 0.9) == pytest.approx(0.1 ** 0.3, rel=1e-15)
+        rng = random.Random(2929)
+        worst = 0.0
+        for i in range(2000):
+            c, neg, x = rng.uniform(1.0, 10.0), -rng.uniform(1e-6, 1.0 - 1e-6), rng.uniform(0.75, 1.0 - 1e-9)
+            a, b = (c, neg) if i % 2 else (neg, c)
+            res = hyper.f21(HyperParams(a, b, c), x)
+            assert res.value == hyper.hyp2f1(a, b, c, x)
+            ref = mp.hyp2f1(a, b, c, x)
+            actual = float(abs(mp.mpf(res.value) - ref))
+            assert actual <= res.abs_err_estimate, (a, b, c, x)
+            worst = max(worst, actual / float(abs(ref)))
+        assert worst <= 1e-14
+
     @pytest.mark.parametrize("family", ["zero_balanced", "integer_offset", "negative_a", "snapped"])
     def test_log_series_estimate_bounds_the_error(self, family):
         # c - a - b within _INT_SNAP of an integer m >= 0 and x > 0.75 takes
