@@ -16,6 +16,11 @@ Every near-one branch takes the complement 1 - x as an optional explicit
 argument so callers that know it exactly (r^2 against 1 - r^2, e^-x
 against 1 - e^-x) do not lose digits to the subtraction.
 
+Inside ``with EvalScope():`` each distinct (a, b, c, x, complement) is
+evaluated once and a repeat returns the same bits; ``verify.run_suite``
+runs in one scope, whose memo (0.8 MB for the default hyper suite, 31 MB
+at 1000 points) is freed when it returns.  Outside, nothing is stored.
+
 On top of the engine: the value at x = 1, the Ramanujan constant
 R(a,b) = -2 gamma - Psi(a) - Psi(b), contiguous-relation residuals, the
 Legendre-type product combinations and their gamma-quotient closed forms,
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextvars import ContextVar
 
 from .errors import ConstraintError, DomainError, ParameterError, RangeError
 from .gamma import EULER_GAMMA, digamma, gamma, log_gamma
@@ -37,6 +43,7 @@ from .kernel import balance
 __all__ = [
     "HyperParams",
     "EvalResult",
+    "EvalScope",
     "pochhammer",
     "f21",
     "hyp2f1",
@@ -239,7 +246,40 @@ def _connection(a, b, c, x, w):
     return value, err, n1 + n2
 
 
+_MEMO = ContextVar("hyper_memo", default=None)  # the open scope's dict, or None
+
+
+class EvalScope:
+    """``with EvalScope():`` memoizes the 2F1 engine: each distinct
+    (a, b, c, x, complement) is evaluated once, and a repeat returns the
+    first evaluation's value, estimate, terms and method.  Exceptions are
+    not stored.  Each scope starts empty and drops its memo on exit, also
+    when the block raises; until then it grows by about 300 bytes per
+    distinct argument."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self):
+        self._token = _MEMO.set({})
+        return self
+
+    def __exit__(self, *exc_info):
+        _MEMO.reset(self._token)
+        return False
+
+
 def _dispatch(a, b, c, x, w):
+    memo = _MEMO.get()
+    if memo is None:
+        return _evaluate(a, b, c, x, w)
+    key = (a, b, c, x, w)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _evaluate(a, b, c, x, w)
+    return hit
+
+
+def _evaluate(a, b, c, x, w):
     if x == 0.0 or a == 0.0 or b == 0.0:
         # empty argument or a terminating empty product: F = 1 exactly
         return 1.0, 0.0, 0, "direct_series"
@@ -257,7 +297,10 @@ def _dispatch(a, b, c, x, w):
         return v, e, n, "near_one_expansion"
     if d < 0.0 or c == a or c == b:
         # at c = a the connection formula would take Gamma(c - a) = Gamma(0);
-        # under the argument rule no other pole of Gamma(c - a) has d >= 0
+        # under the argument rule no other pole of Gamma(c - a) has d >= 0.
+        # At c = b, (c - a) - b rounds and d = -a is exact (at c = a, -b is)
+        if c == b:
+            d = -a
         inner_v, inner_e, n, _ = _dispatch(c - a, c - b, c, x, w)
         scale = w ** d
         v = scale * inner_v

@@ -212,6 +212,52 @@ class TestSuites:
         assert res.max_residual == math.inf and res.argmax == 0.0
 
 
+class TestRunScopedMemo:
+    # run_suite evaluates each distinct 2F1 once per call (hyper.EvalScope)
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_run_suite_equals_each_check_run_alone(self, suite):
+        # run_check outside any scope stores nothing, so this compares the
+        # memo's values with fresh evaluations, bit for bit
+        report = verify.run_suite(suite)
+        alone = sorted((verify.run_check(s) for s in verify.build_checks(suite)), key=lambda r: r.id)
+        assert [(r.id, r.passed, repr(r.max_residual), repr(r.argmax), r.points) for r in report.results] == \
+            [(r.id, r.passed, repr(r.max_residual), repr(r.argmax), r.points) for r in alone]
+
+    def test_no_scope_outlives_the_run(self, monkeypatch):
+        verify.run_suite("balls")
+        assert hyper._MEMO.get() is None
+
+        def raising(spec, grid_n=None, tol_scale=1.0):
+            assert hyper._MEMO.get() == {}
+            raise RuntimeError(spec.id)
+
+        monkeypatch.setattr(verify, "run_check", raising)
+        with pytest.raises(RuntimeError):
+            verify.run_suite("hyper")
+        assert hyper._MEMO.get() is None
+
+    def test_nothing_carries_over_between_runs(self, monkeypatch):
+        # each pass pays for its own evaluations, which keeps a benchmark of
+        # repeated passes honest; the memo saves within a pass
+        calls = []
+        series = hyper._series
+
+        def counting(*args):
+            calls.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(hyper, "_series", counting)
+        counts = []
+        for _ in range(2):
+            del calls[:]
+            verify.run_suite("hyper")
+            counts.append(len(calls))
+        del calls[:]
+        for spec in verify.build_checks("hyper"):
+            verify.run_check(spec)
+        assert 0 < counts[0] == counts[1] < len(calls)
+
+
 class TestSerialization:
     def _tiny_report(self):
         res = CheckResult(id="a.b", passed=True, max_residual=1.25e-14,
