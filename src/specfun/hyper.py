@@ -18,8 +18,9 @@ against 1 - e^-x) do not lose digits to the subtraction.
 
 Inside ``with EvalScope():`` each distinct (a, b, c, x, complement) is
 evaluated once and a repeat returns the same bits; ``verify.run_suite``
-runs in one scope, whose memo (0.8 MB for the default hyper suite, 31 MB
-at 1000 points) is freed when it returns.  Outside, nothing is stored.
+runs the hyper suite's checks, the ones that repeat arguments, in one
+scope, whose memo (0.8 MB on the default grids, 31 MB at 1000 points) is
+freed when they return.  Outside, nothing is stored.
 
 On top of the engine: the value at x = 1, the Ramanujan constant
 R(a,b) = -2 gamma - Psi(a) - Psi(b), contiguous-relation residuals, the

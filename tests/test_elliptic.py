@@ -136,6 +136,89 @@ class TestGeneralizedIntegrals:
             E.e_a(0.0, 0.5)
 
 
+def _k_a_reference(a, r, prime):
+    # (pi/2) F(a, 1-a; 1; x) at x = r^2, or at 1 - r^2 for k_a_prime, with a
+    # the float it is; below r = 1e-9 the complement's reference is the
+    # two-term asymptote sin(pi a)(R_a - 2 log r)/2, its next term O(r^2)
+    am = mp.mpf(a)
+    if prime and r < 1e-9:
+        r_a = -2 * mp.euler - mp.digamma(am) - mp.digamma(1 - am)
+        return mp.sin(mp.pi * am) * (r_a - 2 * mp.log(r)) / 2
+    x = mp.mpf(r) ** 2
+    return mp.pi / 2 * mp.hyp2f1(am, 1 - am, 1, 1 - x if prime else x)
+
+
+class TestGeneralizedClosedForms:
+    """k_a and k_a_prime at the four signatures through one AGM loop."""
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_against_mpmath(self, a):
+        # r log-uniform toward both ends, 1 - 2^-53 and the ends of the
+        # float range included; at a = 1/2 the forms are ellip_k's, whose
+        # AGM reads 5.3e-16 at worst (5.26e-16 at r = 5.17e-154, measured)
+        rng = random.Random(3131)
+        rs = ([rng.uniform(0.0, 1.0) for _ in range(100)]
+              + [10.0 ** -rng.uniform(0.15, 323.0) for _ in range(100)]
+              + [1.0 - 10.0 ** -rng.uniform(0.15, 15.95) for _ in range(100)]
+              + [5e-324, 1e-170, 1.0 - 2.0 ** -53, 0.5, math.sqrt(0.5), math.nextafter(math.sqrt(0.5), 0.0)])
+        worst = 0.0
+        for r in rs:
+            worst = max(worst, float(abs(E.k_a(a, r) / _k_a_reference(a, r, False) - 1)),
+                        float(abs(E.k_a_prime(a, r) / _k_a_reference(a, r, True) - 1)))
+        assert worst <= (6e-16 if a == 0.5 else 5e-16)
+
+    def test_half_is_the_classical_k(self):
+        rng = random.Random(3132)
+        for r in [rng.random() for _ in range(500)] + [10 ** -rng.uniform(0, 323) for _ in range(200)]:
+            assert repr(E.k_a(0.5, r)) == repr(E.ellip_k(r)), r
+            assert repr(E.k_a_prime(0.5, r)) == repr(E.ellip_k_prime(r)), r
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_pi_over_two_at_the_ends(self, a):
+        assert E.k_a(a, 0.0) == 0.5 * math.pi
+        assert E.k_a_prime(a, 1.0) == 0.5 * math.pi
+
+    @pytest.mark.parametrize("a", [0.3, 0.49])
+    def test_other_a_keep_the_engine(self, a):
+        rng = random.Random(3133)
+        for r in [rng.random() for _ in range(200)] + [1e-150, 1e-9, 1.0 - 2.0 ** -53]:
+            rc2 = (1.0 - r) * (1.0 + r)
+            assert E.k_a(a, r) == 0.5 * math.pi * hyper.hyp2f1(a, 1.0 - a, 1.0, r * r, one_minus_x=rc2)
+            assert E.k_a_prime(a, r) == 0.5 * math.pi * hyper.hyp2f1(a, 1.0 - a, 1.0, rc2, one_minus_x=r * r)
+
+    @pytest.mark.parametrize("a", _NOME_SIGNATURES)
+    def test_signatures_run_no_2f1(self, a, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("hyp2f1 called")
+
+        monkeypatch.setattr(E, "hyp2f1", refused)
+        for r in (5e-324, 1e-9, 0.3, math.sqrt(0.5), 0.9, 1.0 - 2.0 ** -53):
+            E.k_a(a, r)
+            E.k_a_prime(a, r)
+
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.49, 0.9])
+    @pytest.mark.parametrize("r", [1e-160, 1e-170, 5e-324])
+    def test_complement_where_r_squared_underflows(self, a, r):
+        # r * r is subnormal or 0: k_a_prime is its two-term asymptote and
+        # e_a_prime its r = 0 value, exact as the rest is O(r^2 log r)
+        want = _k_a_reference(a, r, True)
+        assert abs(E.k_a_prime(a, r) / want - 1) <= 5e-16
+        am = mp.mpf(a)
+        with mp.workdps(60):
+            e_want = mp.pi / 2 * mp.hyp2f1(am - 1, 1 - am, 1, 1 - mp.mpf(r) ** 2)
+        assert abs(E.e_a_prime(a, r) / e_want - 1) <= 5e-16
+        assert E.e_a_prime(a, r) == E.e_a_prime(a, 0.0)
+
+    def test_the_sixth_bridge_keeps_k_below_its_complement(self):
+        # why _mu_sixth needs no k > k' branch: on x = r^2 <= 1/2 the
+        # bridge's lam <= 1 - lam, checked on the 2,001 floats below 1/2
+        x = 0.5
+        for _ in range(2001):
+            x = math.nextafter(x, 0.0)
+            lam, lamc = E._sixth_lambda(math.sqrt(x * (1.0 - x)), (1.0 - x) - x)
+            assert lam <= lamc, x
+
+
 class TestSignatureParam:
     """The private per-a record behind mu_a, mu_a_inverse and phi_k_a,
     built by the memo E._memo_record."""

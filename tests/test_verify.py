@@ -213,7 +213,8 @@ class TestSuites:
 
 
 class TestRunScopedMemo:
-    # run_suite evaluates each distinct 2F1 once per call (hyper.EvalScope)
+    # run_suite evaluates each distinct 2F1 of the hyper suite once per call
+    # (hyper.EvalScope); the other suites run without a memo
     @pytest.mark.parametrize("suite", verify.SUITES)
     def test_run_suite_equals_each_check_run_alone(self, suite):
         # run_check outside any scope stores nothing, so this compares the
@@ -222,6 +223,20 @@ class TestRunScopedMemo:
         alone = sorted((verify.run_check(s) for s in verify.build_checks(suite)), key=lambda r: r.id)
         assert [(r.id, r.passed, repr(r.max_residual), repr(r.argmax), r.points) for r in report.results] == \
             [(r.id, r.passed, repr(r.max_residual), repr(r.argmax), r.points) for r in alone]
+
+    def test_only_the_hyper_suite_runs_in_a_scope(self, monkeypatch):
+        # the elliptic suite repeats no 2F1 argument and gamma, balls and
+        # modular dispatch none, so a memo there would only cost
+        scoped = {}
+        run_check = verify.run_check
+
+        def recording(spec, grid_n=None, tol_scale=1.0):
+            scoped.setdefault(spec.id.split(".")[0], set()).add(hyper._MEMO.get() is not None)
+            return run_check(spec, grid_n=grid_n, tol_scale=tol_scale)
+
+        monkeypatch.setattr(verify, "run_check", recording)
+        verify.run_suite("all", grid_n=7)
+        assert scoped == {"hyper": {True}, **{s: {False} for s in verify.SUITES if s != "hyper"}}
 
     def test_no_scope_outlives_the_run(self, monkeypatch):
         verify.run_suite("balls")
