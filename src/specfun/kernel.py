@@ -49,8 +49,8 @@ def derivative(f, x: float, order: int = 1, step: float = None, domain: tuple = 
     if order not in (1, 2, 3):
         raise DomainError(f"derivative order must be 1, 2 or 3, got {order}")
     h = _default_step(x, order) if step is None else float(step)
-    if h <= 0.0:
-        raise DomainError("step must be positive")
+    if not 0.0 < h < math.inf:  # a NaN or infinite step gives NaN, not a derivative
+        raise DomainError(f"step must be positive and finite, got {h}")
     reach = 3 if order == 3 else 2
     if domain is not None:
         lo, hi = domain

@@ -20,6 +20,10 @@ whose gap is truncation (a limit, a table, a stencil) keep their own
 tolerance.
 A NaN or infinite value fails any kind, with residual inf at its point.
 
+Each suite builder registers a check with one add(id, anchor, kind, grid,
+evaluator) call beside its evaluator (_registry), and the tolerance
+defaults to the budget: only the six truncation identities pass tol=.
+
 Evaluators are pure and draws are generated from fixed seeds, so rerunning
 a suite is deterministic; results are sorted by check id.  run_suite runs
 the hyper suite's checks in one hyper.EvalScope (_MEMO_SUITES): each
@@ -30,6 +34,7 @@ The other suites repeat no 2F1 argument and run without a memo.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -52,8 +57,6 @@ __all__ = [
     "serialize",
     "parse_report",
 ]
-
-SUITES = ("gamma", "balls", "hyper", "elliptic", "modular")
 
 _KINDS = ("identity", "inequality", "monotonicity", "convexity")
 
@@ -166,12 +169,23 @@ def run_check(spec: CheckSpec, grid_n: int = None, tol_scale: float = 1.0) -> Ch
     )
 
 
+def _registry():
+    """A suite builder's list of checks and the add that registers each;
+    tol defaults to the rounding budget, its one owner."""
+    specs = []
+
+    def add(id, anchor, kind, grid, evaluator, tol=_ROUNDING_BUDGET, note=""):
+        specs.append(CheckSpec(id, anchor, kind, grid, tol, evaluator, note))
+
+    return specs, add
+
+
 # ---------------------------------------------------------------------------
 # gamma suite
 
 
 def _build_gamma():
-    checks = []
+    checks, add = _registry()
     eg = gamma.EULER_GAMMA
 
     def recurrence(x):
@@ -181,18 +195,14 @@ def _build_gamma():
         x = (x + 1.0) - 1.0
         return _slack(gamma.gamma(x + 1.0), x * gamma.gamma(x))
 
-    checks.append(CheckSpec(
-        "gamma.recurrence", "Gamma(x+1) = x Gamma(x)", "identity",
-        Grid(0.5, 50.0, 1000, "logarithmic"), _ROUNDING_BUDGET, recurrence,
-    ))
+    add("gamma.recurrence", "Gamma(x+1) = x Gamma(x)", "identity",
+        Grid(0.5, 50.0, 1000, "logarithmic"), recurrence)
 
     def interval_bounds(x):
         return _between(x ** ((1.0 - eg) * x - 1.0), gamma.gamma(x), x ** (x - 1.0))
 
-    checks.append(CheckSpec(
-        "gamma.interval_bounds", "x^((1-g)x-1) < Gamma(x) < x^(x-1) on (1,100]",
-        "inequality", Grid(1.005, 100.0, 200), _ROUNDING_BUDGET, interval_bounds,
-    ))
+    add("gamma.interval_bounds", "x^((1-g)x-1) < Gamma(x) < x^(x-1) on (1,100]", "inequality",
+        Grid(1.005, 100.0, 200), interval_bounds)
 
     _A01 = 1.0 - eg
     _B01 = 0.5 * (math.pi ** 2 / 6.0 - eg)
@@ -200,20 +210,16 @@ def _build_gamma():
     def alzer_unit(x):
         return _between(x ** (_A01 * (x - 1.0) - eg), gamma.gamma(x), x ** (_B01 * (x - 1.0) - eg))
 
-    checks.append(CheckSpec(
-        "gamma.alzer_unit_interval",
-        "x^(a(x-1)-g) < Gamma(x) < x^(b(x-1)-g) on (0,1), a = 1-g, b = (pi^2/6-g)/2",
-        "inequality", Grid(0.01, 0.99, 99), _ROUNDING_BUDGET, alzer_unit,
-    ))
+    add("gamma.alzer_unit_interval",
+        "x^(a(x-1)-g) < Gamma(x) < x^(b(x-1)-g) on (0,1), a = 1-g, b = (pi^2/6-g)/2", "inequality",
+        Grid(0.01, 0.99, 99), alzer_unit)
 
     def alzer_beyond(x):
         return _between(x ** (_B01 * (x - 1.0) - eg), gamma.gamma(x), x ** (x - 1.0 - eg))
 
-    checks.append(CheckSpec(
-        "gamma.alzer_beyond_one",
-        "x^(a(x-1)-g) < Gamma(x) < x^(x-1-g) on (1,inf), a = (pi^2/6-g)/2",
-        "inequality", Grid(1.005, 100.0, 200), _ROUNDING_BUDGET, alzer_beyond,
-    ))
+    add("gamma.alzer_beyond_one",
+        "x^(a(x-1)-g) < Gamma(x) < x^(x-1-g) on (1,inf), a = (pi^2/6-g)/2", "inequality",
+        Grid(1.005, 100.0, 200), alzer_beyond)
 
     table = gamma.THETA_RECORD
 
@@ -221,50 +227,34 @@ def _build_gamma():
         x, printed = table[i]
         return gamma.theta(x) - printed
 
-    checks.append(CheckSpec(
-        "gamma.theta_table", "sixth-root correction reproduces the 14-entry record",
-        "identity", range(len(table)), 1.01e-4, theta_row,
+    add("gamma.theta_table", "sixth-root correction reproduces the 14-entry record", "identity",
+        range(len(table)), theta_row, tol=1.01e-4,
         note="two recorded entries (x = 6/12, 11/12) are truncated rather than "
-             "rounded in the source, so their gaps sit just above 5e-5",
-    ))
+             "rounded in the source, so their gaps sit just above 5e-5")
 
-    checks.append(CheckSpec(
-        "gamma.theta_growth_range", "theta/30 in (1/100, 1/30) on [1, 500]",
-        "inequality", Grid(1.0, 500.0, 500), _ROUNDING_BUDGET,
-        lambda x: _between(0.01, gamma.theta(x) / 30.0, 1.0 / 30.0),
-    ))
-    checks.append(CheckSpec(
-        "gamma.theta_growth_mono", "theta increasing on [1, 500]",
-        "monotonicity", Grid(1.0, 500.0, 500), _ROUNDING_BUDGET, gamma.theta,
-    ))
+    add("gamma.theta_growth_range", "theta/30 in (1/100, 1/30) on [1, 500]", "inequality",
+        Grid(1.0, 500.0, 500), lambda x: _between(0.01, gamma.theta(x) / 30.0, 1.0 / 30.0))
+    add("gamma.theta_growth_mono", "theta increasing on [1, 500]", "monotonicity",
+        Grid(1.0, 500.0, 500), gamma.theta)
 
     gaps = gamma.detemple_gaps(10_000)  # R_n - g, n = 1..10^4: one table per build
 
     def detemple_bracket(n):
         return _between(1.0 / (24.0 * (n + 1.0) ** 2), gaps[n - 1], 1.0 / (24.0 * n * n))
 
-    checks.append(CheckSpec(
-        "gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4",
-        "inequality", range(1, 10_001), _ROUNDING_BUDGET, detemple_bracket,
-    ))
-    checks.append(CheckSpec(
-        "gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4",
-        "monotonicity", range(1, 10_001), _ROUNDING_BUDGET, lambda n: n * n * gaps[n - 1],
-    ))
-    checks.append(CheckSpec(
-        "gamma.bigh_below_cap", "n^2 (R_n - g) < 1/24",
-        "inequality", range(1, 10_001), _ROUNDING_BUDGET,
-        lambda n: _slack(1.0 / 24.0, n * n * gaps[n - 1]),
-    ))
+    add("gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4", "inequality",
+        range(1, 10_001), detemple_bracket)
+    add("gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4", "monotonicity",
+        range(1, 10_001), lambda n: n * n * gaps[n - 1])
+    add("gamma.bigh_below_cap", "n^2 (R_n - g) < 1/24", "inequality", range(1, 10_001),
+        lambda n: _slack(1.0 / 24.0, n * n * gaps[n - 1]))
 
     def karatsuba_margin(k):
         est = gamma.karatsuba_euler_gamma(k)
         return _slack(est.error_bound, abs(est.value - eg))
 
-    checks.append(CheckSpec(
-        "gamma.karatsuba_bound", "|estimate - g| <= c_k + ulp, c_k = 2/(12k)! + 2k^2 e^-k",
-        "inequality", (1, 5, 10, 20), _ROUNDING_BUDGET, karatsuba_margin,
-    ))
+    add("gamma.karatsuba_bound", "|estimate - g| <= c_k + ulp, c_k = 2/(12k)! + 2k^2 e^-k",
+        "inequality", (1, 5, 10, 20), karatsuba_margin)
 
     def ramanujan_err(i):
         x = 10.0
@@ -272,52 +262,35 @@ def _build_gamma():
         est = gamma.ramanujan_gamma(x, i)
         return -math.log10(max(abs(est.value - ref) / ref, 1e-300))
 
-    checks.append(CheckSpec(
-        "gamma.ramanujan_terms_decreasing",
+    add("gamma.ramanujan_terms_decreasing",
         "sixth-root expansion error shrinks with every added tail coefficient at x = 10",
-        "monotonicity", range(8), _ROUNDING_BUDGET, ramanujan_err,
-    ))
+        "monotonicity", range(8), ramanujan_err)
 
     def ramanujan_seven(x):
         ref = gamma.gamma(x + 1.0)
         est = gamma.ramanujan_gamma(x, 7)
         return _slack(1e-9, abs(est.value - ref) / ref)
 
-    checks.append(CheckSpec(
-        "gamma.ramanujan_seven_terms", "full seven-coefficient tail reaches 1e-9 at x >= 10",
-        "inequality", (10.0, 20.0, 50.0), _ROUNDING_BUDGET, ramanujan_seven,
-    ))
+    add("gamma.ramanujan_seven_terms", "full seven-coefficient tail reaches 1e-9 at x >= 10",
+        "inequality", (10.0, 20.0, 50.0), ramanujan_seven)
 
-    checks.append(CheckSpec(
-        "gamma.mono_f_increasing", "log Gamma(x+1)/(x log x) increasing",
-        "monotonicity", Grid(1.02, 200.0, 300, "logarithmic"), _ROUNDING_BUDGET, gamma.mono_f,
-    ))
-    checks.append(CheckSpec(
-        "gamma.mono_f_concave", "log Gamma(x+1)/(x log x) concave beyond 1",
-        "convexity", Grid(1.02, 200.0, 200), _ROUNDING_BUDGET, lambda x: -gamma.mono_f(x),
-    ))
-    checks.append(CheckSpec(
-        "gamma.mono_f_range", "mono_f maps (1, inf) into (1-g, 1)",
-        "inequality", Grid(1.02, 200.0, 200), _ROUNDING_BUDGET,
-        lambda x: _between(1.0 - eg, gamma.mono_f(x), 1.0),
-    ))
-    checks.append(CheckSpec(
-        "gamma.lemma_g_positive", "sum (n-x)/(n+x)^3 > 0 for x > -1",
-        "inequality", Grid(-0.999, 100.0, 120), _ROUNDING_BUDGET, lambda x: _sign(gamma.lemma_g(x)),
-    ))
-    checks.append(CheckSpec(
-        "gamma.lemma_h_nonnegative", "x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x) >= 0",
-        "inequality", Grid(-0.999, 20.0, 100), _ROUNDING_BUDGET, lambda x: _sign(gamma.lemma_h(x)),
-    ))
+    add("gamma.mono_f_increasing", "log Gamma(x+1)/(x log x) increasing", "monotonicity",
+        Grid(1.02, 200.0, 300, "logarithmic"), gamma.mono_f)
+    add("gamma.mono_f_concave", "log Gamma(x+1)/(x log x) concave beyond 1", "convexity",
+        Grid(1.02, 200.0, 200), lambda x: -gamma.mono_f(x))
+    add("gamma.mono_f_range", "mono_f maps (1, inf) into (1-g, 1)", "inequality",
+        Grid(1.02, 200.0, 200), lambda x: _between(1.0 - eg, gamma.mono_f(x), 1.0))
+    add("gamma.lemma_g_positive", "sum (n-x)/(n+x)^3 > 0 for x > -1", "inequality",
+        Grid(-0.999, 100.0, 120), lambda x: _sign(gamma.lemma_g(x)))
+    add("gamma.lemma_h_nonnegative", "x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x) >= 0",
+        "inequality", Grid(-0.999, 20.0, 100), lambda x: _sign(gamma.lemma_h(x)))
 
     def dn_slower(n):
         rec = gamma.detemple(n)
         return _slack(abs(rec.d_n - eg), abs(rec.r_minus_gamma))
 
-    checks.append(CheckSpec(
-        "gamma.dn_slower_than_rn", "|D_n - g| > |R_n - g| for n = 2..1000",
-        "inequality", range(2, 1001, 2), _ROUNDING_BUDGET, dn_slower,
-    ))
+    add("gamma.dn_slower_than_rn", "|D_n - g| > |R_n - g| for n = 2..1000", "inequality",
+        range(2, 1001, 2), dn_slower)
     return checks
 
 
@@ -325,47 +298,31 @@ def _build_gamma():
 # balls suite
 
 def _build_balls():
-    checks = []
+    checks, add = _registry()
 
-    checks.append(CheckSpec(
-        "balls.volume_decreasing", "Omega_n decreases to 0 from n = 7 on",
-        "monotonicity", range(7, 201), _ROUNDING_BUDGET, lambda n: -balls.log_ball_volume(n),
-    ))
-    checks.append(CheckSpec(
-        "balls.surface_decreasing", "omega_n decreases to 0 from n = 7 on",
-        "monotonicity", range(7, 201), _ROUNDING_BUDGET,
-        lambda n: -(math.log(n + 1) + balls.log_ball_volume(n + 1)),
-    ))
-    checks.append(CheckSpec(
-        "balls.root_power_decreasing", "Omega_n^(1/(n log n)) decreasing",
-        "monotonicity", range(2, 201), _ROUNDING_BUDGET,
-        lambda n: -math.exp(balls.log_ball_volume(n) / (n * math.log(n))),
-    ))
-    checks.append(CheckSpec(
-        "balls.root_power_above_limit", "Omega_n^(1/(n log n)) > e^(-1/2)",
-        "inequality", range(2, 201), _ROUNDING_BUDGET,
-        lambda n: _slack(math.exp(balls.log_ball_volume(n) / (n * math.log(n))), math.exp(-0.5)),
-    ))
-    checks.append(CheckSpec(
-        "balls.alzer_power", "a Om_(n+1)^(n/(n+1)) <= Om_n <= b Om_(n+1)^(n/(n+1)), a = 2/sqrt(pi), b = sqrt(e)",
-        "inequality", range(1, 201), _ROUNDING_BUDGET,
-        lambda n: _between(balls.POWER_A, balls.power_ratio(n), balls.POWER_B),
-    ))
-    checks.append(CheckSpec(
-        "balls.alzer_sqrt", "sqrt((n+1/2)/2pi) <= Om_(n-1)/Om_n <= sqrt((n+pi/2-1)/2pi)",
-        "inequality", range(1, 201), _ROUNDING_BUDGET,
-        lambda n: _between(balls.SQRT_A, balls.sqrt_shift(n), balls.SQRT_B),
-    ))
-    checks.append(CheckSpec(
-        "balls.alzer_quotient", "(1+1/n)^a <= Om_n^2/(Om_(n-1)Om_(n+1)) <= (1+1/n)^(1/2), a = 2 - log pi/log 2",
-        "inequality", range(1, 201), _ROUNDING_BUDGET,
-        lambda n: _between(balls.QUOTIENT_ALPHA, balls.quotient_exponent(n), balls.QUOTIENT_BETA),
-    ))
-    checks.append(CheckSpec(
-        "balls.alzer_difference", "A/sqrt(n) <= (n+1)Om_(n+1)/Om_n - n Om_n/Om_(n-1) < B/sqrt(n)",
-        "inequality", range(2, 201), _ROUNDING_BUDGET,
-        lambda n: _between(balls.DIFFERENCE_A, balls.difference_scaled(n), balls.DIFFERENCE_B),
-    ))
+    add("balls.volume_decreasing", "Omega_n decreases to 0 from n = 7 on", "monotonicity",
+        range(7, 201), lambda n: -balls.log_ball_volume(n))
+    add("balls.surface_decreasing", "omega_n decreases to 0 from n = 7 on", "monotonicity",
+        range(7, 201), lambda n: -(math.log(n + 1) + balls.log_ball_volume(n + 1)))
+    add("balls.root_power_decreasing", "Omega_n^(1/(n log n)) decreasing", "monotonicity",
+        range(2, 201), lambda n: -math.exp(balls.log_ball_volume(n) / (n * math.log(n))))
+    add("balls.root_power_above_limit", "Omega_n^(1/(n log n)) > e^(-1/2)", "inequality",
+        range(2, 201),
+        lambda n: _slack(math.exp(balls.log_ball_volume(n) / (n * math.log(n))), math.exp(-0.5)))
+    add("balls.alzer_power",
+        "a Om_(n+1)^(n/(n+1)) <= Om_n <= b Om_(n+1)^(n/(n+1)), a = 2/sqrt(pi), b = sqrt(e)",
+        "inequality", range(1, 201),
+        lambda n: _between(balls.POWER_A, balls.power_ratio(n), balls.POWER_B))
+    add("balls.alzer_sqrt", "sqrt((n+1/2)/2pi) <= Om_(n-1)/Om_n <= sqrt((n+pi/2-1)/2pi)",
+        "inequality", range(1, 201),
+        lambda n: _between(balls.SQRT_A, balls.sqrt_shift(n), balls.SQRT_B))
+    add("balls.alzer_quotient",
+        "(1+1/n)^a <= Om_n^2/(Om_(n-1)Om_(n+1)) <= (1+1/n)^(1/2), a = 2 - log pi/log 2",
+        "inequality", range(1, 201),
+        lambda n: _between(balls.QUOTIENT_ALPHA, balls.quotient_exponent(n), balls.QUOTIENT_BETA))
+    add("balls.alzer_difference", "A/sqrt(n) <= (n+1)Om_(n+1)/Om_n - n Om_n/Om_(n-1) < B/sqrt(n)",
+        "inequality", range(2, 201),
+        lambda n: _between(balls.DIFFERENCE_A, balls.difference_scaled(n), balls.DIFFERENCE_B))
 
     def breaks(i):
         bump = 1e-3
@@ -382,14 +339,12 @@ def _build_balls():
             balls.DIFFERENCE_B * (1.0 - bump) - balls.difference_scaled(n) < 0.0 for n in range(2, 201)
         )
 
-    checks.append(CheckSpec(
-        "balls.sharpness_spotcheck",
-        "perturbing each sharp constant by 1e-3 in the favorable direction breaks it",
-        "inequality", range(5), _ROUNDING_BUDGET, lambda i: 0.0 if breaks(i) else -math.inf,
+    add("balls.sharpness_spotcheck",
+        "perturbing each sharp constant by 1e-3 in the favorable direction breaks it", "inequality",
+        range(5), lambda i: 0.0 if breaks(i) else -math.inf,
         note="the sqrt(e), A = 1/2 and beta = 1/2 constants are approached too "
              "slowly to violate within n <= 200: perturbed by 1e-3 they still "
-             "hold there, so no probe on this range shows their sharpness",
-    ))
+             "hold there, so no probe on this range shows their sharpness")
     return checks
 
 
@@ -400,7 +355,7 @@ _HP = hyper.HyperParams
 
 
 def _build_hyper():
-    checks = []
+    checks, add = _registry()
     trip = (_HP(0.5, 0.5, 1.0), _HP(1.3, 0.7, 1.5), _HP(0.3, 0.7, 1.2))
 
     # the one stencil witness of DLMF 15.5.1, which the exact-derivative
@@ -410,10 +365,8 @@ def _build_hyper():
         rhs = p.a * p.b / p.c * hyper.hyp2f1(p.a + 1.0, p.b + 1.0, p.c + 1.0, z)
         return lhs - rhs
 
-    checks.append(CheckSpec(
-        "hyper.derivative_formula", "dF/dz = (ab/c) F(a+1,b+1;c+1;z)",
-        "identity", Grid(0.05, 0.7, 14), 5e-9, lambda z: max(abs(deriv_formula(p, z)) for p in trip),
-    ))
+    add("hyper.derivative_formula", "dF/dz = (ab/c) F(a+1,b+1;c+1;z)", "identity",
+        Grid(0.05, 0.7, 14), lambda z: max(abs(deriv_formula(p, z)) for p in trip), tol=5e-9)
 
     one_probes = (_HP(0.1, 0.2, 1.0), _HP(0.3, 0.3, 1.4), _HP(0.25, 0.5, 1.6))
 
@@ -422,10 +375,8 @@ def _build_hyper():
         x = 1.0 - 1e-6
         return hyper.hyp2f1(p.a, p.b, p.c, x, one_minus_x=1e-6) - hyper.gauss_value_at_one(p)
 
-    checks.append(CheckSpec(
-        "hyper.gauss_value_limit", "series limit at 1 matches the gamma quotient",
-        "identity", range(len(one_probes)), 1e-4, gauss_limit,
-    ))
+    add("hyper.gauss_value_limit", "series limit at 1 matches the gamma quotient", "identity",
+        range(len(one_probes)), gauss_limit, tol=1e-4)
 
     zb_pairs = ((0.5, 0.5), (1.0 / 3.0, 2.0 / 3.0), (0.25, 0.25))
 
@@ -439,28 +390,18 @@ def _build_hyper():
         )
         return _slack(10.0 * w * abs(math.log(w)), gap)
 
-    checks.append(CheckSpec(
-        "hyper.zero_balanced_limit",
-        "B(a,b) F(a,b;a+b;x) + log(1-x) -> R(a,b) with O((1-x)log(1-x)) gap",
-        "inequality", range(len(zb_pairs)), _ROUNDING_BUDGET, zero_balanced,
-    ))
-    checks.append(CheckSpec(
-        "hyper.ramanujan_constant_half", "R(1/2,1/2) = log 16",
-        "identity", (0.0,), _ROUNDING_BUDGET,
-        lambda _: _slack(hyper.ramanujan_R(0.5, 0.5), math.log(16.0)),
-    ))
-    checks.append(CheckSpec(
-        "hyper.qf_decreasing", "R(x,1-x) sin(pi x) decreasing on (0, 1/2]",
-        "monotonicity", Grid(0.001, 0.5, 120), _ROUNDING_BUDGET,
-        lambda x: -hyper.ramanujan_R(x, 1.0 - x) * math.sin(math.pi * x),
-    ))
+    add("hyper.zero_balanced_limit",
+        "B(a,b) F(a,b;a+b;x) + log(1-x) -> R(a,b) with O((1-x)log(1-x)) gap", "inequality",
+        range(len(zb_pairs)), zero_balanced)
+    add("hyper.ramanujan_constant_half", "R(1/2,1/2) = log 16", "identity", (0.0,),
+        lambda _: _slack(hyper.ramanujan_R(0.5, 0.5), math.log(16.0)))
+    add("hyper.qf_decreasing", "R(x,1-x) sin(pi x) decreasing on (0, 1/2]", "monotonicity",
+        Grid(0.001, 0.5, 120), lambda x: -hyper.ramanujan_R(x, 1.0 - x) * math.sin(math.pi * x))
 
     for which in hyper.CONTIGUOUS_IDS:
-        checks.append(CheckSpec(
-            f"hyper.contiguous_{which}", f"contiguous relation {which}",
-            "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET,
-            _max_units(trip, lambda p, z, w=which: hyper.contiguous_residual(w, p, z)),
-        ))
+        add(f"hyper.contiguous_{which}", f"contiguous relation {which}", "identity",
+            Grid(0.05, 0.95, 19),
+            _max_units(trip, lambda p, z, w=which: hyper.contiguous_residual(w, p, z)))
 
     ode_params = (_HP(0.7, 1.1, 1.3), _HP(0.5, 0.5, 1.0))
 
@@ -468,10 +409,8 @@ def _build_hyper():
         f, d1, d2 = hyper.hyp2f1_derivatives(p.a, p.b, p.c, z)
         return balance(z * (1.0 - z) * d2, (p.c - (p.a + p.b + 1.0) * z) * d1, -p.a * p.b * f)
 
-    checks.append(CheckSpec(
-        "hyper.hypergeometric_ode", "z(1-z)w'' + [c-(a+b+1)z]w' - ab w = 0",
-        "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET, _max_units(ode_params, hyp_ode),
-    ))
+    add("hyper.hypergeometric_ode", "z(1-z)w'' + [c-(a+b+1)z]w' - ab w = 0", "identity",
+        Grid(0.05, 0.95, 19), _max_units(ode_params, hyp_ode))
 
     sq_params = (_HP(0.6, 0.9, 1.25), _HP(0.5, 0.5, 1.0))
 
@@ -485,11 +424,9 @@ def _build_hyper():
             -4.0 * p.a * p.b * z * f,
         )
 
-    checks.append(CheckSpec(
-        "hyper.ode_square_argument",
+    add("hyper.ode_square_argument",
         "z(1-z^2)w'' + [2c-1-(2a+2b+1)z^2]w' - 4ab z w = 0 for w = F(a,b;c;z^2), 2c = a+b+1",
-        "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET, _max_units(sq_params, square_ode),
-    ))
+        "identity", Grid(0.05, 0.95, 19), _max_units(sq_params, square_ode))
 
     wr_params = (_HP(0.5, 0.5, 1.0), _HP(0.4, 0.8, 1.1))
 
@@ -504,11 +441,9 @@ def _build_hyper():
         ref = math.exp(2.0 * gamma.log_gamma(p.c) - gamma.log_gamma(p.a) - gamma.log_gamma(p.b))
         return balance(-w1 * d2 * m, -w2 * d1 * m, ref)  # W m = -ref
 
-    checks.append(CheckSpec(
-        "hyper.wronskian_decay",
-        "W(F(.;z), F(.;1-z)) z^c (1-z)^(a+b-c+1) is constant when 2c = a+b+1",
-        "identity", Grid(0.1, 0.9, 17), _ROUNDING_BUDGET, _max_units(wr_params, wronskian_decay),
-    ))
+    add("hyper.wronskian_decay",
+        "W(F(.;z), F(.;1-z)) z^c (1-z)^(a+b-c+1) is constant when 2c = a+b+1", "identity",
+        Grid(0.1, 0.9, 17), _max_units(wr_params, wronskian_decay))
 
     cor_params = ((0.3, 1.2), (0.5, 1.0), (0.7, 1.5))
 
@@ -516,45 +451,33 @@ def _build_hyper():
         a, c = pair
         return balance(hyper.corollary44_value(a, c, z), -hyper.corollary44_reference(a, c))
 
-    checks.append(CheckSpec(
-        "hyper.corollary44", "u v1 + u1 v - v v1 equals its gamma quotient",
-        "identity", Grid(0.1, 0.9, 17), _ROUNDING_BUDGET, _max_units(cor_params, cor44),
-    ))
+    add("hyper.corollary44", "u v1 + u1 v - v v1 equals its gamma quotient", "identity",
+        Grid(0.1, 0.9, 17), _max_units(cor_params, cor44))
 
     def cor44_spread(i):
         a, c = cor_params[i]
         vals = [hyper.corollary44_value(a, c, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
         return _slack(max(vals), min(vals))
 
-    checks.append(CheckSpec(
-        "hyper.corollary44_spread", "the product combination is z-independent",
-        "identity", range(len(cor_params)), _ROUNDING_BUDGET, cor44_spread,
-    ))
+    add("hyper.corollary44_spread", "the product combination is z-independent", "identity",
+        range(len(cor_params)), cor44_spread)
 
     combo_params = ((0.5, 0.5, 1.0), (0.4, 0.8, 1.1), (0.3, 1.9, 1.6))
 
-    checks.append(CheckSpec(
-        "hyper.wronskian_combo",
-        "(c-a)(u v1 + u1 v) + (a-1) v v1 = [G(c)^2/(G(a)G(b))] (z(1-z))^(1-c)",
-        "identity", Grid(0.05, 0.95, 19), _ROUNDING_BUDGET,
-        _max_units(combo_params, lambda p, z: hyper.wronskian_combo_residual(*p, z)),
-    ))
+    add("hyper.wronskian_combo",
+        "(c-a)(u v1 + u1 v) + (a-1) v v1 = [G(c)^2/(G(a)G(b))] (z(1-z))^(1-c)", "identity",
+        Grid(0.05, 0.95, 19),
+        _max_units(combo_params, lambda p, z: hyper.wronskian_combo_residual(*p, z)))
 
     elliott_draws = _elliott_draws(100)
 
-    checks.append(CheckSpec(
-        "hyper.elliott", "F1 F2 + F3 F4 - F2 F3 equals its gamma quotient",
-        "identity", range(len(elliott_draws)), _ROUNDING_BUDGET,
-        lambda i: _units(*hyper.elliott_residual(*elliott_draws[i])),
-    ))
+    add("hyper.elliott", "F1 F2 + F3 F4 - F2 F3 equals its gamma quotient", "identity",
+        range(len(elliott_draws)), lambda i: _units(*hyper.elliott_residual(*elliott_draws[i])))
 
     kummer_params = ((0.5, 0.5, 0.5), (0.4, 0.6, 0.5), (0.9, 0.8, 0.7))
 
-    checks.append(CheckSpec(
-        "hyper.kummer", "Kummer's two-product closed form",
-        "identity", Grid(0.05, 0.95, 50), _ROUNDING_BUDGET,
-        _max_units(kummer_params, lambda p, x: hyper.kummer_residual(*p, x)),
-    ))
+    add("hyper.kummer", "Kummer's two-product closed form", "identity", Grid(0.05, 0.95, 50),
+        _max_units(kummer_params, lambda p, x: hyper.kummer_residual(*p, x)))
 
     growth_pairs = ((0.5, 0.5), (0.25, 0.75))
 
@@ -563,16 +486,10 @@ def _build_hyper():
         w = math.exp(-x)
         return hyper.hyp2f1(a, b, a + b, 1.0 - w, one_minus_x=w)
 
-    checks.append(CheckSpec(
-        "hyper.growth_exp_mono", "F(a,b;a+b;1-e^-x) increasing in x",
-        "monotonicity", Grid(0.25, 20.0, 80), _ROUNDING_BUDGET,
-        lambda x: sum(k_of(p, x) for p in growth_pairs),
-    ))
-    checks.append(CheckSpec(
-        "hyper.growth_exp_convex", "F(a,b;a+b;1-e^-x) convex in x",
-        "convexity", Grid(0.25, 20.0, 80), _ROUNDING_BUDGET,
-        lambda x: sum(k_of(p, x) for p in growth_pairs),
-    ))
+    add("hyper.growth_exp_mono", "F(a,b;a+b;1-e^-x) increasing in x", "monotonicity",
+        Grid(0.25, 20.0, 80), lambda x: sum(k_of(p, x) for p in growth_pairs))
+    add("hyper.growth_exp_convex", "F(a,b;a+b;1-e^-x) convex in x", "convexity",
+        Grid(0.25, 20.0, 80), lambda x: sum(k_of(p, x) for p in growth_pairs))
 
     # the endpoint checks take k' and l' from the exact F' (DLMF 15.5.1)
     # close to both limits, x = 1e-8 and 40 or 1e12, where their gap to the
@@ -587,10 +504,8 @@ def _build_hyper():
         hi_ref = math.exp(gamma.log_gamma(a + b) - gamma.log_gamma(a) - gamma.log_gamma(b))
         return max(abs(k_slope(a, b, 1e-8) - lo_ref), abs(k_slope(a, b, 40.0) - hi_ref))
 
-    checks.append(CheckSpec(
-        "hyper.growth_exp_endpoints", "k' runs from ab/(a+b) to G(a+b)/(G(a)G(b))",
-        "identity", range(len(growth_pairs)), 1e-8, growth_exp_endpoints,
-    ))
+    add("hyper.growth_exp_endpoints", "k' runs from ab/(a+b) to G(a+b)/(G(a)G(b))", "identity",
+        range(len(growth_pairs)), growth_exp_endpoints, tol=1e-8)
 
     power_trips = ((0.9, 0.8, 0.5), (0.6, 0.9, 0.5))
 
@@ -600,16 +515,10 @@ def _build_hyper():
         w = (1.0 + x) ** (-1.0 / d)
         return hyper.hyp2f1(a, b, c, 1.0 - w, one_minus_x=w)
 
-    checks.append(CheckSpec(
-        "hyper.growth_power_mono", "F(a,b;c;1-(1+x)^(-1/d)) increasing in x",
-        "monotonicity", Grid(0.25, 30.0, 60), _ROUNDING_BUDGET,
-        lambda x: sum(l_of(p, x) for p in power_trips),
-    ))
-    checks.append(CheckSpec(
-        "hyper.growth_power_convex", "F(a,b;c;1-(1+x)^(-1/d)) convex in x",
-        "convexity", Grid(0.25, 30.0, 60), _ROUNDING_BUDGET,
-        lambda x: sum(l_of(p, x) for p in power_trips),
-    ))
+    add("hyper.growth_power_mono", "F(a,b;c;1-(1+x)^(-1/d)) increasing in x", "monotonicity",
+        Grid(0.25, 30.0, 60), lambda x: sum(l_of(p, x) for p in power_trips))
+    add("hyper.growth_power_convex", "F(a,b;c;1-(1+x)^(-1/d)) convex in x", "convexity",
+        Grid(0.25, 30.0, 60), lambda x: sum(l_of(p, x) for p in power_trips))
 
     def l_slope(a, b, c, x):  # l'(x) = (1+x)^(-1/d-1) F'(1 - (1+x)^(-1/d)) / d
         d = a + b - c
@@ -625,10 +534,8 @@ def _build_hyper():
         )
         return max(abs(l_slope(a, b, c, 1e-8) - lo_ref), abs(l_slope(a, b, c, 1e12) - hi_ref))
 
-    checks.append(CheckSpec(
-        "hyper.growth_power_endpoints", "l' runs from ab/(cd) to G(c)G(d)/(G(a)G(b))",
-        "identity", range(len(power_trips)), 1e-8, growth_power_endpoints,
-    ))
+    add("hyper.growth_power_endpoints", "l' runs from ab/(cd) to G(c)G(d)/(G(a)G(b))", "identity",
+        range(len(power_trips)), growth_power_endpoints, tol=1e-8)
 
     f32_draws = _f32_draws(100)
 
@@ -636,10 +543,8 @@ def _build_hyper():
         n, a, b, eps = f32_draws[i]
         return hyper.f32_terminating(n, a, b, eps)
 
-    checks.append(CheckSpec(
-        "hyper.f32_positive", "terminating 3F2(-n,a,b;1+a+b,1+eps-n;1) > 0 in the eps window",
-        "inequality", range(len(f32_draws)), _ROUNDING_BUDGET, lambda i: _sign(f32(i)),
-    ))
+    add("hyper.f32_positive", "terminating 3F2(-n,a,b;1+a+b,1+eps-n;1) > 0 in the eps window",
+        "inequality", range(len(f32_draws)), lambda i: _sign(f32(i)))
     return checks
 
 
@@ -664,9 +569,7 @@ def _f32_draws(count, seed=777):
         n = rng.randint(1, 50)
         a = rng.uniform(0.05, 2.0)
         b = rng.uniform(0.05, 2.0)
-        lo = a * b / (1.0 + a + b)
-        if lo >= 0.98:
-            continue
+        lo = a * b / (1.0 + a + b)  # below 4/5, so the eps window is never empty
         eps = rng.uniform(lo + 0.01 * (1.0 - lo), 0.99)
         draws.append((n, a, b, eps))
     return draws
@@ -684,47 +587,35 @@ def _klog_ratio(r):
 
 
 def _build_elliptic():
-    checks = []
+    checks, add = _registry()
 
     def agm_vs_series(r):
         series = hyper.hyp2f1(0.5, 0.5, 1.0, r * r, one_minus_x=(1.0 - r) * (1.0 + r))
         return _slack(2.0 / math.pi * elliptic.ellip_k(r), series)
 
-    checks.append(CheckSpec(
-        "elliptic.agm_vs_series", "(2/pi) K(r) = F(1/2,1/2;1;r^2), AGM against series",
-        "identity", _BATTERY_GRID, _ROUNDING_BUDGET, agm_vs_series,
-    ))
-    checks.append(CheckSpec(
-        "elliptic.legendre", "E K' + E' K - K K' = pi/2",
-        "identity", Grid(0.01, 0.99, 99), _ROUNDING_BUDGET,
-        lambda r: _units(*elliptic.legendre_residual(r)),
-    ))
+    add("elliptic.agm_vs_series", "(2/pi) K(r) = F(1/2,1/2;1;r^2), AGM against series", "identity",
+        _BATTERY_GRID, agm_vs_series)
+    add("elliptic.legendre", "E K' + E' K - K K' = pi/2", "identity", Grid(0.01, 0.99, 99),
+        lambda r: _units(*elliptic.legendre_residual(r)))
 
     gen_as = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.49)
 
-    checks.append(CheckSpec(
-        "elliptic.legendre_generalized",
-        "e_a k_a' + e_a' k_a - k_a k_a' = pi sin(pi a)/(4(1-a))",
-        "identity", Grid(0.02, 0.98, 64, "atanh"), _ROUNDING_BUDGET,
-        _max_units(gen_as, elliptic.generalized_legendre_residual),
-    ))
+    add("elliptic.legendre_generalized", "e_a k_a' + e_a' k_a - k_a k_a' = pi sin(pi a)/(4(1-a))",
+        "identity", Grid(0.02, 0.98, 64, "atanh"),
+        _max_units(gen_as, elliptic.generalized_legendre_residual))
 
     def arth_bounds(r):
         base = math.atanh(r) / r
         return _between(0.5 * math.pi * math.sqrt(base), elliptic.ellip_k(r), 0.5 * math.pi * base)
 
-    checks.append(CheckSpec(
-        "elliptic.arth_bounds", "(pi/2)(arth r/r)^(1/2) < K(r) < (pi/2) arth r/r",
-        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET, arth_bounds,
-    ))
+    add("elliptic.arth_bounds", "(pi/2)(arth r/r)^(1/2) < K(r) < (pi/2) arth r/r", "inequality",
+        _BATTERY_GRID, arth_bounds)
 
     def arth_refined(r):
         return _slack(elliptic.ellip_k(r), 0.5 * math.pi * (math.atanh(r) / r) ** 0.75)
 
-    checks.append(CheckSpec(
-        "elliptic.arth_refined", "(pi/2)(arth r/r)^(3/4) < K(r), 3/4 the best exponent",
-        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET, arth_refined,
-    ))
+    add("elliptic.arth_refined", "(pi/2)(arth r/r)^(3/4) < K(r), 3/4 the best exponent",
+        "inequality", _BATTERY_GRID, arth_refined)
 
     def arth_exponent_sharp(_):
         grid = Grid(1e-5, 1.0 - 1e-5, 8192, "atanh")
@@ -734,34 +625,24 @@ def _build_elliptic():
                 return 0.0
         return -math.inf
 
-    checks.append(CheckSpec(
-        "elliptic.arth_exponent_sharp",
-        "exponent 3/4 + 1e-3 already fails on a refined grid (near r -> 0)",
-        "inequality", (0.0,), _ROUNDING_BUDGET, arth_exponent_sharp,
+    add("elliptic.arth_exponent_sharp",
+        "exponent 3/4 + 1e-3 already fails on a refined grid (near r -> 0)", "inequality", (0.0,),
+        arth_exponent_sharp,
         note="the bound degrades at the origin, not at r -> 1: both sides expand "
              "as 1 + q r^2/3 versus 1 + r^2/4 there; the upper exponent 1, "
              "lowered by 1e-3, fails only where log(4/r') exceeds (pi/2)^1000: "
-             "no binary64 grid shows its sharpness",
-    ))
+             "no binary64 grid shows its sharpness")
 
-    checks.append(CheckSpec(
-        "elliptic.klog_kuhnau_qiu", "9/(8+r^2) < K(r)/log(4/r')",
-        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET,
-        lambda r: _slack(_klog_ratio(r), 9.0 / (8.0 + r * r)),
-    ))
-    checks.append(CheckSpec(
-        "elliptic.klog_qiu_vamanamurthy", "K(r)/log(4/r') < 1 + (r')^2/4",
-        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET,
+    add("elliptic.klog_kuhnau_qiu", "9/(8+r^2) < K(r)/log(4/r')", "inequality", _BATTERY_GRID,
+        lambda r: _slack(_klog_ratio(r), 9.0 / (8.0 + r * r)))
+    add("elliptic.klog_qiu_vamanamurthy", "K(r)/log(4/r') < 1 + (r')^2/4", "inequality", _BATTERY_GRID,
         lambda r: _units(*balance(1.0, 0.25 * (1.0 - r) * (1.0 + r), -_klog_ratio(r))),
         note="the ratio is 1 + (r')^2 (1 - 1/log(4/r'))/4 + ... as r -> 1, so "
              "the quarter, lowered by 1e-3, fails only for r' below about "
-             "e^-1000: no grid in binary64 shows its sharpness",
-    ))
-    checks.append(CheckSpec(
-        "elliptic.klog_alzer", "1 + (pi/(4 log 2) - 1)(r')^2 < K(r)/log(4/r')",
-        "inequality", _BATTERY_GRID, _ROUNDING_BUDGET,
-        lambda r: _units(*balance(_klog_ratio(r), -1.0, -_ALZER_KLOG * (1.0 - r) * (1.0 + r))),
-    ))
+             "e^-1000: no grid in binary64 shows its sharpness")
+    add("elliptic.klog_alzer", "1 + (pi/(4 log 2) - 1)(r')^2 < K(r)/log(4/r')", "inequality",
+        _BATTERY_GRID,
+        lambda r: _units(*balance(_klog_ratio(r), -1.0, -_ALZER_KLOG * (1.0 - r) * (1.0 + r))))
 
     # over the semiaxis b = r': perimeter(b) = 4 E(r)
     def ellipse_lower(b):
@@ -770,41 +651,26 @@ def _build_elliptic():
     def ellipse_upper(b):
         return _slack(elliptic.upper_approx(b), elliptic.ellipse_perimeter(b))
 
-    checks.append(CheckSpec(
-        "elliptic.ellipse_lower", "perimeter(b) >= 2 pi ((1+b^(3/2))/2)^(2/3) on [0,1]",
-        "inequality", Grid(0.0, 1.0, 101), _ROUNDING_BUDGET, ellipse_lower,
-    ))
-    checks.append(CheckSpec(
-        "elliptic.ellipse_upper", "perimeter(b) <= 2 pi ((1+b^2)/2)^(1/2) on [0,1]",
-        "inequality", Grid(0.0, 1.0, 101), _ROUNDING_BUDGET, ellipse_upper,
-    ))
+    add("elliptic.ellipse_lower", "perimeter(b) >= 2 pi ((1+b^(3/2))/2)^(2/3) on [0,1]",
+        "inequality", Grid(0.0, 1.0, 101), ellipse_lower)
+    add("elliptic.ellipse_upper", "perimeter(b) <= 2 pi ((1+b^2)/2)^(1/2) on [0,1]", "inequality",
+        Grid(0.0, 1.0, 101), ellipse_upper)
 
-    checks.append(CheckSpec(
-        "elliptic.mu_decreasing", "the ring modulus decreases in r",
-        "monotonicity", Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), _ROUNDING_BUDGET,
-        lambda r: -elliptic.mu(r),
-    ))
-    checks.append(CheckSpec(
-        "elliptic.mu_a_decreasing", "the generalized ring modulus decreases in r",
-        "monotonicity", Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), _ROUNDING_BUDGET,
-        lambda r: -(elliptic.mu_a(1.0 / 3.0, r) + elliptic.mu_a(0.15, r)),
-    ))
-    checks.append(CheckSpec(
-        "elliptic.mu_symmetry_point", "mu_a(1/sqrt 2) = pi/(2 sin(pi a))",
-        "identity", tuple(i / 20.0 for i in range(1, 20)), _ROUNDING_BUDGET,
-        lambda a: _slack(elliptic.mu_a(a, math.sqrt(0.5)), 0.5 * math.pi / math.sin(math.pi * a)),
-    ))
+    add("elliptic.mu_decreasing", "the ring modulus decreases in r", "monotonicity",
+        Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), lambda r: -elliptic.mu(r))
+    add("elliptic.mu_a_decreasing", "the generalized ring modulus decreases in r", "monotonicity",
+        Grid(1e-4, 1.0 - 1e-4, 128, "atanh"),
+        lambda r: -(elliptic.mu_a(1.0 / 3.0, r) + elliptic.mu_a(0.15, r)))
+    add("elliptic.mu_symmetry_point", "mu_a(1/sqrt 2) = pi/(2 sin(pi a))", "identity",
+        tuple(i / 20.0 for i in range(1, 20)),
+        lambda a: _slack(elliptic.mu_a(a, math.sqrt(0.5)), 0.5 * math.pi / math.sin(math.pi * a)))
 
     phi_ps = (2.0, 5.0)
     phi_as = (0.5, 1.0 / 3.0)
 
-    checks.append(CheckSpec(
-        "elliptic.phi_below_identity", "phi^a_(1/p)(r) < r for p > 1",
-        "inequality", Grid(0.05, 0.95, 64, "atanh"), _ROUNDING_BUDGET,
-        lambda r: min(
-            _slack(r, elliptic.phi_k_a(a, 1.0 / p, r)) for a in phi_as for p in phi_ps
-        ),
-    ))
+    add("elliptic.phi_below_identity", "phi^a_(1/p)(r) < r for p > 1", "inequality",
+        Grid(0.05, 0.95, 64, "atanh"),
+        lambda r: min(_slack(r, elliptic.phi_k_a(a, 1.0 / p, r)) for a in phi_as for p in phi_ps))
 
     rt_ps = (2.0, 3.0, 5.0, 7.0, 11.0, 23.0)
 
@@ -816,32 +682,21 @@ def _build_elliptic():
                 worst = max(worst, abs(_slack(elliptic.phi_k_a(a, p, s), r)))
         return worst
 
-    checks.append(CheckSpec(
-        "elliptic.phi_roundtrip", "phi^a_p inverts phi^a_(1/p)",
-        "identity", Grid(0.05, 0.95, 32, "atanh"), _ROUNDING_BUDGET, phi_roundtrip,
-    ))
-    checks.append(CheckSpec(
-        "elliptic.beta_below_alpha", "solved modulus stays below the input for p > 1",
-        "inequality", Grid(0.05, 0.95, 32, "atanh"), _ROUNDING_BUDGET,
-        lambda r: min(
-            _slack(r * r, elliptic.phi_k_a(a, 1.0 / p, r) ** 2)
-            for a in phi_as for p in (2.0, 3.0, 5.0)
-        ),
-    ))
+    add("elliptic.phi_roundtrip", "phi^a_p inverts phi^a_(1/p)", "identity",
+        Grid(0.05, 0.95, 32, "atanh"), phi_roundtrip)
+    add("elliptic.beta_below_alpha", "solved modulus stays below the input for p > 1", "inequality",
+        Grid(0.05, 0.95, 32, "atanh"),
+        lambda r: min(_slack(r * r, elliptic.phi_k_a(a, 1.0 / p, r) ** 2)
+                      for a in phi_as for p in (2.0, 3.0, 5.0)))
 
     ode_as = (0.5, 1.0 / 3.0, 0.25)
     for which in elliptic.ODE_IDS:
-        checks.append(CheckSpec(
-            f"elliptic.{which}", f"second-order ODE residual for {which}",
-            "identity", Grid(0.06, 0.94, 15), _ROUNDING_BUDGET,
-            _max_units(ode_as, lambda a, r, w=which: elliptic.ode_residual(w, a, r)),
-        ))
+        add(f"elliptic.{which}", f"second-order ODE residual for {which}", "identity",
+            Grid(0.06, 0.94, 15),
+            _max_units(ode_as, lambda a, r, w=which: elliptic.ode_residual(w, a, r)))
 
-    checks.append(CheckSpec(
-        "elliptic.schwarzian", "Schwarzian of mu_a matches its closed form",
-        "identity", Grid(0.15, 0.85, 8), _ROUNDING_BUDGET,
-        _max_units((0.5, 0.25), elliptic.schwarzian_residual),
-    ))
+    add("elliptic.schwarzian", "Schwarzian of mu_a matches its closed form", "identity",
+        Grid(0.15, 0.85, 8), _max_units((0.5, 0.25), elliptic.schwarzian_residual))
 
     def schwarzian_decay(_):
         h = 5e-3  # at 2.5e-3 the half step's stencil reads mu's last bits
@@ -849,19 +704,15 @@ def _build_elliptic():
         r2 = abs(elliptic.schwarzian_residual(0.5, 0.5, step=h / 2.0)[0])
         return _slack(r1, 3.0 * r2)
 
-    checks.append(CheckSpec(
-        "elliptic.schwarzian_step_decay", "halving the stencil step cuts the residual >= 3x",
-        "inequality", (0.0,), _ROUNDING_BUDGET, schwarzian_decay,
-    ))
+    add("elliptic.schwarzian_step_decay", "halving the stencil step cuts the residual >= 3x",
+        "inequality", (0.0,), schwarzian_decay)
 
     def e_a_continuity(a):
         closed = elliptic.e_a(a, 1.0)
         return elliptic.e_a(a, 1.0 - 1e-8) - closed
 
-    checks.append(CheckSpec(
-        "elliptic.e_a_endpoint", "e_a(r) -> sin(pi a)/(2(1-a)) as r -> 1",
-        "identity", tuple(i / 20.0 for i in range(2, 19)), 1e-5, e_a_continuity,
-    ))
+    add("elliptic.e_a_endpoint", "e_a(r) -> sin(pi a)/(2(1-a)) as r -> 1", "identity",
+        tuple(i / 20.0 for i in range(2, 19)), e_a_continuity, tol=1e-5)
     return checks
 
 
@@ -870,14 +721,11 @@ def _build_elliptic():
 
 
 def _build_modular():
-    checks = []
+    checks, add = _registry()
     for iid in modular.IDENTITY_IDS:
         identity = modular.get_identity(iid)
-        checks.append(CheckSpec(
-            f"modular.{iid}", identity.anchor,
-            "identity", Grid(0.05, 0.95, 64, "atanh"), _ROUNDING_BUDGET,
-            lambda r, i=iid: _units(*modular.identity_residual(i, r)),
-        ))
+        add(f"modular.{iid}", identity.anchor, "identity", Grid(0.05, 0.95, 64, "atanh"),
+            lambda r, i=iid: _units(*modular.identity_residual(i, r)))
     return checks
 
 
@@ -888,6 +736,7 @@ _BUILDERS = {
     "elliptic": _build_elliptic,
     "modular": _build_modular,
 }
+SUITES = tuple(_BUILDERS)
 # the suites whose checks repeat 2F1 arguments, which run_suite runs in one
 # hyper.EvalScope: on the default grids the hyper suite makes 2,911
 # distinct dispatches of 4,115, the elliptic suite 1,700 of 1,700 (there a
@@ -912,10 +761,8 @@ def run_suite(suite: str = "all", grid_n: int = None, tol_scale: float = 1.0) ->
     results = []
     for name in SUITES if suite == "all" else (suite,):
         specs = build_checks(name)
-        if name in _MEMO_SUITES:
-            with hyper.EvalScope():  # each distinct 2F1 once per suite, same bits
-                results.extend(run_check(s, grid_n=grid_n, tol_scale=tol_scale) for s in specs)
-        else:
+        # each distinct 2F1 once per memo suite, same bits
+        with hyper.EvalScope() if name in _MEMO_SUITES else contextlib.nullcontext():
             results.extend(run_check(s, grid_n=grid_n, tol_scale=tol_scale) for s in specs)
     results.sort(key=lambda r: r.id)
     passed = sum(1 for r in results if r.passed)

@@ -887,3 +887,50 @@ def test_overflow_raises_within_one_block(call):
             call()
         best = min(best, time.perf_counter() - start)
     assert best < 0.002
+
+
+_HALF = HyperParams(0.5, 0.5, 1.0)
+# (call, one value outside its domain) per validation raise: the value and
+# NaN must each raise DomainError, never return a value or divide by zero;
+# the documented OverflowError ends (ellip_k(1), ellip_k_prime(0)) are not here
+_OUT_OF_DOMAIN = {
+    "ellip_k": (elliptic.ellip_k, -0.5),
+    "ellip_k_prime": (elliptic.ellip_k_prime, 1.5),
+    "ellip_e": (elliptic.ellip_e, 1.5),
+    "ellip_e_prime": (elliptic.ellip_e_prime, -0.5),
+    "k_a": (lambda v: elliptic.k_a(0.3, v), 1.5),
+    "k_a_prime": (lambda v: elliptic.k_a_prime(0.3, v), 1.5),
+    "e_a": (lambda v: elliptic.e_a(0.3, v), 1.5),
+    "e_a_prime": (lambda v: elliptic.e_a_prime(0.3, v), -0.5),
+    "legendre_residual": (elliptic.legendre_residual, 1.0),
+    "generalized_legendre_residual": (lambda v: elliptic.generalized_legendre_residual(0.3, v), 1.0),
+    "ellipse_perimeter": (elliptic.ellipse_perimeter, 1.5),
+    "muir_approx": (elliptic.muir_approx, -0.5),
+    "upper_approx": (elliptic.upper_approx, 1.5),
+    "ramanujan_R": (lambda v: hyper.ramanujan_R(v, 0.5), -1.0),
+    "contiguous_residual_params": (
+        lambda v: hyper.contiguous_residual("d_u", HyperParams(v, 0.5, 1.0), 0.5), -0.5),
+    "contiguous_residual_z": (lambda v: hyper.contiguous_residual("d_u", _HALF, v), 1.5),
+    "corollary44_value_a": (lambda v: hyper.corollary44_value(v, 1.2, 0.5), 1.5),
+    "corollary44_value_c": (lambda v: hyper.corollary44_value(0.5, v, 0.5), 0.5),
+    "corollary44_value_z": (lambda v: hyper.corollary44_value(0.5, 1.2, v), 1.5),
+    # c = (a + b + 1)/2 keeps the constraint met, so the sign test is what raises
+    "wronskian_combo_residual_a": (
+        lambda v: hyper.wronskian_combo_residual(v, 0.5, (v + 1.5) / 2.0, 0.5), -0.5),
+    "wronskian_combo_residual_z": (lambda v: hyper.wronskian_combo_residual(0.5, 0.5, 1.0, v), 1.5),
+    "elliott_residual_a": (lambda v: hyper.elliott_residual(v, 0.5, 0.2, 0.5), -0.1),
+    "elliott_residual_c": (lambda v: hyper.elliott_residual(0.2, 0.5, v, 0.5), 0.6),
+    "elliott_residual_x": (lambda v: hyper.elliott_residual(0.2, 0.5, 0.2, v), 1.5),
+    "kummer_residual_a": (lambda v: hyper.kummer_residual(v, 0.5, 0.5, 0.5), -0.5),
+    "kummer_residual_x": (lambda v: hyper.kummer_residual(0.5, 0.5, 0.5, v), 1.5),
+    "f32_terminating": (lambda v: hyper.f32_terminating(5, v, 0.5, 0.5), -0.5),
+    "derivative_step": (lambda v: kernel.derivative(math.sin, 0.5, step=v), 0.0),
+}
+
+
+@pytest.mark.parametrize("bad", ["out", "nan"])
+@pytest.mark.parametrize("name", sorted(_OUT_OF_DOMAIN))
+def test_validation_raises_domain_error(name, bad):
+    call, out = _OUT_OF_DOMAIN[name]
+    with pytest.raises(DomainError):
+        call(out if bad == "out" else math.nan)

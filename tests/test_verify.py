@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -189,6 +190,16 @@ class TestSuites:
         for spec in specs:
             budgeted = spec.tolerance == verify._ROUNDING_BUDGET
             assert budgeted is (spec.id not in truncation), spec.id
+
+    def test_registry_fingerprint(self):
+        # a sha256 over every spec's (id, anchor, kind, grid, tolerance,
+        # note) in build order: a grid, anchor or tolerance that moves, or a
+        # check that appears or goes, changes it; a deliberate change
+        # re-pins it and says why
+        h = hashlib.sha256()
+        for s in verify.build_checks():
+            h.update(repr((s.id, s.anchor, s.kind, s.grid, s.tolerance, s.note)).encode())
+        assert h.hexdigest() == "781244f5193e671113e3fb6eb9cb52eb3bf992c3845e36f6b22d04f755d7e409"
 
     def test_arth_refined_sees_a_1e13_error_in_k(self, monkeypatch):
         # K(r) 1e-13 low puts it below (pi/2)(arth r/r)^(3/4) near r = 1e-4
