@@ -16,11 +16,11 @@ Every near-one branch takes the complement 1 - x as an optional explicit
 argument so callers that know it exactly (r^2 against 1 - r^2, e^-x
 against 1 - e^-x) do not lose digits to the subtraction.
 
-Inside ``with EvalScope():`` each distinct (a, b, c, x, complement) is
-evaluated once and a repeat returns the same bits; ``verify.run_suite``
-runs the hyper suite's checks, the ones that repeat arguments, in one
-scope, whose memo (0.8 MB on the default grids, 31 MB at 1000 points) is
-freed when they return.  Outside, nothing is stored.
+Inside ``with EvalScope():`` each distinct (a, b, c, x), keyed by its
+complement only past x = 0.75, where the engine reads it, is evaluated
+once; ``verify.run_suite`` runs the hyper suite's checks in one scope,
+whose memo (0.8 MB on the default grids, 29 MB at 1000 points) is freed
+when they return.  Outside, nothing is stored.
 
 On top of the engine: the value at x = 1, the Ramanujan constant
 R(a,b) = -2 gamma - Psi(a) - Psi(b), contiguous-relation residuals, the
@@ -252,11 +252,11 @@ _MEMO = ContextVar("hyper_memo", default=None)  # the open scope's dict, or None
 
 class EvalScope:
     """``with EvalScope():`` memoizes the 2F1 engine: each distinct
-    (a, b, c, x, complement) is evaluated once, and a repeat returns the
-    first evaluation's value, estimate, terms and method.  Exceptions are
-    not stored.  Each scope starts empty and drops its memo on exit, also
-    when the block raises; until then it grows by about 300 bytes per
-    distinct argument."""
+    (a, b, c, x), and past the crossover, where the engine reads it, each
+    complement, is evaluated once; a repeat returns the first evaluation's
+    value, estimate, terms and method.  Exceptions are not stored.  Each
+    scope starts empty and drops its memo on exit, also when the block
+    raises; until then it grows by about 300 bytes per distinct argument."""
 
     __slots__ = ("_token",)
 
@@ -273,7 +273,7 @@ def _dispatch(a, b, c, x, w):
     memo = _MEMO.get()
     if memo is None:
         return _evaluate(a, b, c, x, w)
-    key = (a, b, c, x, w)
+    key = (a, b, c, x, w) if x > _CROSSOVER else (a, b, c, x)
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = _evaluate(a, b, c, x, w)
@@ -387,7 +387,8 @@ def gauss_value_at_one(params: HyperParams) -> float:
 
 
 def ramanujan_R(a: float, b: float) -> float:
-    """Ramanujan constant R(a,b) = -2 gamma - Psi(a) - Psi(b)."""
+    """Ramanujan constant R(a,b) = -2 gamma - Psi(a) - Psi(b); -inf, the
+    limit, when a or b is inf, as digamma(inf) = inf."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"ramanujan_R needs a, b > 0, got ({a}, {b})")
     return -2.0 * EULER_GAMMA - digamma(a) - digamma(b)

@@ -13,8 +13,8 @@ A check passes iff no |residual| and no -slack exceeds its tolerance.
 All but six read in rounding units, eps * S with S = sum |terms|
 (kernel.balance), under one tolerance, _ROUNDING_BUDGET: an inequality
 balances its two sides.  Five checks are strict sign tests that neither
-the budget nor tol_scale loosens: a claim on the sign of one value v
-reads +-1/eps or 0 (S = |v|), and a sharpness probe reads 0 where the
+the budget nor tol_scale loosens: a claim v >= 0 on one value reads
++-1/eps or 0 (S = |v|), and a sharpness probe reads 0 where the
 pushed constant breaks and -inf where it holds.  The six identities
 whose gap is truncation (a limit, a table, a stencil) keep their own
 tolerance.
@@ -27,7 +27,8 @@ defaults to the budget: only the six truncation identities pass tol=.
 Evaluators are pure and draws are generated from fixed seeds, so rerunning
 a suite is deterministic; results are sorted by check id.  run_suite runs
 the hyper suite's checks in one hyper.EvalScope (_MEMO_SUITES): each
-distinct 2F1 of the suite is evaluated once, with the bits run_check alone
+distinct 2F1 of the suite, its complement keyed only past x = 0.75 where
+the engine reads it, is evaluated once, with the bits run_check alone
 gives, and the memo is dropped when the suite's checks return or raise.
 The other suites repeat no 2F1 argument and run without a memo.
 """
@@ -37,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import operator
 import random
 import time
 from collections import namedtuple
@@ -82,14 +82,10 @@ def _slack(hi, lo):
     return 0.0 if d == 0.0 else d / (_EPS * (abs(hi) + abs(lo)))
 
 
-def _sign(v):
-    # v >= 0 for one value with no terms: +-1/eps units or 0, so strict
-    return _units(v, abs(v))
-
-
 def _between(lo, v, hi):
-    # the slack of lo <= v <= hi in rounding units, v evaluated once
-    return min(_slack(v, lo), _slack(hi, v))
+    # the slack of lo <= v <= hi in rounding units, v evaluated once: min()'s pick, inlined
+    s1, s2 = _slack(v, lo), _slack(hi, v)
+    return s2 if s2 < s1 else s1
 
 
 def _max_units(param_sets, fn):
@@ -150,14 +146,15 @@ def run_check(spec: CheckSpec, grid_n: int = None, tol_scale: float = 1.0) -> Ch
     else:
         at = pts
         if kind == "monotonicity":  # each step, as a slack in rounding units
-            vals, at = [_slack(v, u) for u, v in zip(vals, vals[1:])], pts[1:]
+            vals, at = list(map(_slack, vals[1:], vals)), pts[1:]
         elif kind == "convexity":  # each second difference, likewise
             vals = [_units(*balance(w, -2.0 * v, u)) for u, v, w in zip(vals, vals[1:], vals[2:])]
             at = pts[1:-1]
-        res = list(map(abs if kind == "identity" else operator.neg, vals))
-        worst = max(res, default=0.0)
-        if worst > 0.0:  # the first point of the worst reading
-            max_res, argmax = worst, at[res.index(worst)]
+        elif kind == "identity":  # a residual r reads as the slack -|r|
+            vals = [-abs(v) for v in vals]
+        worst = min(vals, default=0.0)
+        if worst < 0.0:  # the first point of the worst reading
+            max_res, argmax = -worst, at[vals.index(worst)]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return CheckResult(
         id=spec.id,
@@ -281,9 +278,9 @@ def _build_gamma():
     add("gamma.mono_f_range", "mono_f maps (1, inf) into (1-g, 1)", "inequality",
         Grid(1.02, 200.0, 200), lambda x: _between(1.0 - eg, gamma.mono_f(x), 1.0))
     add("gamma.lemma_g_positive", "sum (n-x)/(n+x)^3 > 0 for x > -1", "inequality",
-        Grid(-0.999, 100.0, 120), lambda x: _sign(gamma.lemma_g(x)))
+        Grid(-0.999, 100.0, 120), lambda x: _slack(gamma.lemma_g(x), 0.0))
     add("gamma.lemma_h_nonnegative", "x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x) >= 0",
-        "inequality", Grid(-0.999, 20.0, 100), lambda x: _sign(gamma.lemma_h(x)))
+        "inequality", Grid(-0.999, 20.0, 100), lambda x: _slack(gamma.lemma_h(x), 0.0))
 
     def dn_slower(n):
         rec = gamma.detemple(n)
@@ -544,7 +541,7 @@ def _build_hyper():
         return hyper.f32_terminating(n, a, b, eps)
 
     add("hyper.f32_positive", "terminating 3F2(-n,a,b;1+a+b,1+eps-n;1) > 0 in the eps window",
-        "inequality", range(len(f32_draws)), lambda i: _sign(f32(i)))
+        "inequality", range(len(f32_draws)), lambda i: _slack(f32(i), 0.0))
     return checks
 
 

@@ -428,6 +428,14 @@ class TestRamanujanGamma:
         with pytest.raises(RangeError):
             G.ramanujan_gamma(10.0, 8)
 
+    @pytest.mark.parametrize("terms", [0, 3, 7])
+    def test_overflow_raises_also_at_inf(self, terms):
+        # as gamma(inf) does, naming x
+        with pytest.raises(OverflowError):
+            G.ramanujan_gamma(171.0, terms)
+        with pytest.raises(OverflowError, match=r"ramanujan_gamma\(inf\)"):
+            G.ramanujan_gamma(math.inf, terms)
+
 
 class TestMonotoneQuotient:
     def test_exact_at_two(self):

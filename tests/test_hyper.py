@@ -315,6 +315,24 @@ class TestEvalScope:
         assert repr(inside) == repr(outside)  # repr keeps every bit of each float
         assert hyper._MEMO.get() is None
 
+    @pytest.mark.parametrize("x,evaluations", [(0.5, 1), (0.75, 1), (0.7500000000000001, 2), (0.9, 2)])
+    def test_the_complement_is_keyed_only_past_the_crossover(self, x, evaluations, monkeypatch):
+        # up to x = 0.75 the engine sums the series in x and never reads the
+        # complement, so a given one and a formed one share an entry
+        calls = []
+        evaluate = hyper._evaluate
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(hyper, "_evaluate", counting)
+        with hyper.EvalScope():
+            formed = hyper.hyp2f1(0.3, 0.4, 1.5, x)
+            given = hyper.hyp2f1(0.3, 0.4, 1.5, x, one_minus_x=1.0 - x)
+        assert len(calls) == evaluations
+        assert repr(given) == repr(formed)
+
     def test_a_reflected_argument_is_stored_with_its_inner_value(self):
         # the reflection recurses through _dispatch, so both the argument and
         # F(c-a, c-b; c; x), with the complement formed, are stored
@@ -433,6 +451,10 @@ class TestRamanujanConstant:
     def test_symmetry_and_one(self):
         assert hyper.ramanujan_R(0.3, 0.8) == hyper.ramanujan_R(0.8, 0.3)
         assert abs(hyper.ramanujan_R(1.0, 1.0)) < 1e-14
+
+    def test_an_infinite_argument_returns_the_limit(self):
+        # digamma(inf) = inf, so R(a, b) -> -inf as a or b grows
+        assert hyper.ramanujan_R(math.inf, 0.5) == hyper.ramanujan_R(0.5, math.inf) == -math.inf
 
     def test_zero_balanced_asymptotic(self):
         for a, b in ((0.5, 0.5), (1.0 / 3.0, 2.0 / 3.0), (0.25, 0.25)):
@@ -598,6 +620,12 @@ class TestTerminating3F2:
         # would turn inf - inf into NaN
         with pytest.raises(OverflowError):
             hyper.f32_terminating(n, a, b, 0.5)
+
+    def test_an_infinite_pair_of_terms_raises(self):
+        # t_1 = +inf and t_2 = -inf: fsum refuses inf - inf with ValueError,
+        # which the fallback turns into the documented OverflowError
+        with pytest.raises(OverflowError, match="leave binary64"):
+            hyper.f32_terminating(2, 1e308, 1e-308, 0.4)
 
     def test_finite_edge_keeps_its_value(self):
         # the same huge a with every product still finite

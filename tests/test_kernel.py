@@ -22,6 +22,15 @@ class TestDerivative:
     def test_exp_order3(self):
         assert abs(derivative(math.exp, 0.0, order=3, step=1e-2) - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("x", [-2.5, 0.3, 1.5])
+    def test_order3_default_step(self, x):
+        # the 7-point stencil is exact on a quartic up to rounding, and its
+        # default step is 1e-2 max(1, |x|)
+        f = lambda t: 2.0 * t ** 4 - t ** 3 + 5.0
+        got = derivative(f, x, order=3)
+        assert got == derivative(f, x, order=3, step=1e-2 * max(1.0, abs(x)))
+        assert abs(got - (48.0 * x - 6.0)) < 1e-8 * max(1.0, abs(48.0 * x - 6.0))
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_halving_step_improves(self, order):
         # smooth transcendental, step far above the rounding floor

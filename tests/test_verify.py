@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import random
 import re
 
 import pytest
 
 from specfun import balls, elliptic, hyper, verify
 from specfun.errors import DomainError
-from specfun.kernel import Grid
+from specfun.kernel import Grid, balance
 from specfun.verify import CheckResult, CheckSpec, Report
 
 
@@ -106,6 +107,70 @@ class TestRunner:
             CheckSpec("x", "", "weird", Grid(0.0, 1.0, 4), 1e-3, lambda x: 0.0)
         with pytest.raises(DomainError):
             CheckSpec("x", "", "identity", Grid(0.0, 1.0, 4), 0.0, lambda x: 0.0)
+
+
+class TestSlackReadings:
+    # _between and the monotonicity steps are the balance-and-units
+    # formula inlined; these pin that they give its bits
+    @staticmethod
+    def _values():
+        rng = random.Random(2033)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308, 1.0, -1.0]
+        vals = special + [rng.uniform(-2.0, 2.0) for _ in range(60)]
+        vals += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(60)]
+        return vals
+
+    @staticmethod
+    def _outcome(f, *args):
+        # repr keeps the sign of a zero and a NaN; below a scale of about
+        # 1e-308, eps * scale underflows to 0 and both forms divide by it
+        try:
+            return repr(f(*args))
+        except ZeroDivisionError:
+            return "ZeroDivisionError"
+
+    def test_between_is_the_lesser_of_the_two_balanced_slacks(self):
+        vals = self._values()
+        rng = random.Random(7)
+        triples = [(x, x, x) for x in vals]  # ties: both slacks 0
+        triples += [(lo, v, hi) for lo in vals[:12] for v in vals[:12] for hi in vals[:12]]
+        triples += [tuple(rng.choice(vals) for _ in range(3)) for _ in range(3000)]
+        ref = lambda lo, v, hi: min(verify._units(*balance(v, -lo)), verify._units(*balance(hi, -v)))
+        for args in triples:
+            assert self._outcome(verify._between, *args) == self._outcome(ref, *args), args
+
+    def test_a_sign_test_reads_one_value_against_its_own_size(self):
+        # v >= 0 as _slack(v, 0.0): S = |v|, so +-1/eps or 0
+        for v in self._values():
+            sign = lambda v: verify._units(v, abs(v))
+            assert self._outcome(verify._slack, v, 0.0) == self._outcome(sign, v), v
+
+    def test_inequality_reports_the_first_of_a_repeated_minimum(self):
+        vals = [1.0, -3.0, 2.0, -3.0, -1.0]
+        spec = CheckSpec("t.ineq", "", "inequality", range(5), 1.0, vals.__getitem__)
+        res = verify.run_check(spec)
+        assert (res.passed, res.max_residual, res.argmax) == (False, 3.0, 1.0)
+
+    def test_an_identity_reports_the_first_of_a_repeated_largest_residual(self):
+        vals = [1.0, 3.0, 2.0, -3.0, -1.0]
+        spec = CheckSpec("t.id", "", "identity", range(5), 1.0, vals.__getitem__)
+        res = verify.run_check(spec)
+        assert (res.passed, res.max_residual, res.argmax) == (False, 3.0, 1.0)
+
+    def test_an_inequality_that_holds_everywhere_reads_zero_at_the_first_point(self):
+        spec = CheckSpec("t.ineq", "", "inequality", range(3, 9), 1.0, lambda n: 1.0 + n)
+        res = verify.run_check(spec)
+        assert (res.passed, repr(res.max_residual), res.argmax) == (True, "0.0", 3.0)
+
+    def test_monotonicity_steps_are_slacks(self):
+        vals = [v for v in self._values() if v == 0.0 or 1e-300 < abs(v) < 1e300]
+        spec = CheckSpec("t.mono", "", "monotonicity", range(len(vals)), 1.0, vals.__getitem__)
+        steps = [verify._units(*balance(v, -u)) for u, v in zip(vals, vals[1:])]
+        worst = min(steps)
+        res = verify.run_check(spec)
+        assert repr(res.max_residual) == repr(-worst)
+        assert res.argmax == 1.0 + steps.index(worst)
 
 
 class TestSuites:
@@ -261,6 +326,20 @@ class TestRunScopedMemo:
         with pytest.raises(RuntimeError):
             verify.run_suite("hyper")
         assert hyper._MEMO.get() is None
+
+    def test_a_hyper_pass_evaluates_2735_distinct_arguments(self, monkeypatch):
+        # an exact work count, with the complement in the key only past the
+        # crossover, where the engine reads it
+        calls = []
+        evaluate = hyper._evaluate
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(hyper, "_evaluate", counting)
+        verify.run_suite("hyper")
+        assert len(calls) == 2735
 
     def test_nothing_carries_over_between_runs(self, monkeypatch):
         # each pass pays for its own evaluations, which keeps a benchmark of
