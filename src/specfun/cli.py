@@ -129,14 +129,10 @@ def _cmd_verify(args) -> int:
         if not r.passed:
             print(f"FAIL {r.id} max_residual={r.max_residual!r} argmax={r.argmax!r}",
                   file=sys.stderr)
-    if args.json_path:
-        payload = verify.serialize(report, "json")
-        target = args.json_path
-    elif args.csv_path:
-        payload = verify.serialize(report, "csv")
-        target = args.csv_path
-    else:
-        sys.stdout.write(verify.serialize(report, "json").decode("utf-8"))
+    fmt, target = ("csv", args.csv_path) if args.csv_path else ("json", args.json_path)
+    payload = verify.serialize(report, fmt)
+    if not target:
+        sys.stdout.write(payload.decode("utf-8"))
         return 0 if report.summary["failed"] == 0 else 1
     try:
         with open(target, "wb") as fh:

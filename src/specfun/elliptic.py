@@ -98,9 +98,9 @@ def _check_signature(a) -> float:
 
 # what mu_a and its inverse read of one signature parameter a: r_a =
 # R(a, 1-a), the h_0 of mu_a's series and its asymptote r_a/2 - log r;
-# sin_pi_a and c_sym = pi/(2 sin(pi a)), the symmetry value; and _NOME's
-# pair at a nome signature, mu_closed(r) and mu_root(sig, y), else None
-# (mu_a from _mu_and_slope) and _mu_inverse_lower (Newton)
+# sin_pi_a and c_sym = pi/(2 sin(pi a)), the symmetry value; and the
+# first pair of its _SIGNATURES row (_GENERAL off the table), mu_closed(r)
+# and mu_root(sig, y)
 _Record = namedtuple("_Record", "a r_a sin_pi_a c_sym mu_closed mu_root")
 
 
@@ -110,7 +110,7 @@ def _memo_record(a: float) -> _Record:
     # overflows for a below about 5.6e-309, which raises RangeError
     a = _check_signature(a)
     r_a, sin_pi_a = ramanujan_R(a, 1.0 - a), sinpi(a)
-    mu_closed, mu_root = _NOME.get(a, (None, _mu_inverse_lower))
+    mu_closed, mu_root = _SIGNATURES.get(a, _GENERAL)[:2]
     return _Record(a, r_a, sin_pi_a, 0.5 * math.pi / sin_pi_a, mu_closed, mu_root)
 
 
@@ -217,7 +217,7 @@ def k_a(a, r: float) -> float:
     """First-kind generalized integral (pi/2) F(a, 1-a; 1; r^2), r in [0, 1).
 
     At a = 0.5, 0.25, 1/3 and 1/6 (these floats exactly) one AGM loop,
-    ellip_k itself at 1/2 (_K_FORMS): within 3.7e-16, 4.3e-16, 3.9e-16 and
+    ellip_k itself at 1/2 (_SIGNATURES): within 3.7e-16, 4.3e-16, 3.9e-16 and
     4.2e-16 of mpmath from r = 0 to 1 - 2^-53 (measured over 3,000 r), at
     1.4-2 us a call against 9-14 us through hyp2f1, which any other a
     takes with the exact complement.  k_a(a, 0) = pi/2 exactly at the four
@@ -225,9 +225,9 @@ def k_a(a, r: float) -> float:
     a = _check_signature(a)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"k_a needs r in [0, 1), got {r}")
-    forms = _K_FORMS.get(a)
-    if forms is not None:
-        return forms[0](r)
+    k = _SIGNATURES.get(a, _GENERAL)[2]
+    if k is not None:
+        return k(r)
     return 0.5 * math.pi * hyp2f1(a, 1.0 - a, 1.0, r * r, one_minus_x=_complement(r))
 
 
@@ -245,9 +245,9 @@ def k_a_prime(a, r: float) -> float:
     a = _check_signature(a)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"k_a_prime needs r in (0, 1], got {r}")
-    forms = _K_FORMS.get(a)
-    if forms is not None:
-        return forms[1](r)
+    k_prime = _SIGNATURES.get(a, _GENERAL)[3]
+    if k_prime is not None:
+        return k_prime(r)
     x = r * r
     if x < _FLOAT_MIN:
         return 0.5 * sinpi(a) * (ramanujan_R(a, 1.0 - a) - 2.0 * math.log(r))
@@ -565,27 +565,22 @@ def _nome_sixth(sig, y):
     return lam * (1.0 - lam) * math.sqrt(27.0 / (8.0 * m * m * m * (1.0 + w)))
 
 
-# (mu_a, _mu_inverse_lower) in closed form at the signatures 2, 4, 3 and 6,
-# the floats 0.5, 0.25, 1/3 and 1/6; mu_a is within 3.5e-16, 3.5e-16,
-# 4.2e-16 and 4.5e-16 of mpmath over r from 5e-324 to 1 - 10^-15.5
-_NOME = {
-    0.5: (_mu_half, _nome_half),
-    0.25: (_mu_quarter, _nome_quarter),
-    1.0 / 3.0: (functools.partial(_by_symmetry, _mu_third, math.pi / math.sqrt(3.0)), _nome_third),
-    1.0 / 6.0: (functools.partial(_by_symmetry, _mu_sixth, math.pi), _nome_sixth),
+# the closed forms at the signatures 2, 4, 3 and 6, the floats 0.5, 0.25,
+# 1/3 and 1/6: (mu_a, _mu_inverse_lower, k_a, k_a_prime).  mu_a is within
+# 3.5e-16, 3.5e-16, 4.2e-16 and 4.5e-16 of mpmath over r from 5e-324 to
+# 1 - 10^-15.5; k_a and k_a_prime run one AGM loop from r and its
+# complement r' (never from an r^2 that may underflow)
+_SIGNATURES = {
+    0.5: (_mu_half, _nome_half, ellip_k, ellip_k_prime),
+    0.25: (_mu_quarter, _nome_quarter, _k_quarter, _k_quarter_prime),
+    1.0 / 3.0: (functools.partial(_by_symmetry, _mu_third, math.pi / math.sqrt(3.0)), _nome_third,
+                _k_third, _k_third_prime),
+    1.0 / 6.0: (functools.partial(_by_symmetry, _mu_sixth, math.pi), _nome_sixth,
+                lambda r: _k_sixth(r, math.sqrt(_complement(r))),
+                lambda r: _k_sixth(math.sqrt(_complement(r)), r)),
 }
-
-# (k_a, k_a_prime) through one AGM loop at the same four signatures, from
-# r and its complement r' (never from an r^2 that may underflow)
-_K_FORMS = {
-    0.5: (ellip_k, ellip_k_prime),
-    0.25: (_k_quarter, _k_quarter_prime),
-    1.0 / 3.0: (_k_third, _k_third_prime),
-    1.0 / 6.0: (
-        lambda r: _k_sixth(r, math.sqrt(_complement(r))),
-        lambda r: _k_sixth(math.sqrt(_complement(r)), r),
-    ),
-}
+# any other a: mu_a from _mu_and_slope, its inverse by Newton, K_a by hyp2f1
+_GENERAL = (None, _mu_inverse_lower, None, None)
 
 
 def mu_a_inverse(a, y: float) -> float:

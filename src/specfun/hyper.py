@@ -372,8 +372,7 @@ def f21(params: HyperParams, x: float, one_minus_x: float = None) -> EvalResult:
     log series (x > 0.75, integer c - a - b >= 0) it is an audited bound."""
     a, b, c = params.a, params.b, params.c
     x = _check_argument(a, b, c, x, one_minus_x)
-    v, e, n, method = _dispatch(a, b, c, x, one_minus_x)
-    return EvalResult(value=v, abs_err_estimate=e, terms_used=n, method=method)
+    return EvalResult._make(_dispatch(a, b, c, x, one_minus_x))
 
 
 def gauss_value_at_one(params: HyperParams) -> float:

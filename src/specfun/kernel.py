@@ -157,9 +157,6 @@ class Grid(namedtuple("Grid", "lo hi n spacing")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def with_n(self, n: int) -> "Grid":
-        return Grid(self.lo, self.hi, n, self.spacing)
-
     def points(self) -> list:
         n = self.n
         if self.spacing == "linear":

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import specfun
-from specfun import cli, gamma
+from specfun import cli, gamma, hyper
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,17 @@ class TestEval:
         residual, scale = out.split()
         assert abs(float(residual)) < 1e-14
         assert scale.startswith("scale=") and float(scale[len("scale="):]) > 1.0
+
+    def test_gauss_value_at_one(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "gauss_value_at_one", "0.1", "0.2", "1")
+        assert code == 0
+        assert float(out) == hyper.gauss_value_at_one(hyper.HyperParams(0.1, 0.2, 1.0))
+
+    def test_detemple_prints_its_three_values(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "detemple", "10")
+        assert code == 0
+        rec = gamma.detemple(10)
+        assert out.split() == [repr(rec.big_h), f"d_n={rec.d_n!r}", f"r_n={rec.r_n!r}"]
 
     def test_unknown_function(self, capsys):
         code, _, err = run_cli(capsys, "eval", "nope", "1")

@@ -497,7 +497,7 @@ class TestInverseNewton:
         assert abs(slope - stencil) <= 1e-8 * abs(stencil)
 
     # the Newton counts hold at general a; at the four nome signatures
-    # (E._NOME) mu_a_inverse runs no solver, so there the count is 0
+    # (E._SIGNATURES) mu_a_inverse runs no solver, so there the count is 0
     @pytest.mark.parametrize("a", [0.05, 0.21, 0.9, 0.95, 1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5])
     def test_mu_evaluations_per_solve(self, a, monkeypatch):
         mu_and_slope = E._mu_and_slope
@@ -520,7 +520,7 @@ class TestInverseNewton:
             r = E.mu_a_inverse(a, y)
             counts.append(calls[0])
             assert abs(mu_and_slope(E._memo_record(a), r)[0] - y) <= 1e-13
-        assert max(counts) <= (0 if a in E._NOME else 6)
+        assert max(counts) <= (0 if a in E._SIGNATURES else 6)
         # the bracket ends are never needed: about 1.8 evaluations per solve
         assert sum(counts) / n <= 2.5
 
@@ -539,7 +539,7 @@ class TestInverseNewton:
             E.mu_a_inverse(a, r_half + E._START_MARGIN + (700.0 - E._START_MARGIN) * i / 200)
         assert calls[0] == 0
         E.mu_a_inverse(a, r_half + E._START_MARGIN - 0.01)
-        assert calls[0] == (0 if a in E._NOME else 1)
+        assert calls[0] == (0 if a in E._SIGNATURES else 1)
 
     def test_deep_roots_are_the_one_term_asymptote(self):
         # from 25 above R_a/2 on, the three-term start's correction is below
@@ -633,11 +633,12 @@ class TestNomeInverse:
     """mu_a_inverse at a = 1/2, 1/3, 1/4, 1/6: r^2 from the nome q = exp(-2y)."""
 
     def test_the_four_signatures_take_the_nome_path(self):
-        assert sorted(E._NOME) == sorted(_NOME_SIGNATURES)
+        assert sorted(E._SIGNATURES) == sorted(_NOME_SIGNATURES)
         for a in _NOME_SIGNATURES + [0.3]:
             sig = E._memo_record(a)
             assert sig.c_sym == 0.5 * math.pi / sig.sin_pi_a
-            assert (sig.mu_closed, sig.mu_root) == E._NOME.get(a, (None, E._mu_inverse_lower))
+            assert (sig.mu_closed, sig.mu_root) == E._SIGNATURES.get(a, E._GENERAL)[:2]
+        assert E._GENERAL == (None, E._mu_inverse_lower, None, None)
 
     @pytest.mark.parametrize("a", _NOME_SIGNATURES)
     def test_mu_residual_next_to_the_symmetry_value(self, a):

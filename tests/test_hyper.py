@@ -146,6 +146,40 @@ class TestF21:
             assert actual <= res.abs_err_estimate, (a, b, c, x)
             assert res.abs_err_estimate <= cap * abs(res.value), (a, b, c, x)
 
+    def test_log_series_runs_past_its_first_block(self):
+        # F(0.01, 80; 80.01; 0.76) sums 104 log-series terms, so the sum
+        # restarts after one block of _BLOCK terms; the estimate, 7.0e-10 |F|,
+        # still covers the error of 7.1e-11 |F|
+        a, b, c, x = 0.01, 80.0, 80.01, 0.76
+        res = hyper.f21(HyperParams(a, b, c), x)
+        assert res.method == "near_one_expansion" and res.terms_used > hyper._BLOCK
+        with mp.workdps(50):
+            actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
+        assert actual <= res.abs_err_estimate <= 1e-9 * abs(res.value)
+
+    # past x = 0.75 at large a and b the log series cancels: F(20, 20; 40;
+    # 0.8) = 4.50e5 reads 5.14e6 and F(30.5, 25.25; 56.75; 0.76) = 8.38e6
+    # reads -9.4e16, where the direct series gives both to 3e-16 in about
+    # 200 terms.  f21's estimate (15 |F| and 5.4e10 |F|) owns up to it
+    _CANCELLING = [(20.0, 20.0, 40.0, 0.8), (30.5, 25.25, 56.75, 0.76)]
+
+    @pytest.mark.parametrize("a,b,c,x", _CANCELLING)
+    def test_cancelling_log_series_is_within_its_estimate(self, a, b, c, x):
+        res = hyper.f21(HyperParams(a, b, c), x)
+        assert res.method == "near_one_expansion"
+        with mp.workdps(50):
+            actual = float(abs(mp.mpf(res.value) - mp.hyp2f1(a, b, c, x)))
+        assert actual <= res.abs_err_estimate
+
+    @pytest.mark.xfail(strict=True, reason="the log series past x = 0.75 cancels at large a and "
+                       "b: relative errors 10 and 1.1e10 with no error raised")
+    @pytest.mark.parametrize("a,b,c,x", _CANCELLING)
+    def test_cancelling_log_series_value(self, a, b, c, x):
+        with mp.workdps(50):
+            ref = mp.hyp2f1(a, b, c, x)
+            rel = float(abs((mp.mpf(hyper.hyp2f1(a, b, c, x)) - ref) / ref))
+        assert rel <= 1e-13
+
     @pytest.mark.parametrize("family", ["negative_a", "positive_a"])
     def test_connection_estimate_bounds_the_error(self, family):
         # d = c - a - b > 0 away from the integers takes the connection

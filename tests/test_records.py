@@ -129,7 +129,7 @@ def test_validation_error_and_message(make, error, message):
 
 def test_replace_and_make_validate():
     grid = kernel.Grid(0.0, 1.0, 5)
-    assert grid._replace(n=7) == grid.with_n(7)
+    assert grid._replace(n=7) == kernel.Grid(0.0, 1.0, 7)
     with pytest.raises(DomainError, match="n >= 2"):
         grid._replace(n=1)
     with pytest.raises(ParameterError):

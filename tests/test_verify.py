@@ -123,12 +123,8 @@ class TestSlackReadings:
 
     @staticmethod
     def _outcome(f, *args):
-        # repr keeps the sign of a zero and a NaN; below a scale of about
-        # 1e-308, eps * scale underflows to 0 and both forms divide by it
-        try:
-            return repr(f(*args))
-        except ZeroDivisionError:
-            return "ZeroDivisionError"
+        # repr keeps the sign of a zero and a NaN
+        return repr(f(*args))
 
     def test_between_is_the_lesser_of_the_two_balanced_slacks(self):
         vals = self._values()
@@ -145,6 +141,26 @@ class TestSlackReadings:
         for v in self._values():
             sign = lambda v: verify._units(v, abs(v))
             assert self._outcome(verify._slack, v, 0.0) == self._outcome(sign, v), v
+
+    def test_a_scale_below_the_normal_range_reads_exactly(self):
+        # eps * scale underflows below a scale of about 1.1e-308: to 0 at
+        # 1e-308, a ZeroDivisionError, and to a subnormal at 4e-308, which
+        # read 2.02e15 for 2.25e15; the scale divides first, then eps
+        assert verify._slack(1e-308, 0.0) == 2.0 ** 52
+        assert verify._slack(3e-308, 1e-308) == pytest.approx(0.5 / verify._EPS, rel=1e-15)
+        assert verify._units(-5e-324, 1e-323) == -0.5 / verify._EPS
+
+    def test_dividing_by_the_scale_first_keeps_the_bits_where_eps_scale_is_normal(self):
+        # eps is a power of two, so r / s / eps is r / (eps * s) rounded
+        # once wherever eps * s and r / s are normal floats
+        rng = random.Random(2034)
+        for _ in range(20_000):
+            s = 10.0 ** rng.uniform(-290.0, 308.0)
+            r = s * rng.uniform(-1.0, 1.0)
+            assert verify._units(r, s) == r / (verify._EPS * s), (r, s)
+            hi, lo = s * rng.uniform(-1.0, 1.0), s * rng.uniform(-1.0, 1.0)
+            want = hi - lo and (hi - lo) / (verify._EPS * (abs(hi) + abs(lo)))
+            assert verify._slack(hi, lo) == want, (hi, lo)
 
     def test_inequality_reports_the_first_of_a_repeated_minimum(self):
         vals = [1.0, -3.0, 2.0, -3.0, -1.0]
@@ -277,6 +293,17 @@ class TestSuites:
         assert not res.passed
         assert 150.0 < res.max_residual < 300.0
 
+    def test_arth_exponent_probe_fails_where_the_pushed_exponent_holds(self, monkeypatch):
+        # K doubled lies above (pi/2)(arth r/r)^(3/4 + 1e-3) at every point
+        # of the probe's grid, so the probe finds no break and reads -inf
+        spec = {s.id: s for s in verify.build_checks("elliptic")}["elliptic.arth_exponent_sharp"]
+        assert verify.run_check(spec).passed
+        ellip_k = elliptic.ellip_k
+        monkeypatch.setattr(elliptic, "ellip_k", lambda r: 2.0 * ellip_k(r))
+        res = verify.run_check(spec)
+        assert not res.passed
+        assert res.max_residual == math.inf and res.argmax == 0.0
+
     def test_sharpness_probe_fails_a_loosened_constant(self, monkeypatch):
         # POWER_A 1% low: raised by 1e-3 it still holds at n = 1, so the
         # probe reads -inf, beyond any budget
@@ -381,7 +408,8 @@ class TestSerialization:
 
     def test_json_roundtrip(self):
         rep = verify.run_suite("balls", grid_n=16)
-        back = verify.parse_report(verify.serialize(rep, "json"))
+        data = json.loads(verify.serialize(rep, "json"))
+        back = Report(**{**data, "results": tuple(CheckResult(**r) for r in data["results"])})
         assert back == rep
 
     def test_empty_report(self):
