@@ -51,9 +51,15 @@ def log_ball_volume(n: int) -> float:
 
 
 def ball_volume(n: int) -> float:
-    """Volume Omega_n of the unit ball in R^n.  RangeError where Omega_n
-    falls below the smallest normal float, from n = 436 on: use
+    """Volume Omega_n of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)
+    within 7e-15 relative for n <= 340 (where n/2 + 1 <= 171 keeps Gamma
+    finite; most of it is math.pi's rounding carried to the power n/2),
+    exp(log Omega_n) within 2e-13 from 341 to 435.  RangeError where
+    Omega_n falls below the smallest normal float, from n = 436 on: use
     log_ball_volume there."""
+    n = _check_range(n)
+    if n <= 340:
+        return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0)
     v = math.exp(log_ball_volume(n))
     if v < sys.float_info.min:
         raise RangeError(f"Omega_{n} is below the smallest normal float; use log_ball_volume")

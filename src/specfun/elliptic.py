@@ -162,7 +162,8 @@ def _agm3(b: float) -> float:
 
 
 def ellip_k(r: float) -> float:
-    """K(r) = pi / (2 agm(1, r')); diverges at r = 1."""
+    """K(r) = pi / (2 agm(1, r')) for r in [0, 1); OverflowError at r = 1,
+    where K diverges, and DomainError for any other r, NaN included."""
     if not 0.0 <= r < 1.0:
         if r == 1.0:
             raise OverflowError("K(1) = +infinity")
@@ -171,7 +172,8 @@ def ellip_k(r: float) -> float:
 
 
 def ellip_k_prime(r: float) -> float:
-    """K(r') = pi / (2 agm(1, r)); diverges at r = 0."""
+    """K(r') = pi / (2 agm(1, r)) for r in (0, 1]; OverflowError at r = 0,
+    where K' diverges, and DomainError for any other r, NaN included."""
     if not 0.0 < r <= 1.0:
         if r == 0.0:
             raise OverflowError("K'(0) = +infinity")

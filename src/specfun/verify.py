@@ -30,17 +30,22 @@ the hyper suite's checks in one hyper.EvalScope (_MEMO_SUITES): each
 distinct 2F1 of the suite, its complement keyed only past x = 0.75 where
 the engine reads it, is evaluated once, with the bits run_check alone
 gives, and the memo is dropped when the suite's checks return or raise.
-The other suites repeat no 2F1 argument and run without a memo.
+The other suites repeat no 2F1 argument and run without a memo.  A value
+that several checks of a suite read at the same points (_shared: K and
+K(r)/log(4/r') on _BATTERY_GRID, theta, mono_f, the ellipse perimeter, the
+phi_k_a solves of phi_roundtrip and beta_below_alpha) is evaluated once
+per point in a scope that run_suite opens and drops around each suite,
+as it does EvalScope.  A lone run_check shares nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import random
 import time
 from collections import namedtuple
+from contextvars import ContextVar
 
 from . import balls, elliptic, gamma, hyper, modular
 from .errors import DomainError
@@ -79,15 +84,36 @@ def _units(residual, scale):
 
 def _slack(hi, lo):
     # _units(*balance(hi, -lo)) bit for bit, inlined: the 10^4-point checks
-    # call it 4 * 10^4 times a pass, where those two calls cost 15% of ops/s
+    # call it 4 * 10^4 times a pass, where those two calls cost 15% of ops/s;
+    # |hi| + |lo| by negation, not abs(), is 1.4% of a pass and the same on 0, inf and NaN
     d = hi - lo
-    return 0.0 if d == 0.0 else d / (abs(hi) + abs(lo)) / _EPS
+    return 0.0 if d == 0.0 else d / ((hi if hi >= 0.0 else -hi) + (lo if lo >= 0.0 else -lo)) / _EPS
 
 
 def _between(lo, v, hi):
     # the slack of lo <= v <= hi in rounding units, v evaluated once: min()'s pick, inlined
     s1, s2 = _slack(v, lo), _slack(hi, v)
     return s2 if s2 < s1 else s1
+
+
+_SHARED = ContextVar("verify_shared", default=None)  # the running suite's values, or None
+
+
+def _shared(fn):
+    """fn, evaluated once per point while run_suite runs the suite whose
+    builder made it, and on every call outside run_suite.  fn must look
+    each library name up when called, so a monkeypatch still applies."""
+    def shared(*point):
+        values = _SHARED.get()
+        if values is None:
+            return fn(*point)
+        key = shared, point
+        v = values.get(key)
+        if v is None:
+            v = values[key] = fn(*point)
+        return v
+
+    return shared
 
 
 def _max_units(param_sets, fn):
@@ -231,22 +257,25 @@ def _build_gamma():
         note="two recorded entries (x = 6/12, 11/12) are truncated rather than "
              "rounded in the source, so their gaps sit just above 5e-5")
 
+    theta = _shared(lambda x: gamma.theta(x))
     add("gamma.theta_growth_range", "theta/30 in (1/100, 1/30) on [1, 500]", "inequality",
-        Grid(1.0, 500.0, 500), lambda x: _between(0.01, gamma.theta(x) / 30.0, 1.0 / 30.0))
+        Grid(1.0, 500.0, 500), lambda x: _between(0.01, theta(x) / 30.0, 1.0 / 30.0))
     add("gamma.theta_growth_mono", "theta increasing on [1, 500]", "monotonicity",
-        Grid(1.0, 500.0, 500), gamma.theta)
+        Grid(1.0, 500.0, 500), theta)
 
     gaps = gamma.detemple_gaps(10_000)  # R_n - g, n = 1..10^4: one table per build
+    bigh = [n * n * g for n, g in enumerate(gaps, 1)]  # H(n) = n^2 (R_n - g)
+    inv24 = [1.0 / (24 * n * n) for n in range(1, 10_002)]  # 1/(24 n^2), the product exact
 
     def detemple_bracket(n):
-        return _between(1.0 / (24.0 * (n + 1.0) ** 2), gaps[n - 1], 1.0 / (24.0 * n * n))
+        return _between(inv24[n], gaps[n - 1], inv24[n - 1])
 
     add("gamma.detemple_bracket", "1/(24(n+1)^2) < R_n - g < 1/(24 n^2), n = 1..10^4", "inequality",
         range(1, 10_001), detemple_bracket)
     add("gamma.bigh_monotone", "n^2 (R_n - g) strictly increasing, n = 1..10^4", "monotonicity",
-        range(1, 10_001), lambda n: n * n * gaps[n - 1])
+        range(1, 10_001), lambda n: bigh[n - 1])
     add("gamma.bigh_below_cap", "n^2 (R_n - g) < 1/24", "inequality", range(1, 10_001),
-        lambda n: _slack(1.0 / 24.0, n * n * gaps[n - 1]))
+        lambda n: _slack(1.0 / 24.0, bigh[n - 1]))
 
     def karatsuba_margin(k):
         est = gamma.karatsuba_euler_gamma(k)
@@ -275,10 +304,11 @@ def _build_gamma():
 
     add("gamma.mono_f_increasing", "log Gamma(x+1)/(x log x) increasing", "monotonicity",
         Grid(1.02, 200.0, 300, "logarithmic"), gamma.mono_f)
+    mono_f = _shared(lambda x: gamma.mono_f(x))
     add("gamma.mono_f_concave", "log Gamma(x+1)/(x log x) concave beyond 1", "convexity",
-        Grid(1.02, 200.0, 200), lambda x: -gamma.mono_f(x))
+        Grid(1.02, 200.0, 200), lambda x: -mono_f(x))
     add("gamma.mono_f_range", "mono_f maps (1, inf) into (1-g, 1)", "inequality",
-        Grid(1.02, 200.0, 200), lambda x: _between(1.0 - eg, gamma.mono_f(x), 1.0))
+        Grid(1.02, 200.0, 200), lambda x: _between(1.0 - eg, mono_f(x), 1.0))
     add("gamma.lemma_g_positive", "sum (n-x)/(n+x)^3 > 0 for x > -1", "inequality",
         Grid(-0.999, 100.0, 120), lambda x: _slack(gamma.lemma_g(x), 0.0))
     add("gamma.lemma_h_nonnegative", "x^2 Psi'(1+x) - x Psi(1+x) + log Gamma(1+x) >= 0",
@@ -581,16 +611,14 @@ _BATTERY_GRID = Grid(1e-4, 1.0 - 1e-4, 512, "atanh")
 _ALZER_KLOG = math.pi / (4.0 * math.log(2.0)) - 1.0
 
 
-def _klog_ratio(r):
-    return elliptic.ellip_k(r) / math.log(4.0 / math.sqrt((1.0 - r) * (1.0 + r)))
-
-
 def _build_elliptic():
     checks, add = _registry()
+    ellip_k = _shared(lambda r: elliptic.ellip_k(r))  # read on _BATTERY_GRID by six checks
+    klog_ratio = _shared(lambda r: ellip_k(r) / math.log(4.0 / math.sqrt((1.0 - r) * (1.0 + r))))
 
     def agm_vs_series(r):
         series = hyper.hyp2f1(0.5, 0.5, 1.0, r * r, one_minus_x=(1.0 - r) * (1.0 + r))
-        return _slack(2.0 / math.pi * elliptic.ellip_k(r), series)
+        return _slack(2.0 / math.pi * ellip_k(r), series)
 
     add("elliptic.agm_vs_series", "(2/pi) K(r) = F(1/2,1/2;1;r^2), AGM against series", "identity",
         _BATTERY_GRID, agm_vs_series)
@@ -605,13 +633,13 @@ def _build_elliptic():
 
     def arth_bounds(r):
         base = math.atanh(r) / r
-        return _between(0.5 * math.pi * math.sqrt(base), elliptic.ellip_k(r), 0.5 * math.pi * base)
+        return _between(0.5 * math.pi * math.sqrt(base), ellip_k(r), 0.5 * math.pi * base)
 
     add("elliptic.arth_bounds", "(pi/2)(arth r/r)^(1/2) < K(r) < (pi/2) arth r/r", "inequality",
         _BATTERY_GRID, arth_bounds)
 
     def arth_refined(r):
-        return _slack(elliptic.ellip_k(r), 0.5 * math.pi * (math.atanh(r) / r) ** 0.75)
+        return _slack(ellip_k(r), 0.5 * math.pi * (math.atanh(r) / r) ** 0.75)
 
     add("elliptic.arth_refined", "(pi/2)(arth r/r)^(3/4) < K(r), 3/4 the best exponent",
         "inequality", _BATTERY_GRID, arth_refined)
@@ -633,27 +661,22 @@ def _build_elliptic():
              "no binary64 grid shows its sharpness")
 
     add("elliptic.klog_kuhnau_qiu", "9/(8+r^2) < K(r)/log(4/r')", "inequality", _BATTERY_GRID,
-        lambda r: _slack(_klog_ratio(r), 9.0 / (8.0 + r * r)))
+        lambda r: _slack(klog_ratio(r), 9.0 / (8.0 + r * r)))
     add("elliptic.klog_qiu_vamanamurthy", "K(r)/log(4/r') < 1 + (r')^2/4", "inequality", _BATTERY_GRID,
-        lambda r: _units(*balance(1.0, 0.25 * (1.0 - r) * (1.0 + r), -_klog_ratio(r))),
+        lambda r: _units(*balance(1.0, 0.25 * (1.0 - r) * (1.0 + r), -klog_ratio(r))),
         note="the ratio is 1 + (r')^2 (1 - 1/log(4/r'))/4 + ... as r -> 1, so "
              "the quarter, lowered by 1e-3, fails only for r' below about "
              "e^-1000: no grid in binary64 shows its sharpness")
     add("elliptic.klog_alzer", "1 + (pi/(4 log 2) - 1)(r')^2 < K(r)/log(4/r')", "inequality",
         _BATTERY_GRID,
-        lambda r: _units(*balance(_klog_ratio(r), -1.0, -_ALZER_KLOG * (1.0 - r) * (1.0 + r))))
+        lambda r: _units(*balance(klog_ratio(r), -1.0, -_ALZER_KLOG * (1.0 - r) * (1.0 + r))))
 
     # over the semiaxis b = r': perimeter(b) = 4 E(r)
-    def ellipse_lower(b):
-        return _slack(elliptic.ellipse_perimeter(b), elliptic.muir_approx(b))
-
-    def ellipse_upper(b):
-        return _slack(elliptic.upper_approx(b), elliptic.ellipse_perimeter(b))
-
+    perimeter = _shared(lambda b: elliptic.ellipse_perimeter(b))
     add("elliptic.ellipse_lower", "perimeter(b) >= 2 pi ((1+b^(3/2))/2)^(2/3) on [0,1]",
-        "inequality", Grid(0.0, 1.0, 101), ellipse_lower)
+        "inequality", Grid(0.0, 1.0, 101), lambda b: _slack(perimeter(b), elliptic.muir_approx(b)))
     add("elliptic.ellipse_upper", "perimeter(b) <= 2 pi ((1+b^2)/2)^(1/2) on [0,1]", "inequality",
-        Grid(0.0, 1.0, 101), ellipse_upper)
+        Grid(0.0, 1.0, 101), lambda b: _slack(elliptic.upper_approx(b), perimeter(b)))
 
     add("elliptic.mu_decreasing", "the ring modulus decreases in r", "monotonicity",
         Grid(1e-4, 1.0 - 1e-4, 128, "atanh"), lambda r: -elliptic.mu(r))
@@ -672,12 +695,13 @@ def _build_elliptic():
         lambda r: min(_slack(r, elliptic.phi_k_a(a, 1.0 / p, r)) for a in phi_as for p in phi_ps))
 
     rt_ps = (2.0, 3.0, 5.0, 7.0, 11.0, 23.0)
+    solve = _shared(lambda a, p, r: elliptic.phi_k_a(a, 1.0 / p, r))  # p = 2, 3, 5 in both checks
 
     def phi_roundtrip(r):
         worst = 0.0
         for a in phi_as:
             for p in rt_ps:
-                s = elliptic.phi_k_a(a, 1.0 / p, r)
+                s = solve(a, p, r)
                 worst = max(worst, abs(_slack(elliptic.phi_k_a(a, p, s), r)))
         return worst
 
@@ -685,7 +709,7 @@ def _build_elliptic():
         Grid(0.05, 0.95, 32, "atanh"), phi_roundtrip)
     add("elliptic.beta_below_alpha", "solved modulus stays below the input for p > 1", "inequality",
         Grid(0.05, 0.95, 32, "atanh"),
-        lambda r: min(_slack(r * r, elliptic.phi_k_a(a, 1.0 / p, r) ** 2)
+        lambda r: min(_slack(r * r, solve(a, p, r) ** 2)
                       for a in phi_as for p in (2.0, 3.0, 5.0)))
 
     ode_as = (0.5, 1.0 / 3.0, 0.25)
@@ -760,9 +784,12 @@ def run_suite(suite: str = "all", grid_n: int = None, tol_scale: float = 1.0) ->
     results = []
     for name in SUITES if suite == "all" else (suite,):
         specs = build_checks(name)
-        # each distinct 2F1 once per memo suite, same bits
-        with hyper.EvalScope() if name in _MEMO_SUITES else contextlib.nullcontext():
-            results.extend(run_check(s, grid_n=grid_n, tol_scale=tol_scale) for s in specs)
+        token = _SHARED.set({})  # the suite's _shared values, dropped with it
+        try:  # and each distinct 2F1 once per memo suite, same bits
+            with hyper.EvalScope() if name in _MEMO_SUITES else contextlib.nullcontext():
+                results.extend(run_check(s, grid_n=grid_n, tol_scale=tol_scale) for s in specs)
+        finally:
+            _SHARED.reset(token)
     results.sort(key=lambda r: r.id)
     passed = sum(1 for r in results if r.passed)
     return Report(
@@ -775,11 +802,13 @@ def run_suite(suite: str = "all", grid_n: int = None, tol_scale: float = 1.0) ->
 
 def serialize(report: Report, fmt: str = "json") -> bytes:
     if fmt == "json":
+        import json  # kept off the package's import, as csv and datetime are
+
         payload = {**report._asdict(), "results": [r._asdict() for r in report.results],
                    "summary": dict(report.summary)}
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
-        import csv  # kept off the package's import, as datetime is
+        import csv
         import io
 
         buf = io.StringIO()

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,16 @@ class TestVolumes:
                 balls.ball_volume(n)
         lv = balls.log_ball_volume(10_000)
         assert math.isfinite(lv) and lv < -30_000.0
+
+    def test_every_normal_volume_is_within_its_budget(self):
+        # pi^(n/2) / Gamma(n/2 + 1) to n = 340, 7e-15; exp(log Omega_n) to
+        # n = 435, 2e-13 (it read 1.3e-13 at n = 300 and 1.8e-13 at 433)
+        mp = mpmath.mp
+        with mp.workdps(50):
+            for n in range(1, 436):
+                ref = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+                err = float(abs((mp.mpf(balls.ball_volume(n)) - ref) / ref))
+                assert err <= (7e-15 if n <= 340 else 2e-13), n
 
     def test_peak_then_decay(self):
         # Omega_n peaks at n = 5 and decreases from n = 7 on

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from specfun import balls, elliptic, hyper, verify
+from specfun import balls, elliptic, gamma, hyper, verify
 from specfun.errors import DomainError
 from specfun.kernel import Grid, balance
 from specfun.verify import CheckResult, CheckSpec, Report
@@ -388,6 +388,75 @@ class TestRunScopedMemo:
         for spec in verify.build_checks("hyper"):
             verify.run_check(spec)
         assert 0 < counts[0] == counts[1] < len(calls)
+
+
+# the library values verify._shared evaluates once per point and suite, with
+# their calls in one pass: (suite, run_suite, each spec run alone)
+_SHARED_CALLS = {
+    (elliptic, "ellip_k"): ("elliptic", 612, 3172),
+    (gamma, "theta"): ("gamma", 514, 1014),
+    (gamma, "mono_f"): ("gamma", 500, 700),
+    (elliptic, "ellipse_perimeter"): ("elliptic", 101, 202),
+    (elliptic, "phi_k_a"): ("elliptic", 1024, 1216),
+}
+
+
+def _records(results):
+    return [(r.id, r.passed, repr(r.max_residual), repr(r.argmax), r.points) for r in results]
+
+
+class TestSharedValues:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(_SHARED_CALLS, 0)
+
+        def counting(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        for key in _SHARED_CALLS:
+            monkeypatch.setattr(*key, counting(key, getattr(*key)))
+        return counts
+
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_run_suite_equals_each_check_run_alone_at_seven_points(self, suite):
+        # the default grids are compared in TestRunScopedMemo
+        report = verify.run_suite(suite, grid_n=7)
+        alone = sorted((verify.run_check(s, grid_n=7) for s in verify.build_checks(suite)),
+                       key=lambda r: r.id)
+        assert _records(report.results) == _records(alone)
+
+    def test_a_pass_evaluates_each_shared_value_once_per_point(self, calls):
+        for suite in ("gamma", "elliptic"):
+            verify.run_suite(suite)
+        assert calls == {key: want for key, (_, want, _) in _SHARED_CALLS.items()}
+
+    def test_a_lone_run_check_shares_nothing(self, calls):
+        for suite in ("gamma", "elliptic"):
+            for spec in verify.build_checks(suite):
+                verify.run_check(spec)
+        assert calls == {key: alone for key, (_, _, alone) in _SHARED_CALLS.items()}
+
+    def test_each_run_evaluates_everything_again(self, calls):
+        for _ in range(2):
+            for key in calls:
+                calls[key] = 0
+            verify.run_suite("elliptic")
+            assert verify._SHARED.get() is None
+            assert calls == {key: (want if suite == "elliptic" else 0)
+                             for key, (suite, want, _) in _SHARED_CALLS.items()}
+
+    def test_no_scope_outlives_a_raising_suite(self, monkeypatch):
+        def raising(spec, grid_n=None, tol_scale=1.0):
+            assert verify._SHARED.get() == {}
+            raise RuntimeError(spec.id)
+
+        monkeypatch.setattr(verify, "run_check", raising)
+        with pytest.raises(RuntimeError):
+            verify.run_suite("gamma")
+        assert verify._SHARED.get() is None
 
 
 class TestSerialization:
