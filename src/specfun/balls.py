@@ -6,8 +6,6 @@ from log-volumes so that dimensions up to 10^4 stay overflow-free.
 Omega_0 = 1 by the same formula; the ratio inequalities need it at n = 1.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -11,8 +11,6 @@ round-trip decimal; eval of a residual function prints the residual and
 ``scale=<sum of |terms|>``.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys
@@ -106,12 +104,7 @@ def _cmd_eval(args) -> int:
         return 2
     fn, kinds = _REGISTRY[name]
     try:
-        call_args = _parse_args_for(kinds, args.args)
-    except ValueError as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        res = fn(*call_args)
+        res = fn(*_parse_args_for(kinds, args.args))
     except (ValueError, OverflowError, BracketError, IterationCapError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return 2
@@ -177,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a registered function")
     p_eval.add_argument("function", help="function name, e.g. gamma, theta, f21, mu_a")
     p_eval.add_argument("args", nargs="*", help="numeric arguments")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all", choices=("all",) + verify.SUITES)
@@ -190,23 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a JSON report to PATH")
     out.add_argument("--csv", dest="csv_path", metavar="PATH",
                      help="write a CSV report to PATH")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_table = sub.add_parser("table", help="print a reference table")
     p_table.add_argument("which", choices=("theta", "gamma-const"))
+    p_table.set_defaults(run=_cmd_table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_table(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

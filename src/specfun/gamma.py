@@ -14,8 +14,6 @@ the gap R_n - gamma, which from n = 32 on, like lemma_g, the sum of
 asymptotic series (DLMF 5.15), not an O(n) sum.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys

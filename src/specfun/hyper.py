@@ -31,8 +31,6 @@ positivity lemma.  Each residual function returns the pair
 sum |term|, so a caller can read the residual in units of eps * scale.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from contextvars import ContextVar
@@ -103,10 +101,10 @@ EvalResult = namedtuple("EvalResult", "value abs_err_estimate terms_used method"
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial (a, n) = a(a+1)...(a+n-1); (a, 0) = 1.
 
-    Stops as soon as the product is 0 or overflows, which for every
-    finite a happens within 308 factors (a = 5e-324 is the worst), so
-    any n costs O(1).  Raises DomainError at NaN a or an n that is not a
-    finite integer >= 0, and OverflowError past binary64.
+    Stops as soon as the product is 0 or overflows, within 308 factors
+    for every finite a (a = 5e-324 is the worst), so any n costs O(1).
+    DomainError at NaN a or an n that is not a finite integer >= 0, and
+    OverflowError past binary64, also at infinite a and n > 0, as gamma(inf).
     """
     # the range test comes first: int() of an infinite or NaN n raises a
     # bare OverflowError or ValueError
@@ -229,7 +227,7 @@ def _log_series(a, b, c, m, w):
     return value, err, int(n1) + m
 
 
-def _connection(a, b, c, x, w):
+def _connection(a, b, c, w):
     """Linear connection in 1-x; needs d = c-a-b away from the integers.
     The estimate adds the series' own, 4 eps of the two products and the
     rounding of d, audited against mpmath as a bound."""
@@ -309,7 +307,7 @@ def _evaluate(a, b, c, x, w):
         # scales by |log w|
         rounding = 2.0 + abs(math.log(w)) * (abs(a) + abs(b) + abs(c))
         return v, scale * inner_e + rounding * _EPS * abs(v), n, "reflection_transform"
-    v, e, n = _connection(a, b, c, x, w)
+    v, e, n = _connection(a, b, c, w)
     return v, e, n, "near_one_expansion"
 
 

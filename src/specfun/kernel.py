@@ -11,8 +11,6 @@ with its value, each clamped to x <= x_max.  It needs no bracket: the
 curvature keeps every iterate after the first on one side of the root.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

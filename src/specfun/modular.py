@@ -18,8 +18,6 @@ sometimes seen on the first term fails numerically by ~1e-1 and is a
 transcription error.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -92,49 +90,44 @@ def _res_sig3_deg11(al: float, be: float):
     return balance(p ** _THIRD, s ** _THIRD, 6.0 * (p * s) ** (1.0 / 6.0), mixed, -1.0)
 
 
-_IDENTITIES = {}
-
-
-def _register(identity: ModularIdentity):
-    _IDENTITIES[identity.id] = identity
-
-
-_register(ModularIdentity(
-    "classical_deg3", _HALF, ((1, 3),), _res_deg3,
-    "(ab)^(1/4) + ((1-a)(1-b))^(1/4) = 1",
-))
-_register(ModularIdentity(
-    "classical_deg5", _HALF, ((1, 5),), _res_deg5,
-    "(ab)^(1/2) + ((1-a)(1-b))^(1/2) + 2(16 ab(1-a)(1-b))^(1/6) = 1",
-))
-_register(ModularIdentity(
-    "classical_deg7", _HALF, ((1, 7),), _res_deg7,
-    "(ab)^(1/8) + ((1-a)(1-b))^(1/8) = 1",
-))
-_register(ModularIdentity(
-    "classical_deg9_chain", _HALF, ((1, 3, 9),), _res_deg9_chain,
-    "(a(1-g))^(1/8) + (g(1-a))^(1/8) = 2^(1/3) (b(1-b))^(1/24)",
-))
-_register(ModularIdentity(
-    "classical_deg23", _HALF, ((1, 23),), _res_deg23,
-    "(ab)^(1/8) + ((1-a)(1-b))^(1/8) + 2^(2/3) (ab(1-a)(1-b))^(1/24) = 1",
-))
-_register(ModularIdentity(
-    "classical_mixed_357", _HALF, ((1, 7), (3, 5)), _res_mixed_357,
-    "sqrt((1 + sqrt(ab) + sqrt((1-a)(1-b)))/2) = (ab)^(1/8) + ((1-a)(1-b))^(1/8) - (ab(1-a)(1-b))^(1/8)",
-))
-_register(ModularIdentity(
-    "sig3_deg2", _THIRD, ((1, 2),), _res_sig3_deg2,
-    "(ab)^(1/3) + ((1-a)(1-b))^(1/3) = 1",
-))
-_register(ModularIdentity(
-    "sig3_deg5", _THIRD, ((1, 5),), _res_sig3_deg5,
-    "(ab)^(1/3) + ((1-a)(1-b))^(1/3) + 3(ab(1-a)(1-b))^(1/6) = 1",
-))
-_register(ModularIdentity(
-    "sig3_deg11", _THIRD, ((1, 11),), _res_sig3_deg11,
-    "(ab)^(1/3) + ((1-a)(1-b))^(1/3) + 6 q^(1/6) + 3 sqrt(3) q^(1/12) ((ab)^(1/6) + ((1-a)(1-b))^(1/6)) = 1",
-))
+_IDENTITIES = {identity.id: identity for identity in (
+    ModularIdentity(
+        "classical_deg3", _HALF, ((1, 3),), _res_deg3,
+        "(ab)^(1/4) + ((1-a)(1-b))^(1/4) = 1",
+    ),
+    ModularIdentity(
+        "classical_deg5", _HALF, ((1, 5),), _res_deg5,
+        "(ab)^(1/2) + ((1-a)(1-b))^(1/2) + 2(16 ab(1-a)(1-b))^(1/6) = 1",
+    ),
+    ModularIdentity(
+        "classical_deg7", _HALF, ((1, 7),), _res_deg7,
+        "(ab)^(1/8) + ((1-a)(1-b))^(1/8) = 1",
+    ),
+    ModularIdentity(
+        "classical_deg9_chain", _HALF, ((1, 3, 9),), _res_deg9_chain,
+        "(a(1-g))^(1/8) + (g(1-a))^(1/8) = 2^(1/3) (b(1-b))^(1/24)",
+    ),
+    ModularIdentity(
+        "classical_deg23", _HALF, ((1, 23),), _res_deg23,
+        "(ab)^(1/8) + ((1-a)(1-b))^(1/8) + 2^(2/3) (ab(1-a)(1-b))^(1/24) = 1",
+    ),
+    ModularIdentity(
+        "classical_mixed_357", _HALF, ((1, 7), (3, 5)), _res_mixed_357,
+        "sqrt((1 + sqrt(ab) + sqrt((1-a)(1-b)))/2) = (ab)^(1/8) + ((1-a)(1-b))^(1/8) - (ab(1-a)(1-b))^(1/8)",
+    ),
+    ModularIdentity(
+        "sig3_deg2", _THIRD, ((1, 2),), _res_sig3_deg2,
+        "(ab)^(1/3) + ((1-a)(1-b))^(1/3) = 1",
+    ),
+    ModularIdentity(
+        "sig3_deg5", _THIRD, ((1, 5),), _res_sig3_deg5,
+        "(ab)^(1/3) + ((1-a)(1-b))^(1/3) + 3(ab(1-a)(1-b))^(1/6) = 1",
+    ),
+    ModularIdentity(
+        "sig3_deg11", _THIRD, ((1, 11),), _res_sig3_deg11,
+        "(ab)^(1/3) + ((1-a)(1-b))^(1/3) + 6 q^(1/6) + 3 sqrt(3) q^(1/12) ((ab)^(1/6) + ((1-a)(1-b))^(1/6)) = 1",
+    ),
+)}
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 

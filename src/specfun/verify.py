@@ -38,8 +38,6 @@ per point in a scope that run_suite opens and drops around each suite,
 as it does EvalScope.  A lone run_check shares nothing.
 """
 
-from __future__ import annotations
-
 import contextlib
 import math
 import random
